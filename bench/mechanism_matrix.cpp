@@ -25,6 +25,7 @@
 #include "common/json.h"
 #include "common/table.h"
 #include "core/mechanism.h"
+#include "core/stability.h"
 #include "exec/parallel_for.h"
 #include "runner.h"
 #include "sim/network.h"
@@ -34,7 +35,8 @@ using namespace bcn;
 namespace {
 
 constexpr double kGainFactors[] = {0.5, 1.0, 2.0};
-constexpr double kPacketDuration = 0.04;  // seconds
+constexpr double kVerdictDuration = 0.01;  // seconds
+constexpr double kPacketDuration = 0.04;   // seconds
 
 core::BcnParams slow_regime() {
   core::BcnParams p;
@@ -74,7 +76,8 @@ std::vector<MapCell> stability_map(const core::MechanismInfo& info,
         core::MechanismConfig cfg = base;
         info.set_gains(cfg, cell.g1, cell.g2);
         const auto mech = core::make_fluid_mechanism(info.name, cfg);
-        const auto verdict = core::mechanism_numeric_verdict(*mech);
+        const auto verdict =
+            core::numeric_strong_stability(*mech, kVerdictDuration);
         cell.stable = verdict.strongly_stable;
         cell.max_x = verdict.max_x;
         return cell;
@@ -164,7 +167,7 @@ int run(bench::RunContext& ctx) {
     core::MechanismConfig base;
     base.plant = p;
     const auto mech = core::make_fluid_mechanism(info.name, base);
-    const auto solo = core::mechanism_numeric_verdict(*mech);
+    const auto solo = core::numeric_strong_stability(*mech, kVerdictDuration);
     json.add(prefix + "solo_stable",
              static_cast<std::int64_t>(solo.strongly_stable));
     json.add(prefix + "solo_max_x_bits", solo.max_x);

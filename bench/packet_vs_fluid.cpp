@@ -1,6 +1,8 @@
 // E11: packet-level simulator vs fluid model cross-validation (the
 // substitution experiment: the paper's claims live in the fluid model; the
-// packet simulator exercises the same BCN control laws frame by frame).
+// packet simulator exercises the same control laws frame by frame).
+// --mechanism swaps both sides together: the registered fluid facet and
+// the packet facet of the same mechanism.
 #include <cstdio>
 
 #include "analysis/crossval.h"
@@ -51,32 +53,24 @@ int run(bench::RunContext& ctx) {
 
   constexpr double kDuration = 0.04;
 
-  // Fluid runs.  The default BCN path goes through FluidModel directly;
-  // other mechanisms integrate their own fluid facet.  FERA is
-  // packet-only: its fluid side is skipped entirely.
+  // Fluid runs of the mechanism's facet at both interior levels (BCN's is
+  // FluidModel).  FERA is packet-only: its fluid side is skipped entirely.
   core::FluidRun lin, non;
   const bool has_fluid = core::find_mechanism(ctx.mechanism)->has_fluid;
-  if (ctx.mechanism == "bcn" || ctx.mechanism == "bcn-draft") {
+  if (has_fluid) {
+    core::MechanismConfig mcfg;
+    mcfg.plant = p;
     core::FluidRunOptions fopts;
     fopts.duration = kDuration;
     fopts.record_interval = 2e-5;
     lin = core::simulate_fluid(
-        core::FluidModel(p, core::ModelLevel::Linearized), fopts);
+        *core::make_fluid_mechanism(ctx.mechanism, mcfg,
+                                    core::ModelLevel::Linearized),
+        fopts);
     non = core::simulate_fluid(
-        core::FluidModel(p, core::ModelLevel::Nonlinear), fopts);
-  } else if (has_fluid) {
-    core::MechanismConfig mcfg;
-    mcfg.plant = p;
-    const auto mech = core::make_fluid_mechanism(ctx.mechanism, mcfg);
-    core::MechanismRunOptions mopts;
-    mopts.duration = kDuration;
-    mopts.record_interval = 2e-5;
-    mopts.level = core::ModelLevel::Linearized;
-    lin = core::simulate_fluid_mechanism(*mech, mopts);
-    mopts.level = core::ModelLevel::Nonlinear;
-    non = core::simulate_fluid_mechanism(*mech, mopts);
-  }
-  if (has_fluid) {
+        *core::make_fluid_mechanism(ctx.mechanism, mcfg,
+                                    core::ModelLevel::Nonlinear),
+        fopts);
     bench::record_fluid_metrics(lin, ctx.metrics);
     bench::record_fluid_metrics(non, ctx.metrics);
   }

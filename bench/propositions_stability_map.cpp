@@ -16,12 +16,16 @@
 #include "common/table.h"
 #include "control/routh_hurwitz.h"
 #include "core/mechanism.h"
+#include "core/stability.h"
 #include "exec/parallel_for.h"
 #include "runner.h"
 
 using namespace bcn;
 
 namespace {
+
+// Verdict horizon of the generic map's cells [s].
+constexpr double kGenericDuration = 0.01;
 
 // The Propositions and Theorem 1 are BCN theorems, so --mechanism other
 // than bcn/bcn-draft gets the generic map instead: the registry's own
@@ -54,7 +58,8 @@ int run_generic_map(bench::RunContext& ctx, const core::MechanismInfo& info,
       cfg.plant = base;
       info.set_gains(cfg, g1[idx / g2.size()], g2[idx % g2.size()]);
       const auto mech = core::make_fluid_mechanism(info.name, cfg);
-      const auto lane = core::make_mechanism_verdict_lane(*mech);
+      const auto lane =
+          core::make_mechanism_verdict_lane(*mech, kGenericDuration);
       if (!lane) {
         batched = false;  // no lane form: fall back to the scalar path
         lanes.clear();
@@ -79,7 +84,8 @@ int run_generic_map(bench::RunContext& ctx, const core::MechanismInfo& info,
           cfg.plant = base;
           info.set_gains(cfg, g1[idx / g2.size()], g2[idx % g2.size()]);
           const auto mech = core::make_fluid_mechanism(info.name, cfg);
-          const auto verdict = core::mechanism_numeric_verdict(*mech);
+          const auto verdict =
+              core::numeric_strong_stability(*mech, kGenericDuration);
           return Cell{verdict.strongly_stable, verdict.max_x, verdict.min_x};
         },
         {.threads = ctx.threads});

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Ten gates:
+# Eleven gates:
 #  1. Thread safety: builds the tree under ThreadSanitizer
 #     (-DBCN_SANITIZE=thread) and runs the exec + analysis + obs + sim
 #     + service test suites, which exercise parallel_for / ThreadPool /
@@ -25,7 +25,7 @@
 #     malformed --faults spec is rejected with exit 2 and a usage line.
 #     (The FaultsTest cases already ran under TSan in gate 1 as part of
 #     bcn_sim_tests.)
-#  6. Mechanism matrix smoke: runs the E22 mechanism-matrix bench (a 3x3
+#  6. Mechanism matrix smoke: runs the E21 mechanism-matrix bench (a 3x3
 #     stability map per registered fluid mechanism plus the heterogeneous
 #     competition pairs), validates BENCH_mechanism_matrix.json (map and
 #     competition keys, fluid boundedness, fairness in [0, 1]), requires
@@ -72,6 +72,12 @@
 #     (every non-URL link target must exist).  (The cache/protocol/
 #     server unit tests already ran under TSan in gate 1 as part of
 #     bcn_service_tests.)
+# 11. Memory and undefined-behaviour safety: builds the ode, core,
+#     analysis and service test suites under AddressSanitizer plus
+#     UndefinedBehaviorSanitizer (-DBCN_SANITIZE=address,undefined with
+#     -fno-sanitize-recover=undefined, so any UB report aborts) and runs
+#     them.  Any out-of-bounds access, use-after-free, leak or UB fails
+#     the run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -594,13 +600,15 @@ done
   echo "[check.sh] bcn_serve never reported a port"; exit 1;
 }
 
-# Scripted session: a control op, three distinct verdicts (closed-form
-# bcn, generic qcn, custom plant), a repeat of the first verdict line
-# (must be answered from the cache, byte-identically), and stats.
+# Scripted exchange: a control op, four distinct verdicts (closed-form
+# bcn, the qcn and rcp fluid facets, custom plant), a repeat of the
+# first verdict line (must be answered from the cache, byte-identically),
+# and stats.
 cat > "$SVC_OUT/session.txt" <<'EOF'
 {"op":"ping","id":1}
 {"op":"verdict"}
 {"op":"verdict","mechanism":"qcn","a":4e8}
+{"op":"verdict","mechanism":"rcp"}
 {"op":"verdict","a":4e8,"B":1.2e7}
 {"op":"verdict"}
 {"op":"stats"}
@@ -612,14 +620,14 @@ BCN_ANALYZE="$SMOKE_BUILD_DIR"/tools/bcn_analyze \
   python3 - "$SVC_OUT/responses.txt" <<'PY'
 import json, os, subprocess, sys
 lines = [l for l in open(sys.argv[1]).read().splitlines() if l]
-assert len(lines) == 6, f"want 6 responses, got {len(lines)}"
+assert len(lines) == 7, f"want 7 responses, got {len(lines)}"
 bodies = [json.loads(l) for l in lines]
 assert bodies[0] == {"id": 1, "op": "ping", "ok": True}, bodies[0]
 
 # Every verdict answer must reproduce the CLI byte for byte when
 # bcn_analyze is invoked with the echoed (derived) parameters.
 analyze = os.environ["BCN_ANALYZE"]
-for body in bodies[1:4]:
+for body in bodies[1:5]:
     assert body["op"] == "verdict", body
     argv = [analyze]
     for flag in ("gi", "gd", "pm", "q0", "B"):
@@ -632,17 +640,17 @@ for body in bodies[1:4]:
 
 # The repeated bare verdict line is answered from the cache and must be
 # byte-identical to the cold response.
-assert lines[4] == lines[1], "cached response != cold response"
+assert lines[5] == lines[1], "cached response != cold response"
 
-# The stats snapshot accounts for the session exactly: 6 requests, 3
+# The stats snapshot accounts for the script exactly: 7 requests, 4
 # distinct cacheable keys (misses), 1 replay (hit).
-stats = bodies[5]
-assert stats["service.requests"] == 6, stats
-assert stats["service.cache.misses"] == 3, stats
+stats = bodies[6]
+assert stats["service.requests"] == 7, stats
+assert stats["service.cache.misses"] == 4, stats
 assert stats["service.cache.hits"] == 1, stats
 assert stats["service.errors"] == 0, stats
-print("[check.sh] scripted session: 3 verdicts CLI-identical, "
-      "replay cached byte-identically (hits=1, misses=3)")
+print("[check.sh] scripted requests: 4 verdicts CLI-identical, "
+      "replay cached byte-identically (hits=1, misses=4)")
 PY
 
 # Load mode: a seeded pool replayed over concurrent connections; the
@@ -752,3 +760,21 @@ print(f"[check.sh] doc links valid: {checked} relative links "
 PY
 
 echo "[check.sh] service smoke clean ($SVC_JSON)"
+
+# --- address + undefined-behaviour sanitizers -------------------------------
+# The numeric stack (integrators, fluid facets and verdicts, maps and
+# reports, the service protocol) under ASan+UBSan.  Like gate 1, the
+# suites run directly so unbuilt siblings cannot pollute the result.
+ASAN_BUILD_DIR=${ASAN_BUILD_DIR:-build-asan}
+cmake -B "$ASAN_BUILD_DIR" -S . -DBCN_SANITIZE=address,undefined \
+  -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake --build "$ASAN_BUILD_DIR" -j \
+  --target bcn_ode_tests bcn_core_tests bcn_analysis_tests bcn_service_tests
+
+"$ASAN_BUILD_DIR"/tests/ode/bcn_ode_tests
+"$ASAN_BUILD_DIR"/tests/core/bcn_core_tests
+"$ASAN_BUILD_DIR"/tests/analysis/bcn_analysis_tests
+"$ASAN_BUILD_DIR"/tests/service/bcn_service_tests
+
+echo "[check.sh] ASan+UBSan run clean"

@@ -14,14 +14,16 @@ namespace bcn::analysis {
 
 std::optional<bool> fluid_stability_hint(const core::BcnParams& params,
                                          const std::string& mechanism) {
-  if (mechanism.empty() || mechanism == "bcn" || mechanism == "bcn-draft") {
-    return core::numeric_strong_stability(params).strongly_stable;
-  }
+  const std::string name = mechanism.empty() ? "bcn" : mechanism;
   core::MechanismConfig config;
   config.plant = params;
-  const auto fluid = core::make_fluid_mechanism(mechanism, config);
+  const auto fluid = core::make_fluid_mechanism(name, config);
   if (!fluid) return std::nullopt;  // packet-only or unknown mechanism
-  return core::mechanism_numeric_verdict(*fluid).strongly_stable;
+  // BCN's closed-form plants are judged over the automatic horizon; the
+  // other facets over a fixed 10 ms window.
+  const bool closed_form = name == "bcn" || name == "bcn-draft";
+  return core::numeric_strong_stability(*fluid, closed_form ? 0.0 : 0.01)
+      .strongly_stable;
 }
 
 namespace {

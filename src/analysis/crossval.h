@@ -20,11 +20,11 @@ namespace bcn::analysis {
 
 // Fluid-side strong-stability verdict for a packet scenario's plant and
 // mechanism — the hint obs::RunMonitor's fluid-verdict crosscheck
-// consumes.  Returns the numeric strong-stability verdict
-// (core::numeric_strong_stability for bcn/bcn-draft, the generic
-// mechanism_numeric_verdict otherwise) or nullopt for packet-only
-// mechanisms (fera) and unknown names, which have no fluid model to
-// contradict.
+// consumes.  Returns core::numeric_strong_stability of the mechanism's
+// Nonlinear facet (an empty name means bcn), integrated over the
+// automatic horizon for bcn/bcn-draft and over 10 ms for the other
+// facets, or nullopt for packet-only mechanisms (fera) and unknown
+// names, which have no fluid model to contradict.
 std::optional<bool> fluid_stability_hint(const core::BcnParams& params,
                                          const std::string& mechanism = "bcn");
 

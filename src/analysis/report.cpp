@@ -1,6 +1,6 @@
 #include "analysis/report.h"
 
-#include <utility>
+#include <tuple>
 
 #include "analysis/transient.h"
 #include "common/format.h"
@@ -21,10 +21,10 @@ std::string finite_monitor_message(const char* level_name) {
       level_name);
 }
 
-// The generic path for fluid facets other than BCN's (bcn_analyze's
-// non-closed-form branch).
-void render_mechanism_path(const VerdictRequest& request,
-                           VerdictReport& report) {
+// The summary of a fluid facet without closed forms: equilibrium and
+// region laws.  False for packet-only mechanisms, which end the report.
+bool render_facet_summary(const VerdictRequest& request,
+                          VerdictReport& report) {
   const auto* info = core::find_mechanism(request.mechanism);
   report.text += strf("mechanism: %s -- %s\n", info->name, info->summary);
   core::MechanismConfig mcfg;
@@ -36,7 +36,7 @@ void render_mechanism_path(const VerdictRequest& request,
         "packet-only mechanism: no fluid facet to analyze; use "
         "the packet benches (bcn_bench --mechanism %s).\n",
         request.mechanism.c_str());
-    return;
+    return false;
   }
   report.text += strf("equilibrium at the origin: %s\n",
                       mech->has_equilibrium() ? "yes" : "no (sawtooth orbit)");
@@ -47,20 +47,33 @@ void render_mechanism_path(const VerdictRequest& request,
                   TablePrinter::format(law.m), TablePrinter::format(law.n)});
   }
   report.text += laws.to_string("linearized region laws");
+  return true;
+}
 
-  core::MechanismRunOptions mopts;
-  mopts.duration = request.duration;
-  for (const auto& [level, name] :
-       {std::pair{core::ModelLevel::Linearized, "linearized"},
-        std::pair{core::ModelLevel::Nonlinear, "nonlinear "}}) {
-    mopts.level = level;
-    const auto verdict = core::mechanism_numeric_verdict(*mech, mopts);
+// Numeric Definition-1 verdicts of the facet at the Linearized and
+// Nonlinear levels.  The closed-form mechanisms integrate the automatic
+// horizon under eq.-labelled lines; the others request.duration.  False
+// when the finite monitor stopped the report.
+bool render_numeric_verdicts(const VerdictRequest& request, bool closed_form,
+                             VerdictReport& report) {
+  core::MechanismConfig mcfg;
+  mcfg.plant = request.params;
+  const double duration = closed_form ? 0.0 : request.duration;
+  const double q0 = request.params.q0;
+  for (const auto& [level, closed_form_name, facet_name] :
+       {std::tuple{core::ModelLevel::Linearized, "linearized (eq.9) ",
+                   "linearized"},
+        std::tuple{core::ModelLevel::Nonlinear, "nonlinear  (eq.8) ",
+                   "nonlinear "}}) {
+    const char* name = closed_form ? closed_form_name : facet_name;
+    const auto verdict = core::numeric_strong_stability(
+        *core::make_fluid_mechanism(request.mechanism, mcfg, level),
+        duration);
     report.nonfinite = report.nonfinite || verdict.nonfinite;
     if (request.finite_monitor && verdict.nonfinite) {
       report.monitor_error = finite_monitor_message(name);
-      return;
+      return false;
     }
-    const double q0 = request.params.q0;
     if (level == core::ModelLevel::Linearized) {
       report.stable_linearized = verdict.strongly_stable;
       report.peak_q_linearized = verdict.max_x + q0;
@@ -76,11 +89,11 @@ void render_mechanism_path(const VerdictRequest& request,
                                                 : "NOT strongly stable",
                         verdict.max_x + q0, verdict.min_x + q0);
   }
+  return true;
 }
 
-// The closed-form path (bcn / bcn-draft share BCN's fluid facet).
-void render_bcn_path(const VerdictRequest& request, VerdictReport& report) {
-  const core::BcnParams& p = request.params;
+// The closed-form analysis heading the bcn / bcn-draft report.
+void render_closed_form(const core::BcnParams& p, VerdictReport& report) {
   const auto analysis = core::analyze_stability(p);
   report.closed_form = true;
   report.paper_case = core::to_string(analysis.classification.paper_case);
@@ -89,32 +102,11 @@ void render_bcn_path(const VerdictRequest& request, VerdictReport& report) {
   report.theorem1_satisfied = analysis.theorem1_satisfied;
   report.theorem1_required_buffer = analysis.theorem1_required_buffer;
   report.text += strf("analysis: %s\n\n", analysis.summary().c_str());
+}
 
-  for (const auto& [level, name] :
-       {std::pair{core::ModelLevel::Linearized, "linearized (eq.9) "},
-        std::pair{core::ModelLevel::Nonlinear, "nonlinear  (eq.8) "}}) {
-    const auto verdict = core::numeric_strong_stability(p, {.level = level});
-    report.nonfinite = report.nonfinite || verdict.nonfinite;
-    if (request.finite_monitor && verdict.nonfinite) {
-      report.monitor_error = finite_monitor_message(name);
-      return;
-    }
-    if (level == core::ModelLevel::Linearized) {
-      report.stable_linearized = verdict.strongly_stable;
-      report.peak_q_linearized = verdict.max_x + p.q0;
-      report.dip_q_linearized = verdict.min_x + p.q0;
-    } else {
-      report.stable_nonlinear = verdict.strongly_stable;
-      report.peak_q_nonlinear = verdict.max_x + p.q0;
-      report.dip_q_nonlinear = verdict.min_x + p.q0;
-    }
-    report.text += strf("numeric %s: %-22s peak q = %.6g, dip q = %.6g\n",
-                        name,
-                        verdict.strongly_stable ? "strongly stable"
-                                                : "NOT strongly stable",
-                        verdict.max_x + p.q0, verdict.min_x + p.q0);
-  }
-
+// The transient estimate and frequency margins closing the bcn /
+// bcn-draft report.
+void render_closed_form_tail(const core::BcnParams& p, VerdictReport& report) {
   if (const auto est = analysis::estimate_transient(p)) {
     report.text += strf(
         "\ntransient estimate: cycle %.4g s, contraction %.6f per "
@@ -138,10 +130,15 @@ void render_bcn_path(const VerdictRequest& request, VerdictReport& report) {
 VerdictReport render_verdict_report(const VerdictRequest& request) {
   VerdictReport report;
   report.text = strf("%s\n\n", request.params.describe().c_str());
-  if (request.mechanism == "bcn" || request.mechanism == "bcn-draft") {
-    render_bcn_path(request, report);
-  } else {
-    render_mechanism_path(request, report);
+  const bool closed_form =
+      request.mechanism == "bcn" || request.mechanism == "bcn-draft";
+  if (closed_form) {
+    render_closed_form(request.params, report);
+  } else if (!render_facet_summary(request, report)) {
+    return report;
+  }
+  if (render_numeric_verdicts(request, closed_form, report) && closed_form) {
+    render_closed_form_tail(request.params, report);
   }
   return report;
 }

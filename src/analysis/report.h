@@ -20,11 +20,12 @@ namespace bcn::analysis {
 
 struct VerdictRequest {
   core::BcnParams params;
-  // Registry name (core/mechanism.h); bcn and bcn-draft take the
-  // closed-form path, other fluid facets the generic mechanism path.
+  // Registry name (core/mechanism.h); bcn and bcn-draft add the
+  // closed-form analysis around the numeric verdicts, other fluid facets
+  // a summary of their region laws.
   std::string mechanism = "bcn";
-  // Integration horizon for the generic mechanism path (the bcn path
-  // derives its own auto horizon from the subsystem time scales).
+  // Integration horizon of the numeric verdicts for mechanisms without
+  // closed forms (bcn and bcn-draft integrate core::verdict_horizon).
   double duration = 1.5e-3;
   // Mirrors `bcn_analyze --monitors finite`: rendering stops before a
   // numeric verdict built on a non-finite integration, and

@@ -2,27 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 
-#include "core/classifier.h"
+#include "core/fluid_model.h"
 #include "exec/parallel_for.h"
 
 namespace bcn::core {
 namespace {
-
-// Identical to the horizon rule in stability.cpp (kept in lock-step so
-// batched and scalar verdicts integrate the same duration): half a
-// rotation period for spirals, 20 slow time constants for nodes.
-double region_time_scale(const control::SecondOrderSystem& sys) {
-  const double disc = sys.discriminant();
-  if (disc < 0.0) {
-    const double beta = std::sqrt(-disc) / 2.0;
-    return std::numbers::pi / beta;
-  }
-  const auto eig = sys.eigenvalues();
-  const double slow = std::abs(eig[1].real());  // eigenvalue closest to 0
-  return slow > 0.0 ? 20.0 / slow : 1.0;
-}
 
 // Fastest linearized rate of one region of a lane law.  The law's
 // second-order form at the origin is lambda^2 + m lambda + n with
@@ -58,49 +43,23 @@ void auto_dt(const VerdictLane& lane, double oversample, double dt_out[2]) {
 
 }  // namespace
 
-ode::LaneLaw bcn_lane_law(const BcnParams& params, ModelLevel level) {
-  ode::LaneLaw law;
-  law.sx = 1.0;
-  law.sy = params.k();
-  law.g0[0] = params.a();  // increase: dy = a sigma
-  const double b = params.b();
-  // decrease: dy = b (y + C) sigma = (bC + b y) sigma
-  law.g0[1] = b * params.capacity;
-  law.g1[1] = level == ModelLevel::Linearized ? 0.0 : b;
-  law.switched = true;
-  return law;
+std::optional<VerdictLane> make_mechanism_verdict_lane(
+    const FluidMechanism& facet, double duration) {
+  VerdictLane lane;
+  if (!facet.lane_law(&lane.law)) return std::nullopt;
+  const BcnParams& p = facet.plant();
+  lane.q0 = p.q0;
+  lane.capacity = p.capacity;
+  lane.buffer = p.buffer;
+  lane.duration = duration > 0.0 ? duration : verdict_horizon(facet);
+  lane.use_convergence_stop = facet.has_equilibrium();
+  return lane;
 }
 
 VerdictLane make_bcn_verdict_lane(const BcnParams& params, ModelLevel level,
                                   double duration) {
-  VerdictLane lane;
-  lane.law = bcn_lane_law(params, level);
-  lane.q0 = params.q0;
-  lane.capacity = params.capacity;
-  lane.buffer = params.buffer;
-  lane.duration = duration;
-  if (lane.duration <= 0.0) {
-    lane.duration = 10.0 * (region_time_scale(increase_subsystem(params)) +
-                            region_time_scale(decrease_subsystem(params)));
-  }
-  return lane;
-}
-
-std::optional<VerdictLane> make_mechanism_verdict_lane(
-    const FluidMechanism& mechanism, const MechanismRunOptions& options) {
-  if (options.level == ModelLevel::Clipped) return std::nullopt;
-  ode::LaneLaw law;
-  if (!mechanism.lane_law(options.level, &law)) return std::nullopt;
-
-  const BcnParams& p = mechanism.plant();
-  VerdictLane lane;
-  lane.law = law;
-  lane.q0 = p.q0;
-  lane.capacity = p.capacity;
-  lane.buffer = p.buffer;
-  lane.duration = options.duration;
-  lane.use_convergence_stop = mechanism.has_equilibrium();
-  return lane;
+  return make_mechanism_verdict_lane(FluidModel(params, level), duration)
+      .value();
 }
 
 std::vector<NumericVerdict> batch_numeric_verdicts(
@@ -152,9 +111,9 @@ std::vector<NumericVerdict> batch_numeric_verdicts(
           v.min_x = r.post_switch_min_x;
           v.converged = r.converged;
           v.nonfinite = r.nonfinite;
-          v.strongly_stable = r.max_x < lanes[i].buffer - lanes[i].q0 &&
-                              r.post_switch_min_x > -lanes[i].q0 &&
-                              r.completed && !r.nonfinite;
+          v.strongly_stable = strongly_stable_orbit(
+              -lanes[i].q0, lanes[i].buffer - lanes[i].q0, r.max_x,
+              r.post_switch_min_x, r.completed && !r.nonfinite);
         }
       },
       {.threads = options.threads});

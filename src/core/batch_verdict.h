@@ -1,15 +1,15 @@
 // Numeric strong-stability verdicts in batch: the bridge between the
-// SoA ode::BatchIntegrator and the per-cell scalar verdict pipeline
-// (core::numeric_strong_stability / core::mechanism_numeric_verdict).
+// SoA ode::BatchIntegrator and the per-cell scalar verdict
+// core::numeric_strong_stability.
 //
 // A VerdictLane packages one (plant, gains, level) cell as an affine
 // lane law plus the buffer-strip geometry; batch_numeric_verdicts runs
 // any number of them through the batched integrator — optionally sliced
-// across the exec layer — and scores each with the exact scalar verdict
-// predicate: max_x < B - q0, post-switch min_x > -q0, run completed.
+// across the exec layer — and scores each with the scalar verdict's own
+// predicate, core::strongly_stable_orbit.
 //
-// Integration horizons replicate the scalar auto-duration rule (10x the
-// summed region time scales) bit for bit, and each region's fixed macro
+// Integration horizons are the scalar verdict's bit for bit (the given
+// duration, or core::verdict_horizon), and each region's fixed macro
 // step is sized from that region's own linearized rates, so verdicts
 // agree with the adaptive scalar driver on everything but razor-thin
 // boundary cells.  The Clipped model level has buffer-wall modes outside the
@@ -53,21 +53,17 @@ struct BatchVerdictOptions {
   int threads = 1;  // exec convention: 0 = hardware, 1 = serial
 };
 
-// The affine lane law of the BCN switched system at a model level
-// (Linearized or Nonlinear; Clipped is not representable).
-ode::LaneLaw bcn_lane_law(const BcnParams& params, ModelLevel level);
+// Builds the verdict lane matching core::numeric_strong_stability(facet,
+// duration): same start (-q0, 0), same horizon (`duration` 0 selects
+// core::verdict_horizon), same convergence stop.  Empty when the facet
+// has no affine lane form at its level (Clipped).
+std::optional<VerdictLane> make_mechanism_verdict_lane(
+    const FluidMechanism& facet, double duration = 0.0);
 
-// Builds the verdict lane matching core::numeric_strong_stability for
-// these parameters: same start (-q0, 0), same auto-duration formula.
-// `duration` 0 selects the auto horizon.
+// The lane of FluidModel(params, level); `level` must not be Clipped
+// (std::bad_optional_access).
 VerdictLane make_bcn_verdict_lane(const BcnParams& params, ModelLevel level,
                                   double duration = 0.0);
-
-// Builds the verdict lane matching core::mechanism_numeric_verdict for
-// any fluid mechanism exposing a lane law.  Empty when the mechanism
-// has no affine lane form or options.level is Clipped.
-std::optional<VerdictLane> make_mechanism_verdict_lane(
-    const FluidMechanism& mechanism, const MechanismRunOptions& options = {});
 
 // Runs every lane to completion and scores it; slot i is lane i's
 // verdict.  Lanes are integrated in contiguous slices, each through its

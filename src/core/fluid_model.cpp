@@ -1,28 +1,33 @@
 #include "core/fluid_model.h"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace bcn::core {
 
-FluidModel::FluidModel(BcnParams params, ModelLevel level)
-    : params_(params), level_(level) {
-  assert(params_.is_valid());
+FluidModel::FluidModel(BcnParams params, ModelLevel level, bool draft)
+    : FluidMechanism(params, level), draft_(draft) {
+  // A real check, not an assert: registry callers hand caller configs
+  // straight to this constructor, and NDEBUG builds drop asserts.
+  const std::vector<std::string> violations = plant_.validate();
+  if (!violations.empty()) throw std::invalid_argument(violations.front());
 }
 
 ode::Rhs FluidModel::increase_rhs() const {
   // dy/dt = a sigma = -a (x + k y): already linear, identical at every
   // model level.
-  const double a = params_.a();
-  const double k = params_.k();
+  const double a = plant_.a();
+  const double k = plant_.k();
   return [a, k](double /*t*/, Vec2 z) -> Vec2 {
     return {z.y, -a * (z.x + k * z.y)};
   };
 }
 
 ode::Rhs FluidModel::decrease_rhs() const {
-  const double b = params_.b();
-  const double k = params_.k();
-  const double cap = params_.capacity;
+  const double b = plant_.b();
+  const double k = plant_.k();
+  const double cap = plant_.capacity;
   if (level_ == ModelLevel::Linearized) {
     // Paper eq. (9): dy/dt = -b C (x + k y).
     const double bc = b * cap;
@@ -42,15 +47,15 @@ ode::Rhs FluidModel::empty_wall_rhs() const {
   // and sigma = q0 - q = -x > 0; the regulator keeps increasing,
   // dy/dt = a (-x) (= a q0 on the wall).  This is the warm-up law of
   // Section IV.C.
-  const double a = params_.a();
+  const double a = plant_.a();
   return [a](double /*t*/, Vec2 z) -> Vec2 { return {0.0, -a * z.x}; };
 }
 
 ode::Rhs FluidModel::full_wall_rhs() const {
   // Queue pinned full: arrivals beyond C are dropped, dq/dt = 0,
   // sigma = -x < 0, multiplicative decrease with the aggregate-rate factor.
-  const double b = params_.b();
-  const double cap = params_.capacity;
+  const double b = plant_.b();
+  const double cap = plant_.capacity;
   return [b, cap](double /*t*/, Vec2 z) -> Vec2 {
     return {0.0, -b * (z.y + cap) * z.x};
   };
@@ -58,37 +63,45 @@ ode::Rhs FluidModel::full_wall_rhs() const {
 
 ode::HybridSystem FluidModel::hybrid_system() const {
   ode::HybridSystem system;
-  const double k = params_.k();
+  const double k = plant_.k();
   system.modes.push_back(increase_rhs());
   system.modes.push_back(decrease_rhs());
-
-  if (level_ != ModelLevel::Clipped) {
-    system.mode_of = [k](double /*t*/, Vec2 z) {
-      return -(z.x + k * z.y) > 0.0 ? kModeIncrease : kModeDecrease;
-    };
-    system.guards.push_back(
-        [k](double /*t*/, Vec2 z) { return z.x + k * z.y; });
-    return system;
-  }
-
-  system.modes.push_back(empty_wall_rhs());
-  system.modes.push_back(full_wall_rhs());
-  const double lo = x_min();
-  const double hi = x_max();
-  // Wall capture uses a tiny position tolerance so states landed exactly on
-  // the wall by event localization are recognized as wall states.
-  const double wall_tol = 1e-9 * params_.q0;
-  system.mode_of = [k, lo, hi, wall_tol](double /*t*/, Vec2 z) {
-    if (z.x <= lo + wall_tol && z.y <= 0.0) return kModeEmptyWall;
-    if (z.x >= hi - wall_tol && z.y >= 0.0) return kModeFullWall;
+  system.mode_of = [k](double /*t*/, Vec2 z) {
     return -(z.x + k * z.y) > 0.0 ? kModeIncrease : kModeDecrease;
   };
   system.guards.push_back(
       [k](double /*t*/, Vec2 z) { return z.x + k * z.y; });  // sigma = 0
-  system.guards.push_back([lo](double /*t*/, Vec2 z) { return z.x - lo; });
-  system.guards.push_back([hi](double /*t*/, Vec2 z) { return z.x - hi; });
-  system.guards.push_back([](double /*t*/, Vec2 z) { return z.y; });
-  return system;
+  if (level_ != ModelLevel::Clipped) return system;
+  return with_buffer_walls(std::move(system), empty_wall_rhs(),
+                           full_wall_rhs());
+}
+
+std::vector<RegionLaw> FluidModel::region_laws() const {
+  return {{"increase", plant_.increase_m(), plant_.increase_n(), true},
+          {"decrease", plant_.decrease_m(), plant_.decrease_n(), true}};
+}
+
+double FluidModel::group_rate_deriv(double x, double y_group, double y_total,
+                                    double share) const {
+  const double s = -(x + plant_.k() * y_total);
+  if (s > 0.0) return plant_.a() * s;  // additive increase, a = Ru Gi N_g
+  // Multiplicative decrease scales the group's own aggregate rate.
+  return plant_.b() * (y_group + share) * s;
+}
+
+bool FluidModel::lane_law(ode::LaneLaw* out) const {
+  if (level_ == ModelLevel::Clipped) return false;
+  ode::LaneLaw law;
+  law.sx = 1.0;
+  law.sy = plant_.k();
+  law.g0[0] = plant_.a();  // increase: dy = a sigma
+  const double b = plant_.b();
+  // decrease: dy = b (y + C) sigma = (bC + b y) sigma
+  law.g0[1] = b * plant_.capacity;
+  law.g1[1] = level_ == ModelLevel::Linearized ? 0.0 : b;
+  law.switched = true;
+  *out = law;
+  return true;
 }
 
 }  // namespace bcn::core

@@ -1,5 +1,6 @@
 // The BCN fluid-flow model (paper Section III) over the translated phase
-// plane x = q - q0, y = N r - C.
+// plane x = q - q0, y = N r - C: BCN's registered fluid facet ("bcn" and
+// "bcn-draft" in core/mechanism.h).
 //
 // Three model levels, from most idealized to most physical:
 //
@@ -11,35 +12,37 @@
 //     saturates at q = 0 and q = B (the paper's "movements along the dashed
 //     lines" in Fig. 3), with the sampled queue variation forced to zero on
 //     a wall so sigma degenerates to q0 - q there.
+//
+// The level is fixed when the model is built.
 #pragma once
 
+#include <vector>
+
 #include "core/bcn_params.h"
+#include "core/mechanism.h"
 #include "ode/hybrid.h"
 #include "ode/system.h"
 
 namespace bcn::core {
 
-enum class ModelLevel { Linearized, Nonlinear, Clipped };
-
 // Region of the phase plane relative to the switching line sigma = 0.
 enum class Region { Increase, Decrease };
 
-// Mode indices used by the hybrid systems built here.
-inline constexpr int kModeIncrease = 0;
-inline constexpr int kModeDecrease = 1;
-inline constexpr int kModeEmptyWall = 2;  // clipped model only
-inline constexpr int kModeFullWall = 3;   // clipped model only
-
-class FluidModel {
+class FluidModel final : public FluidMechanism {
  public:
-  explicit FluidModel(BcnParams params, ModelLevel level = ModelLevel::Nonlinear);
+  // Throws std::invalid_argument carrying the first params.validate()
+  // message when the plant is invalid.  `draft` only renames the facet
+  // "bcn-draft": the draft's literal per-message rule differs from bcn
+  // in the packet facet, not in the fluid limit.
+  explicit FluidModel(BcnParams params,
+                      ModelLevel level = ModelLevel::Nonlinear,
+                      bool draft = false);
 
-  const BcnParams& params() const { return params_; }
-  ModelLevel level() const { return level_; }
+  const char* name() const override { return draft_ ? "bcn-draft" : "bcn"; }
 
   // sigma(z) = -(x + k y): positive in the increase region (eq. (6) after
   // the coordinate change of Section IV.A).
-  double sigma(Vec2 z) const { return -(z.x + params_.k() * z.y); }
+  double sigma(Vec2 z) const override { return -(z.x + plant_.k() * z.y); }
   Region region_of(Vec2 z) const {
     return sigma(z) > 0.0 ? Region::Increase : Region::Decrease;
   }
@@ -50,37 +53,37 @@ class FluidModel {
 
   // The switched system for hybrid integration: two interior modes for
   // Linearized/Nonlinear, four (with buffer walls) for Clipped.
-  ode::HybridSystem hybrid_system() const;
+  ode::HybridSystem hybrid_system() const override;
 
-  // Phase-plane position limits implied by the buffer: x in
-  // [-q0, B - q0]; y is bounded below by -C (sources cannot send at a
-  // negative rate).
-  double x_min() const { return -params_.q0; }
-  double x_max() const { return params_.buffer - params_.q0; }
+  // The increase and decrease laws of eq. (35).
+  std::vector<RegionLaw> region_laws() const override;
 
-  // The paper's canonical analysis start: queue empty, aggregate rate
-  // exactly C (reached at the end of the warm-up, Section IV.C).
-  Vec2 analysis_initial_point() const { return {-params_.q0, 0.0}; }
-  // The raw physical start: queue empty, every source at init_rate.
+  double group_rate_deriv(double x, double y_group, double y_total,
+                          double share) const override;
+
+  bool lane_law(ode::LaneLaw* out) const override;
+
+  // The raw physical start: queue empty, every source at init_rate.  (The
+  // paper's canonical analysis start, queue empty with the aggregate rate
+  // exactly C, is analysis_initial_point().)
   Vec2 physical_initial_point() const {
-    return {-params_.q0,
-            params_.num_sources * params_.init_rate - params_.capacity};
+    return {-plant_.q0,
+            plant_.num_sources * plant_.init_rate - plant_.capacity};
   }
 
   // --- coordinate conversions ----------------------------------------------
-  double queue_of(double x) const { return x + params_.q0; }
-  double x_of_queue(double q) const { return q - params_.q0; }
-  double aggregate_rate_of(double y) const { return y + params_.capacity; }
+  double queue_of(double x) const { return x + plant_.q0; }
+  double x_of_queue(double q) const { return q - plant_.q0; }
+  double aggregate_rate_of(double y) const { return y + plant_.capacity; }
   double per_source_rate_of(double y) const {
-    return (y + params_.capacity) / params_.num_sources;
+    return (y + plant_.capacity) / plant_.num_sources;
   }
 
  private:
   ode::Rhs empty_wall_rhs() const;
   ode::Rhs full_wall_rhs() const;
 
-  BcnParams params_;
-  ModelLevel level_;
+  bool draft_;
 };
 
 }  // namespace bcn::core

@@ -1,54 +1,36 @@
 #include "core/mechanism.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
+#include <utility>
 
-#include "core/batch_verdict.h"
+#include "core/fluid_model.h"
 
 namespace bcn::core {
+
+ode::HybridSystem FluidMechanism::with_buffer_walls(ode::HybridSystem interior,
+                                                    ode::Rhs empty_wall,
+                                                    ode::Rhs full_wall) const {
+  const int empty_mode = static_cast<int>(interior.modes.size());
+  interior.modes.push_back(std::move(empty_wall));
+  interior.modes.push_back(std::move(full_wall));
+  const double lo = x_min();
+  const double hi = x_max();
+  // Wall capture uses a tiny position tolerance so states landed exactly on
+  // the wall by event localization are recognized as wall states.
+  const double wall_tol = 1e-9 * plant_.q0;
+  auto inside = std::move(interior.mode_of);
+  interior.mode_of = [lo, hi, wall_tol, empty_mode,
+                      inside = std::move(inside)](double t, Vec2 z) {
+    if (z.x <= lo + wall_tol && z.y <= 0.0) return empty_mode;
+    if (z.x >= hi - wall_tol && z.y >= 0.0) return empty_mode + 1;
+    return inside(t, z);
+  };
+  interior.guards.push_back([lo](double /*t*/, Vec2 z) { return z.x - lo; });
+  interior.guards.push_back([hi](double /*t*/, Vec2 z) { return z.x - hi; });
+  interior.guards.push_back([](double /*t*/, Vec2 z) { return z.y; });
+  return interior;
+}
+
 namespace {
-
-// --- BCN --------------------------------------------------------------------
-// Delegates the switched system to FluidModel so the ported facet is
-// arithmetically identical to the original single-mechanism code path.
-class BcnFluidMechanism final : public FluidMechanism {
- public:
-  BcnFluidMechanism(const BcnParams& plant, bool draft)
-      : FluidMechanism(plant), draft_(draft) {}
-
-  const char* name() const override { return draft_ ? "bcn-draft" : "bcn"; }
-
-  double sigma(Vec2 z) const override {
-    return -(z.x + plant_.k() * z.y);
-  }
-
-  ode::HybridSystem hybrid_system(ModelLevel level) const override {
-    return FluidModel(plant_, level).hybrid_system();
-  }
-
-  std::vector<RegionLaw> region_laws() const override {
-    return {{"increase", plant_.increase_m(), plant_.increase_n(), true},
-            {"decrease", plant_.decrease_m(), plant_.decrease_n(), true}};
-  }
-
-  double group_rate_deriv(double x, double y_group, double y_total,
-                          double share) const override {
-    const double s = -(x + plant_.k() * y_total);
-    if (s > 0.0) return plant_.a() * s;  // additive increase, a = Ru Gi N_g
-    // Multiplicative decrease scales the group's own aggregate rate.
-    return plant_.b() * (y_group + share) * s;
-  }
-
-  bool lane_law(ModelLevel level, ode::LaneLaw* out) const override {
-    if (level == ModelLevel::Clipped) return false;
-    *out = bcn_lane_law(plant_, level);
-    return true;
-  }
-
- private:
-  bool draft_;
-};
 
 // --- QCN --------------------------------------------------------------------
 // Negative-only quantized feedback; rate recovery is the sources' own
@@ -67,8 +49,9 @@ class BcnFluidMechanism final : public FluidMechanism {
 // orbit settles into a sawtooth riding just inside the decrease region.
 class QcnFluidMechanism final : public FluidMechanism {
  public:
-  QcnFluidMechanism(const BcnParams& plant, const QcnParams& qcn)
-      : FluidMechanism(plant), qcn_(qcn) {}
+  QcnFluidMechanism(const BcnParams& plant, const QcnParams& qcn,
+                    ModelLevel level)
+      : FluidMechanism(plant, level), qcn_(qcn) {}
 
   const char* name() const override { return "qcn"; }
 
@@ -81,7 +64,7 @@ class QcnFluidMechanism final : public FluidMechanism {
     return -(z.x + plant_.k() * z.y);
   }
 
-  ode::HybridSystem hybrid_system(ModelLevel level) const override {
+  ode::HybridSystem hybrid_system() const override {
     ode::HybridSystem system;
     const double k = plant_.k();
     const double ai = active_drive();
@@ -90,7 +73,7 @@ class QcnFluidMechanism final : public FluidMechanism {
 
     system.modes.push_back(
         [ai](double /*t*/, Vec2 z) -> Vec2 { return {z.y, ai}; });
-    if (level == ModelLevel::Linearized) {
+    if (level_ == ModelLevel::Linearized) {
       const double bc = b * cap;
       system.modes.push_back([ai, bc, k](double /*t*/, Vec2 z) -> Vec2 {
         return {z.y, ai - bc * (z.x + k * z.y)};
@@ -100,37 +83,21 @@ class QcnFluidMechanism final : public FluidMechanism {
         return {z.y, ai - b * (z.y + cap) * (z.x + k * z.y)};
       });
     }
-
-    if (level != ModelLevel::Clipped) {
-      system.mode_of = [k](double /*t*/, Vec2 z) {
-        return -(z.x + k * z.y) > 0.0 ? kModeIncrease : kModeDecrease;
-      };
-      system.guards.push_back(
-          [k](double /*t*/, Vec2 z) { return z.x + k * z.y; });
-      return system;
-    }
-
-    // Buffer walls, mirroring FluidModel's clipped structure: on a wall
-    // the sampled queue variation vanishes and sigma degenerates to -x.
-    system.modes.push_back(
-        [ai](double /*t*/, Vec2 /*z*/) -> Vec2 { return {0.0, ai}; });
-    system.modes.push_back([ai, b, cap](double /*t*/, Vec2 z) -> Vec2 {
-      return {0.0, ai - b * (z.y + cap) * z.x};
-    });
-    const double lo = x_min();
-    const double hi = x_max();
-    const double wall_tol = 1e-9 * plant_.q0;
-    system.mode_of = [k, lo, hi, wall_tol](double /*t*/, Vec2 z) {
-      if (z.x <= lo + wall_tol && z.y <= 0.0) return kModeEmptyWall;
-      if (z.x >= hi - wall_tol && z.y >= 0.0) return kModeFullWall;
+    system.mode_of = [k](double /*t*/, Vec2 z) {
       return -(z.x + k * z.y) > 0.0 ? kModeIncrease : kModeDecrease;
     };
     system.guards.push_back(
         [k](double /*t*/, Vec2 z) { return z.x + k * z.y; });
-    system.guards.push_back([lo](double /*t*/, Vec2 z) { return z.x - lo; });
-    system.guards.push_back([hi](double /*t*/, Vec2 z) { return z.x - hi; });
-    system.guards.push_back([](double /*t*/, Vec2 z) { return z.y; });
-    return system;
+    if (level_ != ModelLevel::Clipped) return system;
+
+    // On a wall the sampled queue variation vanishes and sigma
+    // degenerates to -x.
+    return with_buffer_walls(
+        std::move(system),
+        [ai](double /*t*/, Vec2 /*z*/) -> Vec2 { return {0.0, ai}; },
+        [ai, b, cap](double /*t*/, Vec2 z) -> Vec2 {
+          return {0.0, ai - b * (z.y + cap) * z.x};
+        });
   }
 
   std::vector<RegionLaw> region_laws() const override {
@@ -149,8 +116,8 @@ class QcnFluidMechanism final : public FluidMechanism {
     return ai + effective_gd() * (y_group + share) * s;
   }
 
-  bool lane_law(ModelLevel level, ode::LaneLaw* out) const override {
-    if (level == ModelLevel::Clipped) return false;
+  bool lane_law(ode::LaneLaw* out) const override {
+    if (level_ == ModelLevel::Clipped) return false;
     ode::LaneLaw law;
     law.sx = 1.0;
     law.sy = plant_.k();
@@ -160,7 +127,7 @@ class QcnFluidMechanism final : public FluidMechanism {
     law.drive[1] = ai;
     // decrease: ai - b (y + C)(x + k y) = ai + (bC + b y) sigma
     law.g0[1] = b * plant_.capacity;
-    law.g1[1] = level == ModelLevel::Linearized ? 0.0 : b;
+    law.g1[1] = level_ == ModelLevel::Linearized ? 0.0 : b;
     law.switched = true;
     *out = law;
     return true;
@@ -183,8 +150,9 @@ class QcnFluidMechanism final : public FluidMechanism {
 // the well-damped spiral regime).
 class RcpFluidMechanism final : public FluidMechanism {
  public:
-  RcpFluidMechanism(const BcnParams& plant, const RcpParams& rcp)
-      : FluidMechanism(plant), rcp_(rcp) {}
+  RcpFluidMechanism(const BcnParams& plant, const RcpParams& rcp,
+                    ModelLevel level)
+      : FluidMechanism(plant, level), rcp_(rcp) {}
 
   const char* name() const override { return "rcp"; }
 
@@ -192,14 +160,14 @@ class RcpFluidMechanism final : public FluidMechanism {
     return -rcp_.alpha * z.y - (rcp_.beta / rcp_.interval) * z.x;
   }
 
-  ode::HybridSystem hybrid_system(ModelLevel level) const override {
+  ode::HybridSystem hybrid_system() const override {
     ode::HybridSystem system;
     const double alpha = rcp_.alpha;
     const double bd = rcp_.beta / rcp_.interval;  // beta/d
     const double d = rcp_.interval;
     const double cap = plant_.capacity;
 
-    if (level == ModelLevel::Linearized) {
+    if (level_ == ModelLevel::Linearized) {
       const double ad = alpha / d;
       const double bdd = bd / d;  // beta/d^2
       system.modes.push_back([ad, bdd](double /*t*/, Vec2 z) -> Vec2 {
@@ -212,33 +180,14 @@ class RcpFluidMechanism final : public FluidMechanism {
                     (z.y + cap) * (-alpha * z.y - bd * z.x) / (cap * d)};
           });
     }
-
-    if (level != ModelLevel::Clipped) {
-      system.mode_of = [](double /*t*/, Vec2 /*z*/) { return 0; };
-      return system;
-    }
+    system.mode_of = [](double /*t*/, Vec2 /*z*/) { return 0; };
+    if (level_ != ModelLevel::Clipped) return system;
 
     // Walls: the queue pins, the rate law keeps integrating with x frozen.
-    system.modes.push_back(
-        [alpha, bd, d, cap](double /*t*/, Vec2 z) -> Vec2 {
-          return {0.0, (z.y + cap) * (-alpha * z.y - bd * z.x) / (cap * d)};
-        });
-    system.modes.push_back(
-        [alpha, bd, d, cap](double /*t*/, Vec2 z) -> Vec2 {
-          return {0.0, (z.y + cap) * (-alpha * z.y - bd * z.x) / (cap * d)};
-        });
-    const double lo = x_min();
-    const double hi = x_max();
-    const double wall_tol = 1e-9 * plant_.q0;
-    system.mode_of = [lo, hi, wall_tol](double /*t*/, Vec2 z) {
-      if (z.x <= lo + wall_tol && z.y <= 0.0) return 1;
-      if (z.x >= hi - wall_tol && z.y >= 0.0) return 2;
-      return 0;
+    const ode::Rhs wall = [alpha, bd, d, cap](double /*t*/, Vec2 z) -> Vec2 {
+      return {0.0, (z.y + cap) * (-alpha * z.y - bd * z.x) / (cap * d)};
     };
-    system.guards.push_back([lo](double /*t*/, Vec2 z) { return z.x - lo; });
-    system.guards.push_back([hi](double /*t*/, Vec2 z) { return z.x - hi; });
-    system.guards.push_back([](double /*t*/, Vec2 z) { return z.y; });
-    return system;
+    return with_buffer_walls(std::move(system), wall, wall);
   }
 
   std::vector<RegionLaw> region_laws() const override {
@@ -256,8 +205,8 @@ class RcpFluidMechanism final : public FluidMechanism {
            (-rcp_.alpha * y_total - (rcp_.beta / d) * x) / (cap * d);
   }
 
-  bool lane_law(ModelLevel level, ode::LaneLaw* out) const override {
-    if (level == ModelLevel::Clipped) return false;
+  bool lane_law(ode::LaneLaw* out) const override {
+    if (level_ == ModelLevel::Clipped) return false;
     ode::LaneLaw law;
     // RCP's single smooth law in lane form: with sigma = -(bd x + alpha y),
     //   dy = (y + C) sigma / (C d) = (1/d + y/(C d)) sigma.
@@ -266,7 +215,7 @@ class RcpFluidMechanism final : public FluidMechanism {
     const double inv_d = 1.0 / rcp_.interval;
     law.g0[0] = law.g0[1] = inv_d;
     const double g1 =
-        level == ModelLevel::Linearized
+        level_ == ModelLevel::Linearized
             ? 0.0
             : inv_d / plant_.capacity;
     law.g1[0] = law.g1[1] = g1;
@@ -352,86 +301,20 @@ std::string mechanism_name_list() {
 }
 
 std::unique_ptr<FluidMechanism> make_fluid_mechanism(
-    std::string_view name, const MechanismConfig& config) {
-  if (name == "bcn") {
-    return std::make_unique<BcnFluidMechanism>(config.plant, false);
-  }
-  if (name == "bcn-draft") {
-    return std::make_unique<BcnFluidMechanism>(config.plant, true);
+    std::string_view name, const MechanismConfig& config, ModelLevel level) {
+  if (name == "bcn" || name == "bcn-draft") {
+    return std::make_unique<FluidModel>(config.plant, level,
+                                        name == "bcn-draft");
   }
   if (name == "qcn") {
-    return std::make_unique<QcnFluidMechanism>(config.plant, config.qcn);
+    return std::make_unique<QcnFluidMechanism>(config.plant, config.qcn,
+                                               level);
   }
   if (name == "rcp") {
-    return std::make_unique<RcpFluidMechanism>(config.plant, config.rcp);
+    return std::make_unique<RcpFluidMechanism>(config.plant, config.rcp,
+                                               level);
   }
   return nullptr;
-}
-
-FluidRun simulate_fluid_mechanism(const FluidMechanism& mechanism,
-                                  const MechanismRunOptions& options) {
-  const BcnParams& p = mechanism.plant();
-  const Vec2 z0 = mechanism.analysis_initial_point();
-
-  ode::HybridOptions hopts;
-  hopts.tol = options.tol;
-  hopts.record_interval = options.record_interval;
-  if (options.convergence_tol > 0.0 && mechanism.has_equilibrium()) {
-    const double q0 = p.q0;
-    const double cap = p.capacity;
-    const double tol = options.convergence_tol;
-    hopts.stop_when = [q0, cap, tol](double /*t*/, Vec2 z) {
-      return std::abs(z.x) / q0 + std::abs(z.y) / cap < tol;
-    };
-  }
-
-  const ode::HybridResult hybrid =
-      ode::integrate_hybrid(mechanism.hybrid_system(options.level), 0.0, z0,
-                            options.duration, hopts);
-
-  FluidRun run;
-  run.trajectory = hybrid.trajectory;
-  run.switches = hybrid.switches;
-  run.completed = hybrid.completed;
-  run.converged = hybrid.stopped_early;
-  run.steps_accepted = hybrid.steps_accepted;
-  run.steps_rejected = hybrid.steps_rejected;
-  run.min_step = hybrid.min_accepted_step;
-  run.event_bisections = hybrid.event_bisection_iterations;
-
-  const std::size_t start = run.trajectory.size() > 1 ? 1 : 0;
-  const double t_gate = run.switches.empty()
-                            ? std::numeric_limits<double>::infinity()
-                            : run.switches.front().t;
-  run.max_x = run.min_x = run.trajectory[start].z.x;
-  run.max_y = run.min_y = run.trajectory[start].z.y;
-  for (std::size_t i = start; i < run.trajectory.size(); ++i) {
-    const auto& s = run.trajectory[i];
-    run.max_x = std::max(run.max_x, s.z.x);
-    run.min_x = std::min(run.min_x, s.z.x);
-    run.max_y = std::max(run.max_y, s.z.y);
-    run.min_y = std::min(run.min_y, s.z.y);
-    if (s.t >= t_gate) {
-      run.post_switch_max_x = std::max(run.post_switch_max_x, s.z.x);
-      run.post_switch_min_x = std::min(run.post_switch_min_x, s.z.x);
-    }
-  }
-  return run;
-}
-
-NumericVerdict mechanism_numeric_verdict(const FluidMechanism& mechanism,
-                                         const MechanismRunOptions& options) {
-  MechanismRunOptions opts = options;
-  if (opts.convergence_tol == 0.0) opts.convergence_tol = 1e-8;
-  const FluidRun run = simulate_fluid_mechanism(mechanism, opts);
-  NumericVerdict verdict;
-  verdict.max_x = run.max_x;
-  verdict.min_x = run.post_switch_min_x;
-  verdict.converged = run.converged;
-  verdict.strongly_stable = run.max_x < mechanism.x_max() &&
-                            run.post_switch_min_x > mechanism.x_min() &&
-                            run.completed;
-  return verdict;
 }
 
 }  // namespace bcn::core

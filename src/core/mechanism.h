@@ -7,7 +7,11 @@
 //
 //   * the fluid facet (this header): the ODE right-hand sides, switching
 //     structure and linearized region laws consumed by src/core and
-//     src/ode;
+//     src/ode.  BCN's facet is core::FluidModel (core/fluid_model.h);
+//     QCN's and RCP's live in mechanism.cpp.  Every facet is built at one
+//     ModelLevel and keeps it, every facet is integrated by
+//     core::simulate_fluid alone and judged by
+//     core::numeric_strong_stability alone;
 //   * the packet facet (sim/mechanism.h): the switch feedback-generation
 //     policy and regulator reaction policy consumed by src/sim.
 //
@@ -24,12 +28,21 @@
 #include <vector>
 
 #include "core/bcn_params.h"
-#include "core/fluid_model.h"
-#include "core/simulate.h"
-#include "core/stability.h"
 #include "ode/batch.h"
+#include "ode/hybrid.h"
+#include "ode/system.h"
 
 namespace bcn::core {
+
+// How much of the plant physics a fluid facet models (core/fluid_model.h
+// describes the three levels for BCN).
+enum class ModelLevel { Linearized, Nonlinear, Clipped };
+
+// Mode indices of the switched systems the facets build.
+inline constexpr int kModeIncrease = 0;
+inline constexpr int kModeDecrease = 1;
+inline constexpr int kModeEmptyWall = 2;  // clipped BCN/QCN only
+inline constexpr int kModeFullWall = 3;   // clipped BCN/QCN only
 
 // RCP-style explicit-rate controller (Voice & Raina): once per control
 // interval d the switch updates its advertised rate by the relative rate
@@ -84,20 +97,22 @@ struct RegionLaw {
 };
 
 // The fluid facet: a planar switched system in the translated coordinates
-// x = q - q0, y = (aggregate rate) - C shared with FluidModel.
+// x = q - q0, y = (aggregate rate) - C, built at one model level.
 class FluidMechanism {
  public:
   virtual ~FluidMechanism() = default;
 
   virtual const char* name() const = 0;
   const BcnParams& plant() const { return plant_; }
+  // The model level the facet was built at; fixed for its lifetime.
+  ModelLevel level() const { return level_; }
 
   // Feedback signal driving the regulators; its sign selects the region.
   virtual double sigma(Vec2 z) const = 0;
 
-  // The switched system at a given model level, compatible with
+  // The switched system at the facet's level, compatible with
   // ode::integrate_hybrid.
-  virtual ode::HybridSystem hybrid_system(ModelLevel level) const = 0;
+  virtual ode::HybridSystem hybrid_system() const = 0;
 
   // Linearized characteristic polynomials per region.
   virtual std::vector<RegionLaw> region_laws() const = 0;
@@ -114,14 +129,12 @@ class FluidMechanism {
   virtual double group_rate_deriv(double x, double y_group, double y_total,
                                   double share) const = 0;
 
-  // The mechanism's interior dynamics as an affine lane law for the SoA
-  // batched integrator (ode/batch.h), at Linearized or Nonlinear level.
-  // Returns false when the dynamics fall outside the affine family or
-  // the level has buffer walls (Clipped) — callers then fall back to the
-  // scalar hybrid path.  Every current fluid facet is representable.
-  virtual bool lane_law(ModelLevel /*level*/, ode::LaneLaw* /*out*/) const {
-    return false;
-  }
+  // The facet's interior dynamics as an affine lane law for the SoA
+  // batched integrator (ode/batch.h).  Returns false when the dynamics
+  // fall outside the affine family or the facet's level has buffer walls
+  // (Clipped) — callers then fall back to the scalar hybrid path.  Every
+  // current fluid facet is representable at Linearized and Nonlinear.
+  virtual bool lane_law(ode::LaneLaw* /*out*/) const { return false; }
 
   // Buffer walls and the canonical analysis start, shared by every
   // mechanism operating on the same plant.
@@ -130,9 +143,20 @@ class FluidMechanism {
   Vec2 analysis_initial_point() const { return {-plant_.q0, 0.0}; }
 
  protected:
-  explicit FluidMechanism(const BcnParams& plant) : plant_(plant) {}
+  FluidMechanism(const BcnParams& plant, ModelLevel level)
+      : plant_(plant), level_(level) {}
+
+  // The Clipped level's buffer walls, shared by every walled facet: the
+  // queue saturates at q = 0 and q = B.  Appends the empty-wall and
+  // full-wall modes to `interior` (in that order), captures states on a
+  // wall into them ahead of the interior's own mode_of, and adds guards
+  // for x = x_min, x = x_max and y = 0 after the interior guards.
+  ode::HybridSystem with_buffer_walls(ode::HybridSystem interior,
+                                      ode::Rhs empty_wall,
+                                      ode::Rhs full_wall) const;
 
   BcnParams plant_;
+  ModelLevel level_;
 };
 
 // --- registry ---------------------------------------------------------------
@@ -157,33 +181,11 @@ const MechanismInfo* find_mechanism(std::string_view name);
 // "bcn, bcn-draft, qcn, rcp, fera" -- for usage/error messages.
 std::string mechanism_name_list();
 
-// Builds the fluid facet; nullptr for unknown names and for packet-only
-// mechanisms (fera).
+// Builds the fluid facet at `level`; nullptr for unknown names and for
+// packet-only mechanisms (fera).  bcn and bcn-draft build a FluidModel,
+// which throws std::invalid_argument on an invalid config.plant.
 std::unique_ptr<FluidMechanism> make_fluid_mechanism(
-    std::string_view name, const MechanismConfig& config = {});
-
-// --- generic numeric analysis ----------------------------------------------
-
-struct MechanismRunOptions {
-  ModelLevel level = ModelLevel::Nonlinear;
-  double duration = 0.01;
-  double record_interval = 0.0;
-  ode::Tolerances tol{1e-9, 1e-9};
-  // Stop once |x|/q0 + |y|/C falls below this (0 disables; ignored for
-  // mechanisms without an equilibrium).
-  double convergence_tol = 0.0;
-};
-
-// Integrates a mechanism's switched system from the analysis start,
-// mirroring core::simulate_fluid for FluidModel.
-FluidRun simulate_fluid_mechanism(const FluidMechanism& mechanism,
-                                  const MechanismRunOptions& options = {});
-
-// Numeric strong-stability verdict generalized to any fluid facet: the
-// orbit must stay strictly inside the buffer strip after its first
-// switching event.  For BCN this agrees with
-// core::numeric_strong_stability.
-NumericVerdict mechanism_numeric_verdict(const FluidMechanism& mechanism,
-                                         const MechanismRunOptions& options = {});
+    std::string_view name, const MechanismConfig& config = {},
+    ModelLevel level = ModelLevel::Nonlinear);
 
 }  // namespace bcn::core

@@ -23,7 +23,7 @@ double estimate_cycle_time(const BcnParams& p) {
 
 PoincareMap::PoincareMap(FluidModel model, PoincareOptions options)
     : model_(std::move(model)), options_(options) {
-  const double k = model_.params().k();
+  const double k = model_.plant().k();
   const double norm = std::hypot(k, 1.0);
   ux_ = -k / norm;
   uy_ = 1.0 / norm;
@@ -45,7 +45,7 @@ std::optional<double> PoincareMap::map(double s) const {
   // integrations below it.
   obs::TraceSpan span("core.poincare_map", "s", s);
   // Start nudged off the section into the decrease region (x + k y > 0).
-  const double k = model_.params().k();
+  const double k = model_.plant().k();
   const double norm = std::hypot(k, 1.0);
   const double delta = 1e-9 * s;
   Vec2 z = section_point(s);
@@ -53,7 +53,7 @@ std::optional<double> PoincareMap::map(double s) const {
   z.y += delta * k / norm;
 
   const ode::HybridSystem system = model_.hybrid_system();
-  const double chunk = estimate_cycle_time(model_.params());
+  const double chunk = estimate_cycle_time(model_.plant());
   double t = 0.0;
   bool seen_increase = false;
   while (t < options_.max_time) {
@@ -73,8 +73,8 @@ std::optional<double> PoincareMap::map(double s) const {
     t = res.trajectory.back().t;
     z = res.trajectory.back().z;
     // Converged into the origin: no return.
-    if (std::abs(z.x) / model_.params().q0 +
-            std::abs(z.y) / model_.params().capacity <
+    if (std::abs(z.x) / model_.plant().q0 +
+            std::abs(z.y) / model_.plant().capacity <
         1e-9) {
       return std::nullopt;
     }
@@ -114,7 +114,7 @@ std::optional<bool> PoincareMap::cycle_is_stable(double s_star,
 std::optional<LimitCycle> find_limit_cycle(const FluidModel& model,
                                            const CycleSearchOptions& options) {
   obs::TraceSpan span("core.cycle_search");
-  const BcnParams& p = model.params();
+  const BcnParams& p = model.plant();
   const PoincareMap pmap(model, options.poincare);
   const double s_lo =
       options.s_lo > 0.0 ? options.s_lo : 1e-3 * p.capacity;

@@ -1,20 +1,21 @@
 #include "core/simulate.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 namespace bcn::core {
 
-FluidRun simulate_fluid(const FluidModel& model,
+FluidRun simulate_fluid(const FluidMechanism& facet,
                         const FluidRunOptions& options) {
-  const BcnParams& p = model.params();
-  const Vec2 z0 = options.z0.value_or(model.analysis_initial_point());
+  const BcnParams& p = facet.plant();
+  const Vec2 z0 = options.z0.value_or(facet.analysis_initial_point());
 
   ode::HybridOptions hopts;
   hopts.tol = options.tol;
   hopts.record_interval = options.record_interval;
   hopts.max_steps = options.max_steps;
-  if (options.convergence_tol > 0.0) {
+  if (options.convergence_tol > 0.0 && facet.has_equilibrium()) {
     const double q0 = p.q0;
     const double cap = p.capacity;
     const double tol = options.convergence_tol;
@@ -24,7 +25,7 @@ FluidRun simulate_fluid(const FluidModel& model,
   }
 
   const ode::HybridResult hybrid = ode::integrate_hybrid(
-      model.hybrid_system(), 0.0, z0, options.duration, hopts);
+      facet.hybrid_system(), 0.0, z0, options.duration, hopts);
 
   FluidRun run;
   run.trajectory = hybrid.trajectory;

@@ -1,6 +1,7 @@
-// Numeric integration of the BCN fluid model (any ModelLevel) with
-// event-localized switching, producing a phase trace plus queue/rate
-// summary statistics.
+// Numeric integration of any fluid facet (core/mechanism.h) at its own
+// ModelLevel with event-localized switching, producing a phase trace plus
+// queue/rate summary statistics.  simulate_fluid is the fluid layer's only
+// integration entry point.
 #pragma once
 
 #include <optional>
@@ -15,7 +16,8 @@ struct FluidRunOptions {
   double record_interval = 0.0;    // 0 -> record every accepted step
   ode::Tolerances tol{1e-9, 1e-9};
   std::optional<Vec2> z0;          // default: analysis start (-q0, 0)
-  // Stop as soon as |x|/q0 + |y|/C falls below this (0 disables).
+  // Stop as soon as |x|/q0 + |y|/C falls below this (0 disables; ignored
+  // for facets without an equilibrium, which never settle).
   double convergence_tol = 0.0;
   std::size_t max_steps = 4'000'000;
 };
@@ -54,9 +56,9 @@ struct FluidRun {
   double min_queue(const BcnParams& p) const { return min_x + p.q0; }
 };
 
-// Integrates the model from options.z0 (default (-q0, 0)) over
+// Integrates the facet from options.z0 (default (-q0, 0)) over
 // options.duration.
-FluidRun simulate_fluid(const FluidModel& model,
+FluidRun simulate_fluid(const FluidMechanism& facet,
                         const FluidRunOptions& options = {});
 
 }  // namespace bcn::core

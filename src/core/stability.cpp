@@ -76,33 +76,40 @@ StabilityReport analyze_stability(const BcnParams& params) {
   return report;
 }
 
-NumericVerdict numeric_strong_stability(const BcnParams& params,
-                                        const NumericVerdictOptions& options) {
-  double duration = options.duration;
-  if (duration <= 0.0) {
-    duration = 10.0 * (region_time_scale(increase_subsystem(params)) +
-                       region_time_scale(decrease_subsystem(params)));
+double verdict_horizon(const FluidMechanism& facet) {
+  double sum = 0.0;
+  for (const RegionLaw& law : facet.region_laws()) {
+    if (law.linearizable) {
+      sum += region_time_scale(control::SecondOrderSystem(law.m, law.n));
+    }
   }
+  return 10.0 * sum;
+}
 
-  const FluidModel model(params, options.level);
+NumericVerdict numeric_strong_stability(const FluidMechanism& facet,
+                                        double duration,
+                                        ode::Tolerances tol) {
   FluidRunOptions ropts;
-  ropts.duration = duration;
-  ropts.tol = options.tol;
+  ropts.duration = duration > 0.0 ? duration : verdict_horizon(facet);
+  ropts.tol = tol;
   ropts.convergence_tol = 1e-8;
-  const FluidRun run = simulate_fluid(model, ropts);
+  const FluidRun run = simulate_fluid(facet, ropts);
 
   NumericVerdict verdict;
   verdict.max_x = run.max_x;
   verdict.min_x = run.post_switch_min_x;
   verdict.converged = run.converged;
   verdict.nonfinite = run.nonfinite;
-  // Overflow: any excursion above B - q0 at any t > 0 drops packets.
-  // Underflow: only the post-crossing dip matters; the departure from the
-  // legitimate empty-queue start is not a violation (Definition 1).
-  verdict.strongly_stable = run.max_x < model.x_max() &&
-                            run.post_switch_min_x > model.x_min() &&
-                            run.completed;
+  verdict.strongly_stable = strongly_stable_orbit(
+      facet.x_min(), facet.x_max(), run.max_x, run.post_switch_min_x,
+      run.completed && !run.nonfinite);
   return verdict;
+}
+
+NumericVerdict numeric_strong_stability(const BcnParams& params,
+                                        const NumericVerdictOptions& options) {
+  return numeric_strong_stability(FluidModel(params, options.level),
+                                  options.duration, options.tol);
 }
 
 }  // namespace bcn::core

@@ -1,5 +1,6 @@
 // Strong-stability analysis of the BCN system (paper Definition 1,
-// Propositions 2-4, Theorem 1) plus the numeric ground-truth verdict.
+// Propositions 2-4, Theorem 1) plus the numeric ground-truth verdict,
+// which judges any fluid facet (core/mechanism.h) the same way.
 #pragma once
 
 #include <optional>
@@ -41,8 +42,8 @@ struct StabilityReport {
 
 StabilityReport analyze_stability(const BcnParams& params);
 
-// Numeric ground truth: integrates the fluid model from (-q0, 0) and
-// checks the orbit stays strictly inside the buffer strip for all t > 0.
+// Numeric ground truth: integrates a fluid facet from (-q0, 0) and checks
+// the orbit stays strictly inside the buffer strip for all t > 0.
 struct NumericVerdict {
   bool strongly_stable = false;
   bool converged = false;  // reached the origin within the horizon
@@ -53,9 +54,34 @@ struct NumericVerdict {
   double min_x = 0.0;
 };
 
+// The Definition-1 predicate every verdict path applies to an orbit from
+// the empty-queue start: no excursion above x_max at t > 0 (overflow
+// drops packets), no dip below x_min after the first switching event
+// (the departure from the legitimate empty-queue start is not a
+// violation), and a run that reached its horizon with finite states.
+inline bool strongly_stable_orbit(double x_min, double x_max, double max_x,
+                                  double post_switch_min_x, bool finished) {
+  return max_x < x_max && post_switch_min_x > x_min && finished;
+}
+
+// The automatic verdict horizon: 10x the summed characteristic times of
+// the facet's linearizable region laws (half a rotation period for a
+// spiral, 20 slow time constants for a node).  Constant-drive laws have
+// no time scale and add nothing.
+double verdict_horizon(const FluidMechanism& facet);
+
+// Definition 1 (strongly_stable_orbit) on the facet's orbit from its
+// analysis start, at the facet's own model level.  `duration` 0 selects
+// verdict_horizon(facet).  Facets with an equilibrium stop early once
+// |x|/q0 + |y|/C < 1e-8.
+NumericVerdict numeric_strong_stability(const FluidMechanism& facet,
+                                        double duration = 0.0,
+                                        ode::Tolerances tol = {1e-9, 1e-9});
+
+// The BCN entry point: the verdict of FluidModel(params, options.level).
 struct NumericVerdictOptions {
   ModelLevel level = ModelLevel::Nonlinear;
-  double duration = 0.0;  // 0 -> auto from the subsystem time scales
+  double duration = 0.0;  // 0 -> verdict_horizon
   ode::Tolerances tol{1e-9, 1e-9};
 };
 

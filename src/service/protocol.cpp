@@ -358,22 +358,13 @@ ExecResult exec_crossval(const Request& request,
   // same cadence the E11 bench uses.
   core::FluidRun fluid;
   if (has_fluid) {
-    if (t.gains.mechanism == "bcn" || t.gains.mechanism == "bcn-draft") {
-      core::FluidRunOptions fopts;
-      fopts.duration = t.duration;
-      fopts.record_interval = 2e-5;
-      fluid = core::simulate_fluid(
-          core::FluidModel(p, core::ModelLevel::Nonlinear), fopts);
-    } else {
-      core::MechanismConfig mcfg;
-      mcfg.plant = p;
-      const auto mech = core::make_fluid_mechanism(t.gains.mechanism, mcfg);
-      core::MechanismRunOptions mopts;
-      mopts.level = core::ModelLevel::Nonlinear;
-      mopts.duration = t.duration;
-      mopts.record_interval = 2e-5;
-      fluid = core::simulate_fluid_mechanism(*mech, mopts);
-    }
+    core::MechanismConfig mcfg;
+    mcfg.plant = p;
+    core::FluidRunOptions fopts;
+    fopts.duration = t.duration;
+    fopts.record_interval = 2e-5;
+    fluid = core::simulate_fluid(
+        *core::make_fluid_mechanism(t.gains.mechanism, mcfg), fopts);
     if (options.monitors.finite && fluid.nonfinite) {
       char buf[160];
       std::snprintf(buf, sizeof(buf),
@@ -443,31 +434,19 @@ ExecResult exec_svg_plot(const Request& request,
   const SvgTuple t = svg_tuple(request.fields);
   core::BcnParams p;
   if (auto err = check_plant(t.gains, &p); err.error) return err;
-  const bool is_bcn =
-      t.gains.mechanism == "bcn" || t.gains.mechanism == "bcn-draft";
   if (!core::find_mechanism(t.gains.mechanism)->has_fluid) {
     return error_result("unsupported_mechanism",
                         "svg_plot needs a fluid facet; '" + t.gains.mechanism +
                             "' is packet-only");
   }
 
-  core::FluidRun run;
-  if (is_bcn) {
-    core::FluidRunOptions opts;
-    opts.duration = t.duration;
-    opts.record_interval = t.duration / 1000.0;
-    run = core::simulate_fluid(
-        core::FluidModel(p, core::ModelLevel::Nonlinear), opts);
-  } else {
-    core::MechanismConfig mcfg;
-    mcfg.plant = p;
-    const auto mech = core::make_fluid_mechanism(t.gains.mechanism, mcfg);
-    core::MechanismRunOptions mopts;
-    mopts.level = core::ModelLevel::Nonlinear;
-    mopts.duration = t.duration;
-    mopts.record_interval = t.duration / 1000.0;
-    run = core::simulate_fluid_mechanism(*mech, mopts);
-  }
+  core::MechanismConfig mcfg;
+  mcfg.plant = p;
+  core::FluidRunOptions opts;
+  opts.duration = t.duration;
+  opts.record_interval = t.duration / 1000.0;
+  const core::FluidRun run = core::simulate_fluid(
+      *core::make_fluid_mechanism(t.gains.mechanism, mcfg), opts);
   if (options.monitors.finite && run.nonfinite) {
     char buf[160];
     std::snprintf(buf, sizeof(buf),
@@ -485,6 +464,8 @@ ExecResult exec_svg_plot(const Request& request,
   plot::SvgOptions svg;
   svg.width = t.width;
   svg.height = t.height;
+  const bool is_bcn =
+      t.gains.mechanism == "bcn" || t.gains.mechanism == "bcn-draft";
   svg.title = is_bcn ? "queue transient (nonlinear fluid model)"
                      : "queue transient (nonlinear fluid facet)";
   svg.x_label = "t [ms]";

@@ -63,15 +63,13 @@ TEST(BatchVerdictTest, EveryLaneLawMechanismAgreesWithScalarVerdict) {
     for (const double a : f1) {
       for (const double b : f2) {
         info.set_gains(config, g1 * a, g2 * b);
-        const auto mech = make_fluid_mechanism(info.name, config);
+        const auto mech =
+            make_fluid_mechanism(info.name, config, ModelLevel::Nonlinear);
         ASSERT_NE(mech, nullptr) << info.name;
-        const MechanismRunOptions options{.level = ModelLevel::Nonlinear,
-                                          .duration = 0.02,
-                                          .convergence_tol = 1e-8};
-        const auto lane = make_mechanism_verdict_lane(*mech, options);
+        const auto lane = make_mechanism_verdict_lane(*mech, 0.02);
         if (!lane) continue;  // no affine lane law (not under test here)
         const auto batch = batch_numeric_verdicts({*lane});
-        const auto scalar = mechanism_numeric_verdict(*mech, options);
+        const auto scalar = numeric_strong_stability(*mech, 0.02);
         EXPECT_EQ(batch[0].strongly_stable, scalar.strongly_stable)
             << info.name << " gains " << g1 * a << ", " << g2 * b;
         ++compared;
@@ -84,12 +82,14 @@ TEST(BatchVerdictTest, EveryLaneLawMechanismAgreesWithScalarVerdict) {
 }
 
 TEST(BatchVerdictTest, ClippedLevelHasNoLane) {
-  const auto mech = make_fluid_mechanism("bcn");
-  ASSERT_NE(mech, nullptr);
-  EXPECT_FALSE(
-      make_mechanism_verdict_lane(*mech, {.level = ModelLevel::Clipped}));
-  EXPECT_TRUE(
-      make_mechanism_verdict_lane(*mech, {.level = ModelLevel::Nonlinear}));
+  for (const char* name : {"bcn", "qcn", "rcp"}) {
+    EXPECT_FALSE(make_mechanism_verdict_lane(
+        *make_fluid_mechanism(name, {}, ModelLevel::Clipped)))
+        << name;
+    EXPECT_TRUE(make_mechanism_verdict_lane(
+        *make_fluid_mechanism(name, {}, ModelLevel::Nonlinear)))
+        << name;
+  }
 }
 
 TEST(BatchVerdictTest, ThreadCountIsInvisible) {

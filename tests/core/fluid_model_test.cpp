@@ -1,5 +1,9 @@
 #include "core/fluid_model.h"
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "test_params.h"
@@ -9,9 +13,9 @@ namespace {
 
 TEST(FluidModelTest, SigmaAndRegion) {
   const FluidModel m(BcnParams::standard_draft());
-  const double k = m.params().k();
+  const double k = m.plant().k();
   // At the analysis start (-q0, 0): sigma = q0 > 0 -> increase region.
-  EXPECT_DOUBLE_EQ(m.sigma(m.analysis_initial_point()), m.params().q0);
+  EXPECT_DOUBLE_EQ(m.sigma(m.analysis_initial_point()), m.plant().q0);
   EXPECT_EQ(m.region_of(m.analysis_initial_point()), Region::Increase);
   // A point with x + k y > 0 is in the decrease region.
   const Vec2 z{1e6, 1e9};
@@ -112,6 +116,27 @@ TEST(FluidModelTest, FullWallDynamicsDecreaseRate) {
   const Vec2 d = sys.modes[kModeFullWall](0.0, wall);
   EXPECT_DOUBLE_EQ(d.x, 0.0);
   EXPECT_LT(d.y, 0.0);  // rate must fall while the buffer overflows
+}
+
+TEST(FluidModelTest, InvalidPlantThrowsInEveryBuild) {
+  BcnParams below_q0 = BcnParams::standard_draft();
+  below_q0.buffer = 0.5 * below_q0.q0;
+  BcnParams nan_gain = BcnParams::standard_draft();
+  nan_gain.gi = std::nan("");
+  for (const BcnParams& p : {below_q0, nan_gain}) {
+    const std::vector<std::string> violations = p.validate();
+    ASSERT_FALSE(violations.empty());
+    try {
+      const FluidModel m(p);
+      ADD_FAILURE() << "accepted an invalid plant";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), violations.front());
+    }
+    // The registry hands caller configs to the same constructor.
+    MechanismConfig cfg;
+    cfg.plant = p;
+    EXPECT_THROW(make_fluid_mechanism("bcn", cfg), std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Fluid facet of the pluggable-mechanism layer: registry contents, gain
-// plumbing, and the contract that the BCN facet reproduces the legacy
-// FluidModel path exactly (the refactor must not move any trajectory).
+// plumbing, BCN's facet being FluidModel itself, the shared buffer walls,
+// and the one integration routine and verdict every facet runs through.
 #include <cmath>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/fluid_model.h"
 #include "core/mechanism.h"
 #include "core/simulate.h"
 #include "core/stability.h"
@@ -77,32 +78,41 @@ TEST(MechanismRegistryTest, GainAxesRoundTripThroughTheConfig) {
   }
 }
 
-TEST(FluidFacetTest, BcnFacetReproducesLegacyFluidModel) {
+TEST(FluidFacetTest, BcnFacetIsFluidModelAtTheRequestedLevel) {
   MechanismConfig cfg;
   cfg.plant = slow_regime();
-  const auto mech = make_fluid_mechanism("bcn", cfg);
-  ASSERT_NE(mech, nullptr);
+  for (const char* name : {"bcn", "bcn-draft"}) {
+    for (const auto level : {ModelLevel::Linearized, ModelLevel::Nonlinear,
+                             ModelLevel::Clipped}) {
+      const auto mech = make_fluid_mechanism(name, cfg, level);
+      const auto* model = dynamic_cast<const FluidModel*>(mech.get());
+      ASSERT_NE(model, nullptr) << name;
+      EXPECT_STREQ(model->name(), name);
+      EXPECT_EQ(model->level(), level) << name;
 
-  MechanismRunOptions mopts;
-  mopts.level = ModelLevel::Nonlinear;
-  mopts.duration = 0.01;
-  const FluidRun via_facet = simulate_fluid_mechanism(*mech, mopts);
-
-  FluidRunOptions lopts;
-  lopts.duration = 0.01;
-  const FluidRun legacy =
-      simulate_fluid(FluidModel(cfg.plant, ModelLevel::Nonlinear), lopts);
-
-  ASSERT_TRUE(via_facet.completed);
-  ASSERT_TRUE(legacy.completed);
-  EXPECT_EQ(via_facet.trajectory.size(), legacy.trajectory.size());
-  EXPECT_EQ(via_facet.switches.size(), legacy.switches.size());
-  EXPECT_DOUBLE_EQ(via_facet.max_x, legacy.max_x);
-  EXPECT_DOUBLE_EQ(via_facet.min_x, legacy.min_x);
-  EXPECT_DOUBLE_EQ(via_facet.max_y, legacy.max_y);
-  EXPECT_DOUBLE_EQ(via_facet.min_y, legacy.min_y);
-  EXPECT_DOUBLE_EQ(via_facet.post_switch_max_x, legacy.post_switch_max_x);
-  EXPECT_DOUBLE_EQ(via_facet.post_switch_min_x, legacy.post_switch_min_x);
+      // Same dynamics as a directly built model: every mode's field,
+      // the mode selection and the guards agree at probe states.
+      const auto facet_sys = model->hybrid_system();
+      const auto direct_sys = FluidModel(cfg.plant, level).hybrid_system();
+      ASSERT_EQ(facet_sys.modes.size(), direct_sys.modes.size());
+      ASSERT_EQ(facet_sys.guards.size(), direct_sys.guards.size());
+      for (const Vec2 z : {Vec2{-2e6, 1e9}, Vec2{1e6, -3e8},
+                           Vec2{model->x_min(), -1e8},
+                           Vec2{model->x_max(), 1e8}}) {
+        EXPECT_EQ(facet_sys.mode_of(0.0, z), direct_sys.mode_of(0.0, z));
+        for (std::size_t m = 0; m < facet_sys.modes.size(); ++m) {
+          EXPECT_EQ(facet_sys.modes[m](0.0, z).x,
+                    direct_sys.modes[m](0.0, z).x);
+          EXPECT_EQ(facet_sys.modes[m](0.0, z).y,
+                    direct_sys.modes[m](0.0, z).y);
+        }
+        for (std::size_t g = 0; g < facet_sys.guards.size(); ++g) {
+          EXPECT_EQ(facet_sys.guards[g](0.0, z),
+                    direct_sys.guards[g](0.0, z));
+        }
+      }
+    }
+  }
 }
 
 TEST(FluidFacetTest, BcnSigmaMatchesFluidModel) {
@@ -169,20 +179,53 @@ TEST(FluidFacetTest, EveryFluidFacetStableOnSlowRegimeDefaults) {
   for (const auto& info : mechanism_registry()) {
     if (!info.has_fluid) continue;
     const auto mech = make_fluid_mechanism(info.name, cfg);
-    const NumericVerdict v = mechanism_numeric_verdict(*mech);
+    const NumericVerdict v = numeric_strong_stability(*mech, 0.01);
     EXPECT_TRUE(v.strongly_stable) << info.name;
     EXPECT_LT(v.max_x, mech->x_max()) << info.name;
     EXPECT_GT(v.min_x, mech->x_min()) << info.name;
   }
 }
 
-TEST(FluidFacetTest, BcnVerdictAgreesWithLegacyNumericStability) {
+// At the Clipped level every walled facet gets its walls from one shared
+// helper: a start on the empty wall still draining, or on the full wall
+// still filling, must select that wall's mode, whose field pins the
+// queue, while interior states keep the facet's own modes.
+void expect_wall_capture(const char* name, int empty_wall_mode) {
   MechanismConfig cfg;
   cfg.plant = slow_regime();
-  const auto mech = make_fluid_mechanism("bcn", cfg);
-  const NumericVerdict generic = mechanism_numeric_verdict(*mech);
-  const NumericVerdict legacy = numeric_strong_stability(cfg.plant);
-  EXPECT_EQ(generic.strongly_stable, legacy.strongly_stable);
+  const auto mech = make_fluid_mechanism(name, cfg, ModelLevel::Clipped);
+  ASSERT_NE(mech, nullptr) << name;
+  const auto sys = mech->hybrid_system();
+  ASSERT_EQ(sys.modes.size(), static_cast<std::size_t>(empty_wall_mode) + 2)
+      << name;
+  const double cap = cfg.plant.capacity;
+  const Vec2 on_empty{mech->x_min(), -0.1 * cap};
+  const Vec2 on_full{mech->x_max(), 0.1 * cap};
+  EXPECT_EQ(sys.mode_of(0.0, on_empty), empty_wall_mode) << name;
+  EXPECT_EQ(sys.mode_of(0.0, on_full), empty_wall_mode + 1) << name;
+  EXPECT_LT(sys.mode_of(0.0, {0.0, 0.0}), empty_wall_mode) << name;
+  EXPECT_EQ(sys.modes[empty_wall_mode](0.0, on_empty).x, 0.0) << name;
+  EXPECT_EQ(sys.modes[empty_wall_mode + 1](0.0, on_full).x, 0.0) << name;
+
+  // Integrated from the full wall, the queue never rises past it.
+  FluidRunOptions opts;
+  opts.z0 = on_full;
+  opts.duration = 1e-4;
+  const FluidRun run = simulate_fluid(*mech, opts);
+  ASSERT_TRUE(run.completed) << name;
+  EXPECT_LE(run.max_x, mech->x_max()) << name;
+}
+
+TEST(FluidFacetTest, BcnClippedStartOnAWallSelectsTheWallMode) {
+  expect_wall_capture("bcn", kModeEmptyWall);
+}
+
+TEST(FluidFacetTest, QcnClippedStartOnAWallSelectsTheWallMode) {
+  expect_wall_capture("qcn", kModeEmptyWall);
+}
+
+TEST(FluidFacetTest, RcpClippedStartOnAWallSelectsTheWallMode) {
+  expect_wall_capture("rcp", 1);  // RCP has a single interior mode
 }
 
 TEST(FluidFacetTest, GroupRateDerivSignsAtTheWalls) {
@@ -211,14 +254,60 @@ TEST(FluidFacetTest, RcpSettlesNearTheOrigin) {
   MechanismConfig cfg;
   cfg.plant = slow_regime();
   const auto mech = make_fluid_mechanism("rcp", cfg);
-  MechanismRunOptions opts;
+  FluidRunOptions opts;
   opts.duration = 0.02;
-  const FluidRun run = simulate_fluid_mechanism(*mech, opts);
+  const FluidRun run = simulate_fluid(*mech, opts);
   ASSERT_TRUE(run.completed);
   ASSERT_FALSE(run.trajectory.empty());
   const auto& tail = run.trajectory.back();
   EXPECT_LT(std::abs(tail.z.x), 0.5 * cfg.plant.q0);
   EXPECT_LT(std::abs(tail.z.y), 0.1 * cfg.plant.capacity);
+}
+
+// A facet whose vector field turns NaN once t passes kNanAfter: the
+// non-finite guard must surface through simulate_fluid and
+// numeric_strong_stability for every facet, not only BCN's.
+class NanAfterStartFacet final : public FluidMechanism {
+ public:
+  static constexpr double kNanAfter = 1e-3;
+
+  NanAfterStartFacet()
+      : FluidMechanism(slow_regime(), ModelLevel::Nonlinear) {}
+
+  const char* name() const override { return "nan-after-start"; }
+  double sigma(Vec2 z) const override { return -z.x; }
+  ode::HybridSystem hybrid_system() const override {
+    ode::HybridSystem system;
+    system.modes.push_back([](double t, Vec2 z) -> Vec2 {
+      if (t > kNanAfter) return {z.y, std::nan("")};
+      return {z.y, -2e3 * z.y - 1e7 * z.x};
+    });
+    system.mode_of = [](double /*t*/, Vec2 /*z*/) { return 0; };
+    return system;
+  }
+  std::vector<RegionLaw> region_laws() const override {
+    return {{"interior", 2e3, 1e7, true}};
+  }
+  double group_rate_deriv(double, double, double, double) const override {
+    return 0.0;
+  }
+};
+
+TEST(FluidFacetTest, NonFiniteFieldSurfacesThroughSimulateAndVerdict) {
+  const NanAfterStartFacet facet;
+  FluidRunOptions opts;
+  opts.duration = 0.01;
+  const FluidRun run = simulate_fluid(facet, opts);
+  EXPECT_TRUE(run.nonfinite);
+  EXPECT_FALSE(run.completed);
+  EXPECT_GT(run.nonfinite_t, 0.0);
+  EXPECT_LE(run.nonfinite_t, NanAfterStartFacet::kNanAfter);
+  ASSERT_FALSE(run.trajectory.empty());
+  EXPECT_LE(run.trajectory.back().t, run.nonfinite_t);
+
+  const NumericVerdict verdict = numeric_strong_stability(facet, 0.01);
+  EXPECT_TRUE(verdict.nonfinite);
+  EXPECT_FALSE(verdict.strongly_stable);
 }
 
 }  // namespace

@@ -124,34 +124,11 @@ int main(int argc, char** argv) {
     return obs::kMonitorViolationExit;
   }
 
-  // Non-BCN mechanisms: the report covered the registered fluid facet
-  // (or said there is none); only the optional ASCII plot remains.
-  if (mechanism != "bcn" && mechanism != "bcn-draft") {
-    if (args.get_bool("plot") && report.has_fluid) {
-      core::MechanismConfig mcfg;
-      mcfg.plant = p;
-      const auto mech = core::make_fluid_mechanism(mechanism, mcfg);
-      core::MechanismRunOptions mopts;
-      mopts.duration = request.duration;
-      mopts.level = core::ModelLevel::Nonlinear;
-      mopts.record_interval = mopts.duration / 1000.0;
-      const auto run = core::simulate_fluid_mechanism(*mech, mopts);
-      plot::Series q;
-      q.name = "q(t)";
-      for (const auto& s : run.trajectory.samples()) {
-        q.add(s.t * 1e3, (s.z.x + p.q0) / 1e6);
-      }
-      plot::AsciiOptions ascii;
-      ascii.title = "queue transient (nonlinear fluid facet)";
-      ascii.x_label = "t [ms]";
-      ascii.y_label = "q [Mbit]";
-      std::printf("\n%s", plot::render_ascii({q}, ascii).c_str());
-    }
-    return 0;
-  }
-
+  // The delay model, the integrator statistics and the --trace profile
+  // are BCN-only extras.
+  const bool closed_form = mechanism == "bcn" || mechanism == "bcn-draft";
   const double delay = args.get_double("delay", 0.0);
-  if (delay > 0.0) {
+  if (closed_form && delay > 0.0) {
     core::DelayedRunOptions dopts;
     dopts.delay = delay;
     dopts.duration = args.get_double("duration", 5e-3);
@@ -163,30 +140,35 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (args.get_bool("plot")) {
-    const core::FluidModel model(p, core::ModelLevel::Nonlinear);
+  if (args.get_bool("plot") && report.has_fluid) {
+    core::MechanismConfig mcfg;
+    mcfg.plant = p;
     core::FluidRunOptions opts;
-    opts.duration = args.get_double("duration", 1.5e-3);
+    opts.duration = request.duration;
     opts.record_interval = opts.duration / 1000.0;
-    const auto run = core::simulate_fluid(model, opts);
+    const auto run = core::simulate_fluid(
+        *core::make_fluid_mechanism(mechanism, mcfg), opts);
     plot::Series q;
     q.name = "q(t)";
     for (const auto& s : run.trajectory.samples()) {
       q.add(s.t * 1e3, (s.z.x + p.q0) / 1e6);
     }
     plot::AsciiOptions ascii;
-    ascii.title = "queue transient (nonlinear fluid model)";
+    ascii.title = closed_form ? "queue transient (nonlinear fluid model)"
+                              : "queue transient (nonlinear fluid facet)";
     ascii.x_label = "t [ms]";
     ascii.y_label = "q [Mbit]";
     std::printf("\n%s", plot::render_ascii({q}, ascii).c_str());
-    std::printf("\nintegrator: %zu steps accepted, %zu rejected, min "
-                "accepted dt %.3g s, %zu event-localization bisection "
-                "iterations across %zu mode switches\n",
-                run.steps_accepted, run.steps_rejected, run.min_step,
-                run.event_bisections, run.switches.size());
+    if (closed_form) {
+      std::printf("\nintegrator: %zu steps accepted, %zu rejected, min "
+                  "accepted dt %.3g s, %zu event-localization bisection "
+                  "iterations across %zu mode switches\n",
+                  run.steps_accepted, run.steps_rejected, run.min_step,
+                  run.event_bisections, run.switches.size());
+    }
   }
 
-  if (trace_path) {
+  if (closed_form && trace_path) {
     obs::tracing_drain();
     const auto profile = obs::build_self_profile(obs::tracing_spans());
     TablePrinter table({"span", "calls", "total s", "self s"});
