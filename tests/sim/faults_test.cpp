@@ -139,6 +139,20 @@ TEST(FaultsTest, ZeroPlanMatchesPinnedDeterminismDigest) {
   EXPECT_EQ(d.faults.data_dropped, 0u);
 }
 
+// Every fault class armed at once on the reference scenario: pins the
+// forward-link loss and flap-edge handling alongside the reverse path.
+TEST(FaultsTest, FullPlanMatchesPinnedDigest) {
+  const auto plan = parse_fault_plan(
+      "bcn_drop=0.1,bcn_dup=0.1,bcn_delay=0.2:50us,data_drop=0.01,"
+      "pause_drop=0.5,flap=5ms+2ms/20ms+1ms");
+  ASSERT_TRUE(plan);
+  const RunDigest d = run_reference(*plan);
+  EXPECT_EQ(d.faults.link_flaps, 2u);
+  EXPECT_GT(d.faults.data_dropped, 0u);
+  EXPECT_EQ(d.hash, 0xd2354d70c313a5d9ull);
+  EXPECT_EQ(d.events_executed, 107512u);
+}
+
 TEST(FaultsTest, SamePlanProducesByteIdenticalTrajectory) {
   const auto plan = parse_fault_plan(
       "bcn_drop=0.3,bcn_delay=0.2:100us,data_drop=0.001,seed=11");
