@@ -72,12 +72,13 @@
 #     (every non-URL link target must exist).  (The cache/protocol/
 #     server unit tests already ran under TSan in gate 1 as part of
 #     bcn_service_tests.)
-# 11. Memory and undefined-behaviour safety: builds the ode, core,
-#     analysis and service test suites under AddressSanitizer plus
+# 11. Memory and undefined-behaviour safety: builds the whole tier-1
+#     suite -- all eleven test binaries -- under AddressSanitizer plus
 #     UndefinedBehaviorSanitizer (-DBCN_SANITIZE=address,undefined with
 #     -fno-sanitize-recover=undefined, so any UB report aborts) and runs
-#     them.  Any out-of-bounds access, use-after-free, leak or UB fails
-#     the run.
+#     them with the default ASAN_OPTIONS (alloc-dealloc-mismatch
+#     included).  Any out-of-bounds access, use-after-free, leak,
+#     mismatched allocator or UB fails the run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -762,19 +763,20 @@ PY
 echo "[check.sh] service smoke clean ($SVC_JSON)"
 
 # --- address + undefined-behaviour sanitizers -------------------------------
-# The numeric stack (integrators, fluid facets and verdicts, maps and
-# reports, the service protocol) under ASan+UBSan.  Like gate 1, the
-# suites run directly so unbuilt siblings cannot pollute the result.
+# Every tier-1 suite under ASan+UBSan.  Like gate 1, the suites run
+# directly so unbuilt siblings cannot pollute the result.
 ASAN_BUILD_DIR=${ASAN_BUILD_DIR:-build-asan}
+ASAN_SUITES=(common obs exec ode control core sim analysis plot service
+             integration)
+ASAN_TARGETS=()
+for suite in "${ASAN_SUITES[@]}"; do ASAN_TARGETS+=("bcn_${suite}_tests"); done
 cmake -B "$ASAN_BUILD_DIR" -S . -DBCN_SANITIZE=address,undefined \
   -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$ASAN_BUILD_DIR" -j \
-  --target bcn_ode_tests bcn_core_tests bcn_analysis_tests bcn_service_tests
+cmake --build "$ASAN_BUILD_DIR" -j --target "${ASAN_TARGETS[@]}"
 
-"$ASAN_BUILD_DIR"/tests/ode/bcn_ode_tests
-"$ASAN_BUILD_DIR"/tests/core/bcn_core_tests
-"$ASAN_BUILD_DIR"/tests/analysis/bcn_analysis_tests
-"$ASAN_BUILD_DIR"/tests/service/bcn_service_tests
+for suite in "${ASAN_SUITES[@]}"; do
+  "$ASAN_BUILD_DIR/tests/$suite/bcn_${suite}_tests"
+done
 
 echo "[check.sh] ASan+UBSan run clean"

@@ -1,9 +1,8 @@
 // Typed POD event records for the discrete-event core.
 //
-// Steady-state simulation traffic -- frame hops, service completions, BCN
-// and PAUSE deliveries, pacing tokens, periodic ticks -- is described by a
-// small tagged union dispatched to the owning object, instead of a
-// heap-allocated std::function closure per event.  The payload union holds
+// All simulation traffic -- frame hops, service completions, BCN and PAUSE
+// deliveries, pacing tokens, periodic ticks -- is described by a small
+// tagged union dispatched to the owning object.  The payload union holds
 // only trivially-copyable wire structs, so an event record can live in a
 // recycled pool slot and be copied to the dispatch stack without touching
 // the allocator.
@@ -23,11 +22,8 @@ namespace bcn::sim {
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
 
-// What an event means to its owner.  `Callback` is the escape hatch for
-// tests and one-off wiring: it carries a std::function and is the only
-// kind that may allocate.
+// What an event means to its owner.
 enum class EventKind : std::uint8_t {
-  Callback = 0,    // legacy closure (tests, ad-hoc wiring)
   FrameArrival,    // a Frame reaches a switch/port after a hop delay
   FrameDeparture,  // service completion at a queue's output
   BcnDelivery,     // a BcnMessage reaches its reaction point
@@ -52,15 +48,16 @@ union EventPayload {
 // delivery channel); `id` is the handle of the firing event, usable with
 // Simulator::reschedule to re-arm the same slot (timer reuse).
 struct SimEvent {
-  EventKind kind = EventKind::Callback;
+  EventKind kind = EventKind::FrameArrival;
   std::uint32_t tag = 0;
   EventId id = kInvalidEvent;
   EventPayload payload;
 };
 
 // Implemented by every object that owns typed events (sources, switch
-// ports, network/scenario wiring).  Dispatch is a single virtual call; the
-// payload is a stack copy, so handlers may schedule or cancel freely.
+// ports, network/scenario wiring, test recorders).  Dispatch is a single
+// virtual call; the payload is a stack copy, so handlers may schedule or
+// cancel freely.
 class EventTarget {
  public:
   virtual void on_event(const SimEvent& event) = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "common/log.h"
 #include "obs/metrics.h"
@@ -27,9 +26,6 @@ void Simulator::release_slot(std::uint32_t index) {
   ++slot.generation;  // stale every outstanding handle
   slot.heap_index = kSlotFree;
   slot.target = nullptr;
-  if (slot.kind == EventKind::Callback && index < fns_.size()) {
-    fns_[index] = nullptr;  // drop the closure allocation
-  }
   free_.push_back(index);
 }
 
@@ -183,17 +179,6 @@ EventId Simulator::schedule_pause(SimTime when, EventTarget* target,
   return insert(when, index);
 }
 
-EventId Simulator::schedule_at(SimTime when, std::function<void()> fn) {
-  const std::uint32_t index = acquire_slot();
-  Slot& slot = slots_[index];
-  slot.target = nullptr;
-  slot.kind = EventKind::Callback;
-  slot.tag = 0;
-  if (fns_.size() <= index) fns_.resize(slots_.size());
-  fns_[index] = std::move(fn);
-  return insert(when, index);
-}
-
 void Simulator::cancel(EventId id) {
   const std::int64_t index = resolve(id);
   if (index < 0) return;  // stale or invalid: no residue
@@ -255,40 +240,28 @@ std::size_t Simulator::run_until(SimTime until) {
     ++executed_;
     ++ran;
 
-    if (slots_[top].kind == EventKind::Callback) {
-      // Move the closure out so a handler that re-arms itself via
-      // schedule_* cannot observe a half-dead slot; move it back if the
-      // slot was not recycled from within (cancel + fresh schedule).
-      std::function<void()> fn = std::move(fns_[top]);
-      fn();
-      if (slots_[top].generation == fired_gen) {
-        fns_[top] = std::move(fn);
-      }
-    } else {
-      // Stack copy of the dispatch view: handlers may schedule freely
-      // (which can grow the slab and invalidate Slot references).  Only
-      // the active payload member is copied.
-      SimEvent event;
-      event.kind = slots_[top].kind;
-      event.tag = slots_[top].tag;
-      event.id = make_id(top, fired_gen);
-      switch (event.kind) {
-        case EventKind::FrameArrival:
-          event.payload.frame = slots_[top].payload.frame;
-          break;
-        case EventKind::BcnDelivery:
-          event.payload.bcn = slots_[top].payload.bcn;
-          break;
-        case EventKind::PauseDelivery:
-        case EventKind::PauseExpiry:
-          event.payload.pause = slots_[top].payload.pause;
-          break;
-        default:
-          break;
-      }
-      EventTarget* target = slots_[top].target;
-      target->on_event(event);
+    // Stack copy of the dispatch view: handlers may schedule freely
+    // (which can grow the slab and invalidate Slot references).  Only the
+    // active payload member is copied.
+    SimEvent event;
+    event.kind = slots_[top].kind;
+    event.tag = slots_[top].tag;
+    event.id = make_id(top, fired_gen);
+    switch (event.kind) {
+      case EventKind::FrameArrival:
+        event.payload.frame = slots_[top].payload.frame;
+        break;
+      case EventKind::BcnDelivery:
+        event.payload.bcn = slots_[top].payload.bcn;
+        break;
+      case EventKind::PauseDelivery:
+      case EventKind::PauseExpiry:
+        event.payload.pause = slots_[top].payload.pause;
+        break;
+      default:
+        break;
     }
+    slots_[top].target->on_event(event);
 
     firing_slot_ = -1;
     // Unless the handler re-armed (fresh seq) or cancelled (fresh

@@ -3,9 +3,7 @@
 //
 // Design (the simulator fast path):
 //   * Event records live in a slab of pool slots recycled through a free
-//     list, so steady-state simulation performs zero allocations; only
-//     the legacy Callback kind (tests, one-off wiring) may allocate for
-//     its closure.
+//     list, so steady-state simulation performs zero allocations.
 //   * The pending set is a 4-ary min-heap of slot indices ordered by
 //     (when, seq); each slot stores its heap position, so cancel and
 //     reschedule are O(log n) in-place operations on live handles --
@@ -19,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -39,7 +36,7 @@ class Simulator {
 
   SimTime now() const { return now_; }
 
-  // --- typed scheduling (the zero-allocation fast path) ------------------
+  // --- typed scheduling ---------------------------------------------------
   // All absolute times are clamped to >= now(); a strictly-past deadline
   // additionally counts into the sim.schedule_clamped metric and logs a
   // rate-limited warning (a past deadline means a mis-scheduled timer).
@@ -52,12 +49,6 @@ class Simulator {
                        const BcnMessage& message);
   EventId schedule_pause(SimTime when, EventTarget* target, std::uint32_t tag,
                          const PauseFrame& pause);
-
-  // --- legacy closure scheduling (tests / one-off wiring) ----------------
-  EventId schedule_at(SimTime when, std::function<void()> fn);
-  EventId schedule_after(SimTime delay, std::function<void()> fn) {
-    return schedule_at(now_ + delay, std::move(fn));
-  }
 
   // Cancels a live event in place (O(log n) heap removal) and recycles its
   // slot.  A no-op on stale or invalid handles -- repeated cancel after
@@ -115,16 +106,13 @@ class Simulator {
  private:
   static constexpr std::int32_t kSlotFree = -1;
 
-  // Closures for the legacy Callback kind live in a side table indexed by
-  // slot, so the hot typed-event slots stay lean and release never touches
-  // std::function internals.
   struct Slot {
     SimTime when = 0;
     std::uint64_t seq = 0;
     EventTarget* target = nullptr;
     std::uint32_t generation = 1;  // advances when the slot is recycled
     std::int32_t heap_index = kSlotFree;
-    EventKind kind = EventKind::Callback;
+    EventKind kind = EventKind::FrameArrival;
     std::uint32_t tag = 0;
     EventPayload payload;
   };
@@ -175,15 +163,16 @@ class Simulator {
   std::int64_t firing_slot_ = -1;  // slot being dispatched, else -1
 
   std::vector<Slot> slots_;
-  std::vector<std::function<void()>> fns_;  // Callback closures, by slot
   std::vector<std::uint32_t> free_;
   std::vector<HeapEntry> heap_;
 };
 
 // A precomputed forwarding hop: schedules its payload as a typed event to
-// a fixed target after a fixed delay.  The scenario wiring builds these
-// once at construction, replacing the per-frame std::function sender hops
-// on the hot path with a direct schedule_* call.
+// a fixed target after a fixed delay.  Scenario wiring builds these once
+// at construction; every hop between entities -- frames, BCN, PAUSE --
+// is one, so a hop costs one direct schedule_* call.  Tests capture an
+// entity's output the same way, over zero-delay links into a recording
+// target.
 class EventLink {
  public:
   EventLink() = default;

@@ -311,6 +311,18 @@ bool FaultInjector::link_down(SimTime now) const {
   return false;
 }
 
+void FaultInjector::on_flap_edge(SimTime now) {
+  // Inside a window this is the down edge ([down_at, up_at) is half-open,
+  // so up_at tests false).
+  const bool down = link_down(now);
+  if (down && counters_) ++counters_->link_flaps;
+  if (trace_) {
+    trace_->record({to_seconds(now),
+                    down ? obs::EventKind::LinkDown : obs::EventKind::LinkUp,
+                    entity_, 0, 0.0, 0.0});
+  }
+}
+
 bool FaultInjector::cut_by_flap(SimTime now, SourceId flow) {
   if (plan_.flaps.empty() || !link_down(now)) return false;
   if (counters_) ++counters_->flap_dropped;

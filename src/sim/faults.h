@@ -156,9 +156,19 @@ class FaultInjector {
   // data-drop draw.
   bool cut_by_flap(SimTime now, SourceId flow);
   bool drop_data(SimTime now, SourceId flow);
+  // Both checks in order, as every scenario hub runs them on a forwarded
+  // frame: true when the frame is lost.  A disarmed injector loses
+  // nothing and draws nothing.
+  bool lose_frame(SimTime now, SourceId flow) {
+    return armed() && (cut_by_flap(now, flow) || drop_data(now, flow));
+  }
 
   // True while `now` falls inside a flap window (no counting, no RNG).
   bool link_down(SimTime now) const;
+  // Handler for a flap-window edge the hub scheduled at down_at / up_at:
+  // a down edge counts into link_flaps, and either edge traces as
+  // LinkDown / LinkUp for this entity.
+  void on_flap_edge(SimTime now);
 
  private:
   void note_drop(const char* what);

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <unordered_set>
 
-#include "sim/core_switch.h"
 #include "sim/rate_regulator.h"
+#include "sim/switch_port.h"
 
 namespace bcn::sim {
 namespace {

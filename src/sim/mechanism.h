@@ -10,7 +10,7 @@
 //     message to its rate, plus the optional source-driven self-increase
 //     (QCN's recovery timer).
 //
-// CoreSwitch still owns sampling, sigma computation (eq. (1)), queueing
+// SwitchPort still owns sampling, sigma computation (eq. (1)), queueing
 // and PAUSE; RateRegulator still owns clamping, association and
 // counters.  Mechanisms only decide the feedback policy on both ends.
 #pragma once
@@ -24,7 +24,7 @@
 
 namespace bcn::sim {
 
-struct CoreSwitchConfig;
+struct SwitchPortConfig;
 struct RegulatorConfig;
 
 // The mechanism-owned slice of a regulator's state.
@@ -40,7 +40,7 @@ struct SwitchSample {
   double queue_bits = 0.0;
   double now_s = 0.0;
   const Frame* frame = nullptr;
-  const CoreSwitchConfig* config = nullptr;
+  const SwitchPortConfig* config = nullptr;
 };
 
 // What the switch should emit for that sample.
@@ -70,7 +70,7 @@ class PacketMechanism {
   }
   virtual FeedbackDecision on_sample(const SwitchSample& sample) = 0;
   // Default for the draft's CPID-matching gate on positive feedback when a
-  // scenario wires this mechanism (CoreSwitchConfig can still override).
+  // scenario wires this mechanism (SwitchPortConfig can still override).
   virtual bool positive_requires_rrt() const { return false; }
 
   // --- reaction-point facet ------------------------------------------------
@@ -95,8 +95,9 @@ class PacketMechanism {
   }
 };
 
-// The shared, stateless BCN (fluid-matched) mechanism every CoreSwitch /
-// RateRegulator uses when constructed without an explicit one.
+// The shared, stateless BCN (fluid-matched) mechanism: what every
+// RateRegulator constructed without an explicit mechanism applies, and
+// what the parking lot's congestion points attach.
 PacketMechanism& default_bcn_mechanism();
 
 // Builds the packet facet by registry name ("bcn", "bcn-draft", "qcn",

@@ -31,10 +31,23 @@ class Scenario : public EventTarget {
   static constexpr std::uint32_t kTagMonitor = 5;
   static constexpr std::uint32_t kTagFlapEdge = 6;
 
-  explicit Scenario(const MultihopConfig& config) : config_(config) {
+  explicit Scenario(const MultihopConfig& config)
+      : config_(config),
+        stats_(config.observer ? *config.observer : unobserved_) {
+    // An unobserved run still tallies into a SimStats, but records no
+    // event trace.
+    unobserved_.events().set_enabled(false);
+
+    // The hot port and every source run qcn: negative-only BCN from the
+    // hot port, QCN-style self-increase recovery at the culprits.
+    core::MechanismConfig mcfg;
+    mcfg.qcn.active_increase = 2e6;
+    mcfg.qcn.frame_bits = config.frame_bits;
+    qcn_mechanism_ = make_packet_mechanism("qcn", mcfg);
+
     // --- CORE ports ------------------------------------------------------
     SwitchPortConfig hot_cfg;
-    hot_cfg.rate = config.hot_rate;
+    hot_cfg.capacity = config.hot_rate;
     hot_cfg.buffer_bits = config.core_buffer;
     hot_cfg.pause_duration = 64 * kMicrosecond;
     if (config.enable_pause) {
@@ -42,23 +55,24 @@ class Scenario : public EventTarget {
           config.pause_threshold_fraction * config.core_buffer;
     }
     if (config.enable_bcn) {
-      hot_cfg.bcn_pm = config.bcn_pm;
-      hot_cfg.bcn_q0 = config.bcn_q0;
-      hot_cfg.bcn_w = config.bcn_w;
+      hot_cfg.pm = config.bcn_pm;
+      hot_cfg.q0 = config.bcn_q0;
+      hot_cfg.w = config.bcn_w;
       hot_cfg.cpid = 7;
     }
     hot_cfg.port_label = kMultihopHotPort;
-    hot_port_ = std::make_unique<SwitchPort>(sim_, hot_cfg);
+    hot_port_ = std::make_unique<SwitchPort>(sim_, hot_cfg, stats_);
+    hot_port_->set_mechanism(qcn_mechanism_.get());
 
     SwitchPortConfig cold_cfg;
-    cold_cfg.rate = config.line_rate;
+    cold_cfg.capacity = config.line_rate;
     cold_cfg.buffer_bits = config.core_buffer;
     cold_cfg.port_label = kMultihopColdPort;
-    cold_port_ = std::make_unique<SwitchPort>(sim_, cold_cfg);
+    cold_port_ = std::make_unique<SwitchPort>(sim_, cold_cfg, stats_);
 
     // --- edge switch E1 --------------------------------------------------
     SwitchPortConfig edge_cfg;
-    edge_cfg.rate = config.line_rate;
+    edge_cfg.capacity = config.line_rate;
     edge_cfg.buffer_bits = config.edge_buffer;
     edge_cfg.pause_duration = 64 * kMicrosecond;
     if (config.enable_pause) {
@@ -66,13 +80,7 @@ class Scenario : public EventTarget {
           config.pause_threshold_fraction * config.edge_buffer;
     }
     edge_cfg.port_label = kMultihopEdgePort;
-    edge_ = std::make_unique<SwitchPort>(sim_, edge_cfg);
-
-    if (config.observer) {
-      hot_port_->set_observer(config.observer);
-      cold_port_->set_observer(config.observer);
-      edge_->set_observer(config.observer);
-    }
+    edge_ = std::make_unique<SwitchPort>(sim_, edge_cfg, stats_);
 
     if (config.monitors.spec.any()) {
       run_monitor_.configure(
@@ -91,8 +99,7 @@ class Scenario : public EventTarget {
     }
 
     if (config.faults.armed()) {
-      obs::EventTrace* trace =
-          config.observer ? &config.observer->events() : nullptr;
+      obs::EventTrace* trace = &stats_.events();
       // Reverse-path lanes key off the port labels; the E1 -> CORE
       // forward link is entity 0.
       hot_faults_ = FaultInjector(config.faults, kMultihopHotPort,
@@ -113,16 +120,11 @@ class Scenario : public EventTarget {
         EventLink(sim_, this, kTagFrameToCore, config.propagation_delay));
 
     // CORE port A back-pressures E1 (PAUSE rolls back one hop).
-    hot_port_->set_pause_upstream(
+    hot_port_->set_pause_sender(
         EventLink(sim_, this, kTagPauseToEdge, config.propagation_delay));
 
     // --- sources ---------------------------------------------------------
-    // Culprits run QCN-style recovery so negative-only BCN from the hot
-    // port suffices; the victim never receives feedback.
-    core::MechanismConfig mcfg;
-    mcfg.qcn.active_increase = 2e6;
-    mcfg.qcn.frame_bits = config.frame_bits;
-    qcn_mechanism_ = make_packet_mechanism("qcn", mcfg);
+    // The victim never receives feedback.
     const int total = config.num_culprits + 1;
     sources_.reserve(total);
     for (int i = 0; i < total; ++i) {
@@ -140,7 +142,7 @@ class Scenario : public EventTarget {
     }
 
     // E1 back-pressures every source.
-    edge_->set_pause_upstream(
+    edge_->set_pause_sender(
         EventLink(sim_, this, kTagPauseToSources, config.propagation_delay));
 
     // BCN from the hot port travels back to the culprit source.
@@ -149,7 +151,9 @@ class Scenario : public EventTarget {
 
     const EventLink to_edge(sim_, this, kTagFrameToEdge,
                             config.propagation_delay);
-    for (auto& src : sources_) src->start(to_edge);
+    for (auto& src : sources_) {
+      src->start(to_edge, &stats_.counters.frames_sent);
+    }
 
     if (config.observer) {
       auto& timelines = config.observer->timelines();
@@ -166,12 +170,8 @@ class Scenario : public EventTarget {
         edge_->on_frame(event.payload.frame);
         break;
       case kTagFrameToCore:
-        if (link_faults_.armed()) {
-          const Frame& f = event.payload.frame;
-          if (link_faults_.cut_by_flap(sim_.now(), f.source) ||
-              link_faults_.drop_data(sim_.now(), f.source)) {
-            break;
-          }
+        if (link_faults_.lose_frame(sim_.now(), event.payload.frame.source)) {
+          break;
         }
         (event.payload.frame.dst == kHotDst ? *hot_port_ : *cold_port_)
             .on_frame(event.payload.frame);
@@ -190,17 +190,9 @@ class Scenario : public EventTarget {
       case kTagMonitor:
         monitor();
         break;
-      case kTagFlapEdge: {
-        const bool down = link_faults_.link_down(sim_.now());
-        if (down) ++fault_counters_.link_flaps;
-        if (config_.observer) {
-          config_.observer->events().record(
-              {to_seconds(sim_.now()),
-               down ? obs::EventKind::LinkDown : obs::EventKind::LinkUp, 0, 0,
-               0.0, 0.0});
-        }
+      case kTagFlapEdge:
+        link_faults_.on_flap_edge(sim_.now());
         break;
-      }
     }
   }
 
@@ -209,14 +201,16 @@ class Scenario : public EventTarget {
 
     MultihopResult result;
     const double seconds = to_seconds(config_.duration);
-    result.victim_throughput = cold_port_->stats().bits_delivered / seconds;
-    result.culprit_throughput = hot_port_->stats().bits_delivered / seconds;
-    result.core_drops =
-        hot_port_->stats().dropped + cold_port_->stats().dropped;
-    result.edge_drops = edge_->stats().dropped;
-    result.pauses_core_to_edge = hot_port_->stats().pauses_sent;
-    result.pauses_edge_to_sources = edge_->stats().pauses_sent;
-    result.bcn_messages = hot_port_->stats().bcn_sent;
+    const Counters& hot = hot_port_->counters();
+    const Counters& cold = cold_port_->counters();
+    const Counters& edge = edge_->counters();
+    result.victim_throughput = cold.bits_delivered / seconds;
+    result.culprit_throughput = hot.bits_delivered / seconds;
+    result.core_drops = hot.frames_dropped + cold.frames_dropped;
+    result.edge_drops = edge.frames_dropped;
+    result.pauses_core_to_edge = hot.pause_frames;
+    result.pauses_edge_to_sources = edge.pause_frames;
+    result.bcn_messages = hot.bcn_negative + hot.bcn_positive;
     result.edge_peak_queue = edge_peak_;
     result.hot_peak_queue = hot_peak_;
     result.events_executed = sim_.executed();
@@ -246,18 +240,18 @@ class Scenario : public EventTarget {
       // point whose stalled deliveries signal a PFC deadlock, and its
       // counters form a closed conservation system (arrivals = enqueued +
       // dropped at one queue).
-      const SwitchPortStats& hot = hot_port_->stats();
+      const Counters& hot = hot_port_->counters();
       obs::MonitorSample s;
       s.t = to_seconds(sim_.now());
       s.queue_bits = hot_port_->queue_bits();
       double rate = 0.0;
       for (const auto& src : sources_) rate += src->rate();
       s.aggregate_rate = rate;
-      s.frames_sent = hot.enqueued + hot.dropped;
-      s.frames_enqueued = hot.enqueued;
-      s.frames_delivered = hot.delivered;
-      s.frames_dropped = hot.dropped;
-      s.pause_frames = hot.pauses_sent + edge_->stats().pauses_sent;
+      s.frames_sent = hot.frames_enqueued + hot.frames_dropped;
+      s.frames_enqueued = hot.frames_enqueued;
+      s.frames_delivered = hot.frames_delivered;
+      s.frames_dropped = hot.frames_dropped;
+      s.pause_frames = hot.pause_frames + edge_->counters().pause_frames;
       s.bits_delivered = hot.bits_delivered;
       run_monitor_.on_sample(s);
     }
@@ -266,11 +260,13 @@ class Scenario : public EventTarget {
 
   MultihopConfig config_;
   Simulator sim_;
+  SimStats unobserved_;
+  SimStats& stats_;  // config_.observer, else unobserved_
+  // Declared before the ports and sources_, which point into it.
+  std::unique_ptr<PacketMechanism> qcn_mechanism_;
   std::unique_ptr<SwitchPort> hot_port_;
   std::unique_ptr<SwitchPort> cold_port_;
   std::unique_ptr<SwitchPort> edge_;
-  // Declared before sources_, whose regulators point into it.
-  std::unique_ptr<PacketMechanism> qcn_mechanism_;
   std::vector<std::unique_ptr<Source>> sources_;
   FaultCounters fault_counters_;
   FaultInjector hot_faults_;

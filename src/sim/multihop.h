@@ -59,8 +59,12 @@ struct MultihopConfig {
   double bcn_w = 2.0;
 
   // Optional observability sink: when set, the run records per-port
-  // queue timelines ("port.edge/hot/cold.queue_bits") and the BCN/PAUSE
-  // event trace into this SimStats.
+  // queue timelines ("port.edge/hot/cold.queue_bits"), the BCN/PAUSE
+  // event trace, the hot port's sigma samples and the run's counters into
+  // this SimStats.  Port counters sum over the edge, hot and cold ports;
+  // deliveries (frames, bits, per-source bits) count only where frames
+  // leave the fabric, at the hot and cold ports; frames_sent sums over
+  // the sources.
   SimStats* observer = nullptr;
   // When set, the run exports its scheduler gauges/counters (heap high
   // water, pool occupancy, cancels, ...) under "sim." before returning.

@@ -47,22 +47,22 @@ Network::Network(NetworkConfig config) : config_(config) {
     }
   }
 
-  CoreSwitchConfig sw;
+  SwitchPortConfig sw;
   sw.cpid = 1;
+  sw.port_label = sw.cpid;  // PAUSE rows and monitor checks key on it too
   sw.capacity = p.capacity;
   sw.buffer_bits = p.buffer;
   sw.q0 = p.q0;
-  sw.qsc = p.qsc;
+  sw.pause_threshold = config_.enable_pause ? p.qsc : 0.0;
   sw.w = p.w;
   sw.pm = p.pm;
-  sw.enable_pause = config_.enable_pause;
   // The draft's CPID gate on positive feedback is the mechanism's call;
   // fluid-matched runs need the fluid model's ungated bidirectional
   // feedback, the draft mode keeps the gate.
   sw.positive_requires_rrt = mech_a_->positive_requires_rrt();
   sw.random_sampling = config_.random_sampling;
   sw.sampling_seed = config_.sampling_seed;
-  switch_ = std::make_unique<CoreSwitch>(sim_, sw, stats_);
+  switch_ = std::make_unique<SwitchPort>(sim_, sw, stats_);
   switch_->set_mechanism(mech_a_.get());
 
   const auto n = static_cast<std::size_t>(p.num_sources);
@@ -159,12 +159,8 @@ Network::Network(NetworkConfig config) : config_(config) {
 void Network::on_event(const SimEvent& event) {
   switch (event.tag) {
     case kTagFrameToSwitch:
-      if (link_faults_.armed()) {
-        const Frame& f = event.payload.frame;
-        if (link_faults_.cut_by_flap(sim_.now(), f.source) ||
-            link_faults_.drop_data(sim_.now(), f.source)) {
-          break;
-        }
+      if (link_faults_.lose_frame(sim_.now(), event.payload.frame.source)) {
+        break;
       }
       switch_->on_frame(event.payload.frame);
       break;
@@ -177,17 +173,9 @@ void Network::on_event(const SimEvent& event) {
     case kTagSampleTick:
       record_sample();
       break;
-    case kTagFlapEdge: {
-      // Scheduled at every window edge; inside a window it's the down
-      // edge ([down_at, up_at) is half-open, so up_at tests false).
-      const bool down = link_faults_.link_down(sim_.now());
-      if (down) ++fault_counters_.link_flaps;
-      stats_.events().record(
-          {to_seconds(sim_.now()),
-           down ? obs::EventKind::LinkDown : obs::EventKind::LinkUp, 0, 0,
-           0.0, 0.0});
+    case kTagFlapEdge:
+      link_faults_.on_flap_edge(sim_.now());
       break;
-    }
   }
 }
 

@@ -2,8 +2,8 @@
 // repo simulates (two-hop chains live in multihop.cpp, generated
 // fat-tree / leaf-spine fabrics in sim/shard):
 // N homogeneous sources -> (edge, where the rate regulators live) ->
-// core switch -> sink, with symmetric propagation delays and backward BCN
-// / PAUSE delivery.
+// core switch port (the congestion point, sim/switch_port.h) -> sink,
+// with symmetric propagation delays and backward BCN / PAUSE delivery.
 #pragma once
 
 #include <memory>
@@ -13,12 +13,12 @@
 #include "core/bcn_params.h"
 #include "core/mechanism.h"
 #include "obs/monitor.h"
-#include "sim/core_switch.h"
 #include "sim/event_queue.h"
 #include "sim/faults.h"
 #include "sim/mechanism.h"
 #include "sim/source.h"
 #include "sim/stats.h"
+#include "sim/switch_port.h"
 
 namespace bcn::sim {
 
@@ -100,7 +100,6 @@ class Network : public EventTarget {
   const FaultCounters& fault_counters() const { return fault_counters_; }
   const obs::RunMonitor& monitor() const { return monitor_; }
   obs::RunMonitor& monitor() { return monitor_; }
-  const CoreSwitch& core_switch() const { return *switch_; }
   const std::vector<std::unique_ptr<Source>>& sources() const {
     return sources_;
   }
@@ -135,7 +134,7 @@ class Network : public EventTarget {
   FaultInjector link_faults_;
   // Invariant monitor; unarmed unless config_.monitors arms a spec.
   obs::RunMonitor monitor_;
-  std::unique_ptr<CoreSwitch> switch_;
+  std::unique_ptr<SwitchPort> switch_;
   std::vector<std::unique_ptr<Source>> sources_;
   SimTime run_until_ = 0;
   // Reused periodic sample timer.

@@ -28,7 +28,6 @@ struct ParkingLotConfig {
   double frame_bits = 12000.0;
   double q0 = 2.5e6;
   double buffer = 30e6;
-  double qsc = 28e6;
   double w = 2.0;
   double pm = 0.2;
   double gi = 0.5;

@@ -12,12 +12,6 @@ Source::Source(Simulator& sim, SourceConfig config)
   update_gap();
 }
 
-void Source::start(FrameSender sender) {
-  sender_ = std::move(sender);
-  schedule_next(config_.start_at);
-  arm_self_increase();
-}
-
 void Source::start(const EventLink& link, std::uint64_t* sent_counter) {
   link_ = link;
   sent_counter_ = sent_counter;
@@ -100,12 +94,8 @@ void Source::send_frame() {
   frame.rrt_cpid = regulator_.cpid();
   frame.sent_at = sim_.now();
   last_send_ = sim_.now();
-  if (link_) {
-    if (sent_counter_) ++*sent_counter_;
-    link_.send(frame);
-  } else if (sender_) {
-    sender_(frame);
-  }
+  if (sent_counter_) ++*sent_counter_;
+  link_.send(frame);
   schedule_next(last_send_ + gap_);
 }
 

@@ -6,7 +6,7 @@
 // 802.3x PAUSE frames suspend transmission entirely.
 #pragma once
 
-#include <functional>
+#include <cstdint>
 
 #include "sim/event_queue.h"
 #include "sim/frame.h"
@@ -44,17 +44,11 @@ struct SourceConfig {
 
 class Source : public EventTarget {
  public:
-  using FrameSender = std::function<void(const Frame&)>;
-
   Source(Simulator& sim, SourceConfig config);
 
-  // Begins the pacing loop; frames are handed to `sender` (the network
-  // layer adds propagation delay and delivers to the switch).
-  void start(FrameSender sender);
-
-  // Fast-path variant: frames go out over a precomputed typed-event link,
-  // optionally bumping `sent_counter` at send time (the network's
-  // frames_sent accounting), with no std::function hop per frame.
+  // Begins the pacing loop: frames go out over `link` (the scenario's
+  // first hop, carrying the propagation delay), each optionally bumping
+  // `sent_counter` at send time (the scenario's frames_sent accounting).
   void start(const EventLink& link, std::uint64_t* sent_counter = nullptr);
 
   void on_bcn(const BcnMessage& message);
@@ -90,7 +84,6 @@ class Source : public EventTarget {
   Simulator& sim_;
   SourceConfig config_;
   RateRegulator regulator_;
-  FrameSender sender_;
   EventLink link_;
   std::uint64_t* sent_counter_ = nullptr;
   // The pacing timer's slot is reused for the lifetime of the source:

@@ -5,29 +5,33 @@
 
 namespace bcn::sim {
 
-SwitchPort::SwitchPort(Simulator& sim, SwitchPortConfig config)
-    : sim_(sim), config_(config) {
-  if (config_.bcn_pm > 0.0) {
+SwitchPort::SwitchPort(Simulator& sim, SwitchPortConfig config,
+                       SimStats& stats)
+    : sim_(sim),
+      config_(config),
+      stats_(stats),
+      sampling_rng_(config.sampling_seed) {
+  if (config_.pm > 0.0) {
     sample_every_ = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(std::llround(1.0 / config_.bcn_pm)));
+        1, static_cast<std::uint64_t>(std::llround(1.0 / config_.pm)));
   }
 }
 
 void SwitchPort::on_frame(const Frame& frame) {
   maybe_sample(frame);
   if (queue_bits_ + frame.size_bits > config_.buffer_bits) {
-    ++stats_.dropped;
-    maybe_pause_upstream();
+    count(&Counters::frames_dropped);
+    maybe_pause();
     return;
   }
   queue_.push_back(frame);
   queue_bits_ += frame.size_bits;
-  ++stats_.enqueued;
+  count(&Counters::frames_enqueued);
   if (monitor_) {
     monitor_->check_queue(to_seconds(sim_.now()), config_.port_label,
                           queue_bits_);
   }
-  maybe_pause_upstream();
+  maybe_pause();
   if (!serving_ && sim_.now() >= paused_until_) start_service();
 }
 
@@ -38,69 +42,96 @@ void SwitchPort::on_pause(const PauseFrame& pause) {
 }
 
 void SwitchPort::maybe_sample(const Frame& frame) {
-  if (sample_every_ == 0 || !(bcn_link_ || bcn_)) return;
-  if (++arrivals_since_sample_ < sample_every_) return;
-  arrivals_since_sample_ = 0;
+  // Arrival hooks are link-level rate/flow measurements (RCP's arrival
+  // accumulator, FERA's flow estimator): every mechanism observing this
+  // port sees every frame, including the other group's cross traffic.
+  if (hook_a_) mech_a_->on_arrival(frame, to_seconds(sim_.now()));
+  if (hook_b_) mech_b_->on_arrival(frame, to_seconds(sim_.now()));
+
+  if (sample_every_ == 0) return;
+  if (config_.random_sampling) {
+    if (!sampling_rng_.bernoulli(config_.pm)) return;
+  } else {
+    if (++arrivals_since_sample_ < sample_every_) return;
+    arrivals_since_sample_ = 0;
+  }
+  count(&Counters::frames_sampled);
+
+  // Eq. (1): sigma = (q0 - q) - w * delta_q over the sampling interval.
   const double delta_q = queue_bits_ - queue_at_last_sample_;
   queue_at_last_sample_ = queue_bits_;
-  const double sigma =
-      (config_.bcn_q0 - queue_bits_) - config_.bcn_w * delta_q;
-  if (observer_) observer_->record_sigma(sigma);
-  // Negative feedback only on shared-fabric ports (positive feedback is
-  // the single-bottleneck Network's job; multi-hop scenarios rely on the
-  // sources' own recovery or on separate positive paths).
-  if (sigma < 0.0) {
-    ++stats_.bcn_sent;
-    if (observer_) {
-      observer_->events().record({to_seconds(sim_.now()),
-                                  obs::EventKind::BcnNegativeSent,
-                                  config_.cpid, frame.source, sigma, 0.0});
-    }
-    const BcnMessage message{.cpid = config_.cpid, .target = frame.source,
-                             .sigma = sigma, .sent_at = sim_.now()};
-    SimTime extra_delay = 0;
-    if (faults_) {
-      if (faults_->drop_bcn(sim_.now(), frame.source)) return;
-      extra_delay = faults_->bcn_extra_delay(sim_.now(), frame.source);
-      if (faults_->duplicate_bcn(sim_.now(), frame.source)) {
-        // The duplicate travels on time; only the original may be delayed.
-        if (bcn_link_) {
-          bcn_link_.send(message);
-        } else {
-          bcn_(message);
-        }
-      }
-    }
-    if (bcn_link_) {
-      bcn_link_.send(message, extra_delay);
-    } else {
-      bcn_(message);
-    }
+  const double sigma = (config_.q0 - queue_bits_) - config_.w * delta_q;
+  stats_.record_sigma(sigma);
+
+  if (!bcn_) return;
+  const bool split = mech_b_ && frame.source >= first_b_;
+  PacketMechanism& mech = split ? *mech_b_ : *mech_a_;
+  const double now_s = to_seconds(sim_.now());
+  const FeedbackDecision decision =
+      mech.on_sample({sigma, queue_bits_, now_s, &frame, &config_});
+  switch (decision.kind) {
+    case FeedbackDecision::Kind::None:
+      break;
+    case FeedbackDecision::Kind::Negative:
+      count(&Counters::bcn_negative);
+      stats_.events().record({now_s, obs::EventKind::BcnNegativeSent,
+                              config_.cpid, frame.source, sigma, 0.0});
+      emit_bcn({.cpid = config_.cpid, .target = frame.source,
+                .sigma = sigma, .sent_at = sim_.now()});
+      break;
+    case FeedbackDecision::Kind::Positive:
+      count(&Counters::bcn_positive);
+      stats_.events().record({now_s, obs::EventKind::BcnPositiveSent,
+                              config_.cpid, frame.source, sigma, 0.0});
+      emit_bcn({.cpid = config_.cpid, .target = frame.source,
+                .sigma = sigma, .sent_at = sim_.now()});
+      break;
+    case FeedbackDecision::Kind::RateAdvert:
+      // Rate advertisements reuse the BCN positive/negative tallies by
+      // sigma sign so the send/apply causal accounting stays closed.
+      count(sigma < 0.0 ? &Counters::bcn_negative : &Counters::bcn_positive);
+      stats_.events().record({now_s, obs::EventKind::BcnRateAdvertSent,
+                              config_.cpid, frame.source, sigma,
+                              decision.advertised_rate});
+      emit_bcn({.cpid = config_.cpid, .target = frame.source,
+                .sigma = sigma,
+                .advertised_rate = decision.advertised_rate,
+                .sent_at = sim_.now()});
+      break;
   }
 }
 
-void SwitchPort::maybe_pause_upstream() {
-  if (config_.pause_threshold <= 0.0 || !(pause_link_ || pause_)) return;
+void SwitchPort::emit_bcn(const BcnMessage& message) {
+  SimTime extra_delay = 0;
+  if (faults_) {
+    if (faults_->drop_bcn(sim_.now(), message.target)) return;
+    extra_delay = faults_->bcn_extra_delay(sim_.now(), message.target);
+    // The duplicate travels on time; only the original may be delayed.
+    if (faults_->duplicate_bcn(sim_.now(), message.target)) {
+      bcn_.send(message);
+    }
+  }
+  bcn_.send(message, extra_delay);
+}
+
+void SwitchPort::maybe_pause() {
+  if (config_.pause_threshold <= 0.0 || !pause_) return;
   if (queue_bits_ < config_.pause_threshold) return;
   if (sim_.now() < pause_cooldown_until_) return;
   pause_cooldown_until_ = sim_.now() + config_.pause_duration;
-  ++stats_.pauses_sent;
-  if (observer_) {
-    const double duration_s = to_seconds(config_.pause_duration);
-    observer_->events().record({to_seconds(sim_.now()),
-                                obs::EventKind::PauseOn, config_.port_label,
-                                0, 0.0, duration_s});
-    observer_->events().record({to_seconds(pause_cooldown_until_),
-                                obs::EventKind::PauseOff, config_.port_label,
-                                0, 0.0, duration_s});
-  }
-  // A lost PAUSE leaves the PauseOn edge with no PauseApplied upstream.
+  count(&Counters::pause_frames);
+  // The off transition is deterministic (802.3x quanta; the cooldown
+  // prevents overlapping extensions), so record both edges now.
+  const double duration_s = to_seconds(config_.pause_duration);
+  stats_.events().record({to_seconds(sim_.now()), obs::EventKind::PauseOn,
+                          config_.port_label, 0, 0.0, duration_s});
+  stats_.events().record({to_seconds(pause_cooldown_until_),
+                          obs::EventKind::PauseOff, config_.port_label, 0,
+                          0.0, duration_s});
+  // A lost PAUSE frame leaves the PauseOn edge with no PauseApplied: the
+  // port asserted back-pressure but no feeder heard it.
   if (faults_ && faults_->drop_pause(sim_.now())) return;
-  if (pause_link_) {
-    pause_link_.send(PauseFrame{config_.pause_duration, sim_.now()});
-  } else {
-    pause_({config_.pause_duration, sim_.now()});
-  }
+  pause_.send(PauseFrame{config_.pause_duration, sim_.now()});
 }
 
 void SwitchPort::on_event(const SimEvent& event) {
@@ -141,12 +172,14 @@ void SwitchPort::finish_service() {
     monitor_->check_queue(to_seconds(sim_.now()), config_.port_label,
                           queue_bits_);
   }
-  ++stats_.delivered;
-  stats_.bits_delivered += frame.size_bits;
-  if (sink_link_) {
-    sink_link_.send(frame);
-  } else if (sink_) {
-    sink_(frame);
+  ++counters_.frames_delivered;
+  counters_.bits_delivered += frame.size_bits;
+  if (sink_) {
+    sink_.send(frame);
+  } else {
+    ++stats_.counters.frames_delivered;
+    stats_.counters.bits_delivered += frame.size_bits;
+    stats_.add_delivered(frame.source, frame.size_bits);
   }
   serving_ = false;
   start_service();

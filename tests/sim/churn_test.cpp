@@ -3,10 +3,13 @@
 // buffer sized by Theorem 1 for the worst-case N stays strongly stable.
 #include <gtest/gtest.h>
 
+#include "recorder.h"
 #include "sim/network.h"
 
 namespace bcn::sim {
 namespace {
+
+using testing::Recorder;
 
 TEST(OnOffSourceTest, RespectsDutyCycle) {
   Simulator sim;
@@ -18,12 +21,12 @@ TEST(OnOffSourceTest, RespectsDutyCycle) {
   sc.off_time = 1 * kMillisecond;
   sc.regulator.max_rate = 1e9;
   Source src(sim, sc);
-  std::vector<SimTime> times;
-  src.start([&](const Frame&) { times.push_back(sim.now()); });
+  Recorder rec(sim);
+  src.start(rec.link());
   sim.run_until(4 * kMillisecond);
-  ASSERT_FALSE(times.empty());
+  ASSERT_FALSE(rec.entries().empty());
   int in_on = 0, in_off = 0;
-  for (const SimTime t : times) {
+  for (const SimTime t : rec.times()) {
     const SimTime phase = t % (2 * kMillisecond);
     (phase < kMillisecond ? in_on : in_off)++;
   }
@@ -40,10 +43,10 @@ TEST(OnOffSourceTest, SaturatingIgnoresOnOffKnobs) {
   sc.off_time = kMillisecond;
   sc.regulator.max_rate = 1e9;
   Source src(sim, sc);
-  int count = 0;
-  src.start([&](const Frame&) { ++count; });
+  Recorder rec(sim);
+  src.start(rec.link());
   sim.run_until(4 * kMillisecond);
-  EXPECT_GT(count, 300);  // continuous ~83 frames/ms
+  EXPECT_GT(rec.frames().size(), 300u);  // continuous ~83 frames/ms
 }
 
 TEST(ChurnTest, WorstCaseSizedBufferSurvivesChurn) {

@@ -64,20 +64,34 @@ RunDigest run_reference() {
 }
 
 TEST(DeterminismTest, SimultaneousEventsFireInSchedulingOrder) {
+  // Tags name the expected firing position.  The t=7 event (tag 1)
+  // schedules one more t=10 tie from its handler (tag 5).
+  class Recorder : public EventTarget {
+   public:
+    explicit Recorder(Simulator& sim) : sim_(sim) {}
+    void on_event(const SimEvent& event) override {
+      order_.push_back(static_cast<int>(event.tag));
+      if (event.tag == 1) sim_.schedule_event(10, this, EventKind::Tick, 5);
+    }
+    const std::vector<int>& order() const { return order_; }
+
+   private:
+    Simulator& sim_;
+    std::vector<int> order_;
+  };
+
   Simulator sim;
-  std::vector<int> order;
+  Recorder rec(sim);
   // Schedule out of time order, with a burst of ties at t=10; ties must
   // fire in the order they were scheduled, regardless of heap shape.
-  sim.schedule_at(10, [&] { order.push_back(0); });
-  sim.schedule_at(5, [&] { order.push_back(-1); });
-  sim.schedule_at(10, [&] { order.push_back(1); });
-  sim.schedule_at(10, [&] { order.push_back(2); });
-  sim.schedule_at(7, [&] {
-    // Scheduled from a handler, still lands behind the earlier t=10 ties.
-    sim.schedule_at(10, [&] { order.push_back(3); });
-  });
+  sim.schedule_event(10, &rec, EventKind::Tick, 2);
+  sim.schedule_event(5, &rec, EventKind::Tick, 0);
+  sim.schedule_event(10, &rec, EventKind::Tick, 3);
+  sim.schedule_event(10, &rec, EventKind::Tick, 4);
+  // Scheduled from a handler, still lands behind the earlier t=10 ties.
+  sim.schedule_event(7, &rec, EventKind::Tick, 1);
   sim.run_until(100);
-  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3}));
+  EXPECT_EQ(rec.order(), (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(DeterminismTest, FixedSeedRunsAreByteIdentical) {

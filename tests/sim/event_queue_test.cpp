@@ -1,11 +1,16 @@
 #include "sim/event_queue.h"
 
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "recorder.h"
+
 namespace bcn::sim {
 namespace {
+
+using testing::Recorder;
 
 TEST(SimTimeTest, Conversions) {
   EXPECT_DOUBLE_EQ(to_seconds(kSecond), 1.0);
@@ -24,96 +29,111 @@ TEST(SimTimeTest, TransmissionTimeRoundsUp) {
   EXPECT_GT(transmission_time(1.0, 0.0), kSecond);
 }
 
+// Tags carry the expected firing position, so a recorder's tag sequence
+// is the observed order.
+std::vector<std::uint32_t> tags(const Recorder& rec) {
+  std::vector<std::uint32_t> out;
+  for (const Recorder::Entry& e : rec.entries()) out.push_back(e.tag);
+  return out;
+}
+
 TEST(SimulatorTest, EventsFireInTimeOrder) {
   Simulator sim;
-  std::vector<int> order;
-  sim.schedule_at(30, [&] { order.push_back(3); });
-  sim.schedule_at(10, [&] { order.push_back(1); });
-  sim.schedule_at(20, [&] { order.push_back(2); });
+  Recorder rec(sim);
+  sim.schedule_event(30, &rec, EventKind::Tick, 3);
+  sim.schedule_event(10, &rec, EventKind::Tick, 1);
+  sim.schedule_event(20, &rec, EventKind::Tick, 2);
   sim.run_until(100);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(tags(rec), (std::vector<std::uint32_t>{1, 2, 3}));
+  EXPECT_EQ(rec.times(), (std::vector<SimTime>{10, 20, 30}));
   EXPECT_EQ(sim.now(), 100);
 }
 
 TEST(SimulatorTest, SimultaneousEventsFifo) {
   Simulator sim;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    sim.schedule_at(10, [&order, i] { order.push_back(i); });
+  Recorder rec(sim);
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    sim.schedule_event(10, &rec, EventKind::Tick, i);
   }
   sim.run_until(10);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(tags(rec), (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(SimulatorTest, RunUntilStopsAtBoundary) {
   Simulator sim;
-  int fired = 0;
-  sim.schedule_at(10, [&] { ++fired; });
-  sim.schedule_at(20, [&] { ++fired; });
+  Recorder rec(sim);
+  sim.schedule_event(10, &rec, EventKind::Tick, 0);
+  sim.schedule_event(20, &rec, EventKind::Tick, 1);
   sim.run_until(15);
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(rec.entries().size(), 1u);
   EXPECT_EQ(sim.now(), 15);
   sim.run_until(25);
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(SimulatorTest, ScheduleAfterUsesCurrentTime) {
-  Simulator sim;
-  SimTime fired_at = -1;
-  sim.schedule_at(10, [&] {
-    sim.schedule_after(5, [&] { fired_at = sim.now(); });
-  });
-  sim.run_until(100);
-  EXPECT_EQ(fired_at, 15);
+  EXPECT_EQ(rec.entries().size(), 2u);
 }
 
 TEST(SimulatorTest, CancelPreventsExecution) {
   Simulator sim;
-  int fired = 0;
-  const EventId id = sim.schedule_at(10, [&] { ++fired; });
-  sim.schedule_at(20, [&] { ++fired; });
+  Recorder rec(sim);
+  const EventId id = sim.schedule_event(10, &rec, EventKind::Tick, 0);
+  sim.schedule_event(20, &rec, EventKind::Tick, 1);
   sim.cancel(id);
   sim.run_until(100);
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(tags(rec), (std::vector<std::uint32_t>{1}));
 }
 
 TEST(SimulatorTest, CancelInvalidAndFiredIsNoop) {
   Simulator sim;
-  int fired = 0;
-  const EventId id = sim.schedule_at(10, [&] { ++fired; });
+  Recorder rec(sim);
+  const EventId id = sim.schedule_event(10, &rec, EventKind::Tick, 0);
   sim.run_until(50);
-  sim.cancel(id);           // already fired
+  sim.cancel(id);             // already fired
   sim.cancel(kInvalidEvent);  // invalid handle
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(rec.entries().size(), 1u);
   EXPECT_TRUE(sim.idle());
 }
 
 TEST(SimulatorTest, EventsScheduledInPastClampToNow) {
   Simulator sim;
+  Recorder rec(sim);
   sim.run_until(50);
-  SimTime fired_at = -1;
-  sim.schedule_at(10, [&] { fired_at = sim.now(); });
+  sim.schedule_event(10, &rec, EventKind::Tick, 0);
   sim.run_until(60);
-  EXPECT_EQ(fired_at, 50);
+  EXPECT_EQ(rec.times(), (std::vector<SimTime>{50}));
 }
 
 TEST(SimulatorTest, EventsCanScheduleChains) {
-  Simulator sim;
-  int count = 0;
-  std::function<void()> tick = [&] {
-    if (++count < 10) sim.schedule_after(5, tick);
+  // Each firing schedules the next link 5 ns after the current time.
+  class Chain : public EventTarget {
+   public:
+    explicit Chain(Simulator& sim) : sim_(sim) {}
+    void on_event(const SimEvent&) override {
+      fired_at_.push_back(sim_.now());
+      if (fired_at_.size() < 10) {
+        sim_.schedule_event(sim_.now() + 5, this, EventKind::Tick, 0);
+      }
+    }
+    const std::vector<SimTime>& fired_at() const { return fired_at_; }
+
+   private:
+    Simulator& sim_;
+    std::vector<SimTime> fired_at_;
   };
-  sim.schedule_at(0, tick);
+
+  Simulator sim;
+  Chain chain(sim);
+  sim.schedule_event(0, &chain, EventKind::Tick, 0);
   const std::size_t executed = sim.run_until(1000);
-  EXPECT_EQ(count, 10);
+  ASSERT_EQ(chain.fired_at().size(), 10u);
+  EXPECT_EQ(chain.fired_at().back(), 45);
   EXPECT_EQ(executed, 10u);
   EXPECT_TRUE(sim.idle());
 }
 
 TEST(SimulatorTest, IdleReflectsLiveEvents) {
   Simulator sim;
+  Recorder rec(sim);
   EXPECT_TRUE(sim.idle());
-  const EventId id = sim.schedule_at(10, [] {});
+  const EventId id = sim.schedule_event(10, &rec, EventKind::Tick, 0);
   EXPECT_FALSE(sim.idle());
   sim.cancel(id);
   EXPECT_TRUE(sim.idle());
