@@ -108,6 +108,9 @@ CellResult run_cell(const sim::NetworkConfig& cfg) {
 }
 
 int run(bench::RunContext& ctx) {
+  // Read first, so a malformed value stops the run before the sweep.
+  const double initial_rate = ctx.args->get_double(
+      "initial-rate", cell_config(kGains[0], 0.3, ctx.faults).initial_rate);
   std::printf("=== E20: feedback-loss robustness ===\n");
   std::printf("BCN-loss probability x (Gi, Gd, w) on the single-bottleneck "
               "network (N = 5, C = 10 Gbps, %.0f ms); fault seed %llu.\n\n",
@@ -182,7 +185,7 @@ int run(bench::RunContext& ctx) {
   // C/N is the fluid analysis start; starting above the fair share turns
   // feedback loss into a genuine blow-up (the queue climbs to qsc and
   // PAUSE storms), which is what the monitors' crosscheck is for.
-  rep.initial_rate = ctx.args->get_double("initial-rate", rep.initial_rate);
+  rep.initial_rate = initial_rate;
   rep.monitors = ctx.monitors;
   if (rep.monitors.spec.any()) {
     rep.monitors.fluid_strongly_stable =

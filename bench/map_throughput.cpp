@@ -21,17 +21,13 @@ using namespace bcn;
 namespace {
 
 int run(bench::RunContext& ctx) {
+  const int grid = ctx.args->get_count("grid", 33, 2);
+  const int reps = ctx.args->get_count("reps", 3);
   std::printf("=== map throughput: scalar vs batch vs adaptive ===\n");
   core::BcnParams base = core::BcnParams::standard_draft();
   base.buffer = 12e6;
   base.qsc = 11e6;
 
-  const int grid = ctx.args->get_int("grid", 33);
-  if (grid < 2) {
-    std::fprintf(stderr, "--grid must be >= 2\n");
-    return 2;
-  }
-  const int reps = ctx.args->get_int("reps", 3);
   const auto gi = analysis::logspace(0.125, 32.0, grid);
   const auto gd = analysis::logspace(1.0 / 1024.0, 0.5, grid);
   const std::size_t cells = gi.size() * gd.size();

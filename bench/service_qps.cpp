@@ -94,16 +94,11 @@ PhaseResult run_phase(int port, const std::vector<std::string>& pool,
 }
 
 int run(bench::RunContext& ctx) {
+  const int connections = ctx.args->get_count("connections", 8, 1);
+  const int space = ctx.args->get_count("space", 64, 1);
+  const int passes = ctx.args->get_count("passes", 8, 1);
   std::printf("=== E24: stability-verdict service QPS (cold vs cached) "
               "===\n");
-  const int connections = ctx.args->get_int("connections", 8);
-  const int space = ctx.args->get_int("space", 64);
-  const int passes = ctx.args->get_int("passes", 8);
-  if (connections < 1 || space < 1 || passes < 1) {
-    std::fprintf(stderr,
-                 "--connections/--space/--passes must be positive\n");
-    return 2;
-  }
 
   service::ServiceConfig config;
   config.threads = ctx.threads;

@@ -74,6 +74,23 @@ struct Timed {
 };
 
 int run(bench::RunContext& ctx) {
+  const std::string spec =
+      ctx.args->get("topology").value_or("fat-tree:30");
+  sim::shard::Topology topo;
+  std::string error;
+  if (!sim::shard::parse_topology_spec(spec, &topo, &error)) {
+    throw UsageError("--topology: " + error);
+  }
+  const int rounds = ctx.args->get_count("flows-per-host", 15);
+  const double duration_us = ctx.args->get_double("duration-us", 2000.0);
+  if (!(duration_us > 0.0 && duration_us * sim::kMicrosecond < 0x1p63)) {
+    throw UsageError("--duration-us: must be > 0 and inside the simulated "
+                     "clock");
+  }
+  const auto duration =
+      static_cast<sim::SimTime>(duration_us * sim::kMicrosecond);
+  const double rate = ctx.args->get_double("rate", 5e7);
+
   JsonWriter json;
   json.add("benchmark", "sharded_throughput");
   const int hw = exec::resolve_threads(0);
@@ -148,20 +165,8 @@ int run(bench::RunContext& ctx) {
       unsharded_eps / 1e6, star_eps / 1e6, parity);
 
   // --- 2. shard-count sweep on a generated fabric ------------------------
-  const std::string spec =
-      ctx.args->get("topology").value_or("fat-tree:30");
-  sim::shard::Topology topo;
-  std::string error;
-  if (!sim::shard::parse_topology_spec(spec, &topo, &error)) {
-    std::fprintf(stderr, "--topology: %s\n", error.c_str());
-    return 2;
-  }
-  const int rounds = ctx.args->get_int("flows-per-host", 15);
   sim::shard::add_permutation_flows(topo, rounds, ctx.seed);
-  const auto duration = static_cast<sim::SimTime>(
-      ctx.args->get_double("duration-us", 2000.0) * sim::kMicrosecond);
-  auto options =
-      reference_options(ctx.args->get_double("rate", 5e7), duration);
+  auto options = reference_options(rate, duration);
   options.regulator.max_rate = topo.host_rate;
   options.sample_interval = 50 * sim::kMicrosecond;
 

@@ -10,19 +10,23 @@
 #  2. Bench artifacts: builds one bench in a regular (non-sanitized)
 #     build, runs it, and validates that RUN_<name>.json carries the
 #     observability metrics snapshot (including the sim.* scheduler
-#     gauges) and that the timeline CSV exists.
+#     gauges) and that the timeline CSV exists; malformed --seed and
+#     --threads values and BCN_THREADS are rejected with exit 2.
 #  3. Trace artifacts: reruns the same bench with --trace, validates the
 #     Chrome trace (parses, complete events, spans from >= 3 subsystems),
 #     checks the profile.* gauges landed in the RUN json, and runs
-#     bcn_bench_diff self-vs-self (a zero-delta diff must exit 0).
+#     bcn_bench_diff self-vs-self (a zero-delta diff must exit 0); a
+#     malformed --threshold is rejected with exit 2.
 #  4. Sim throughput: runs the perf_microbench artifact emitters and
 #     validates BENCH_sim_throughput.json (all scenario keys present,
 #     self-diff at threshold 0 exits 0).
 #  5. Fault smoke: runs the feedback-loss bench with a nonzero drop rate
 #     (the docs/FAULTS.md recipe), asserts fault.* counters land in the
 #     RUN json, requires two invocations of the same plan to produce
-#     byte-identical BENCH_feedback_loss.json artifacts, and checks a
-#     malformed --faults spec is rejected with exit 2 and a usage line.
+#     byte-identical BENCH_feedback_loss.json artifacts, and checks
+#     malformed --faults specs (bad probability, non-finite duration,
+#     negative seed) and a non-finite --initial-rate are rejected with
+#     exit 2.
 #     (The FaultsTest cases already ran under TSan in gate 1 as part of
 #     bcn_sim_tests.)
 #  6. Mechanism matrix smoke: runs the E21 mechanism-matrix bench (a 3x3
@@ -44,8 +48,8 @@
 #     contradiction recipe (line-rate launch + certain BCN loss on a
 #     fluid-certified-stable plant; must exit 3 and dump a validated
 #     POSTMORTEM_crosscheck.json), requires the bundle to be byte-identical
-#     across reruns, and checks a bogus --monitors spec is rejected with
-#     exit 2 and the grammar.
+#     across reruns, and checks a bogus --monitors spec and a negative
+#     ring= are rejected with exit 2 and the grammar.
 #  9. Sharded-engine smoke: runs a small fat-tree through bcn_fabric at
 #     --shards 1 and --shards 4 and requires the shard-invariant JSON
 #     artifacts to be byte-identical (the cross-shard determinism
@@ -53,9 +57,10 @@
 #     small configuration (the bench itself exits 1 if the digest varies
 #     with the shard count), validates BENCH_sharded_throughput.json and
 #     self-diffs it with --require-same-keys at threshold 0, and checks
-#     --shards bogus is rejected with exit 2.  (The MPSC-queue torture
-#     and the shard determinism tests already ran under TSan in gate 1
-#     as part of bcn_sim_tests.)  Speedups are reported, deliberately
+#     --shards bogus, --duration-us -1 and --flows-per-host abc are
+#     rejected with exit 2.  (The MPSC-queue torture and the shard
+#     determinism tests already ran under TSan in gate 1 as part of
+#     bcn_sim_tests.)  Speedups are reported, deliberately
 #     not gated: they depend on the host's hardware threads.
 # 10. Service smoke: starts bcn_serve on an ephemeral port, drives a
 #     scripted bcn_load session, replays every verdict answer through
@@ -66,8 +71,9 @@
 #     counters accounting for them exactly, runs the load generator and
 #     the E24 service_qps bench (both exit nonzero on any cold/cached
 #     divergence), validates and self-diffs BENCH_service_qps.json at
-#     threshold 0, checks bad flags exit 2 on bcn_serve and bcn_load,
-#     checks the shutdown op terminates the server with exit 0, and
+#     threshold 0, checks bad flags exit 2 on bcn_serve, bcn_load and
+#     bcn_analyze (--gi abc|inf|nan), checks the shutdown op
+#     terminates the server with exit 0, and
 #     finishes with a relative-link check over README.md and docs/*.md
 #     (every non-URL link target must exist).  (The cache/protocol/
 #     server unit tests already ran under TSan in gate 1 as part of
@@ -79,8 +85,41 @@
 #     them with the default ASAN_OPTIONS (alloc-dealloc-mismatch
 #     included).  Any out-of-bounds access, use-after-free, leak,
 #     mismatched allocator or UB fails the run.
+#
+# Every usage-error probe goes through expect_usage_error: exit 2, a
+# message naming the flag or variable, and no file written.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# One scratch root for every gate's artifacts, and one trap that also
+# stops the gate-10 server if a check fails while it is running.
+SCRATCH=$(mktemp -d)
+SERVE_PID=
+trap '[[ -n "$SERVE_PID" ]] && kill "$SERVE_PID" 2>/dev/null; rm -rf "$SCRATCH"' EXIT
+scratch_dir() { mkdir -p "$SCRATCH/$1" && echo "$SCRATCH/$1"; }
+PROBES=0
+
+# expect_usage_error PATTERN CMD...: CMD must be a usage error -- exit 2
+# with output matching PATTERN -- and must leave no file behind.  It
+# runs in an empty directory, so a bench's default ./bench_out or a
+# tool's default output file would be caught.
+expect_usage_error() {
+  local pattern=$1 out status=0
+  shift
+  PROBES=$((PROBES + 1))
+  local probe
+  probe=$(scratch_dir "probe$PROBES")
+  out=$(cd "$probe" && "$@" 2>&1) || status=$?
+  [[ $status -eq 2 ]] || {
+    echo "[check.sh] '$*' exited $status, want 2"; exit 1;
+  }
+  grep -qe "$pattern" <<< "$out" || {
+    echo "[check.sh] '$*' printed no '$pattern': $out"; exit 1;
+  }
+  [[ -z $(find "$probe" -type f) ]] || {
+    echo "[check.sh] '$*' wrote $(find "$probe" -type f)"; exit 1;
+  }
+}
 
 BUILD_DIR=${BUILD_DIR:-build-tsan}
 
@@ -112,9 +151,10 @@ SMOKE_BUILD_DIR=${SMOKE_BUILD_DIR:-build}
 SMOKE_BENCH=fig7_limit_cycle
 cmake -B "$SMOKE_BUILD_DIR" -S .
 cmake --build "$SMOKE_BUILD_DIR" -j --target "$SMOKE_BENCH"
+# Absolute, so the usage-error probes can run from their own directory.
+SMOKE_BUILD_DIR=$(cd "$SMOKE_BUILD_DIR" && pwd)
 
-SMOKE_OUT=$(mktemp -d)
-trap 'rm -rf "$SMOKE_OUT"' EXIT
+SMOKE_OUT=$(scratch_dir smoke)
 "$SMOKE_BUILD_DIR"/bench/"$SMOKE_BENCH" --run "$SMOKE_BENCH" \
   --out "$SMOKE_OUT" > /dev/null
 
@@ -134,6 +174,17 @@ grep -q '^flow\.' "$TIMELINES" || {
   echo "[check.sh] $TIMELINES has no per-flow series"; exit 1;
 }
 
+# The shared runner's numeric flags and their env fallback are strict:
+# a malformed or out-of-range value is a usage error naming its source.
+SMOKE_BIN="$SMOKE_BUILD_DIR/bench/$SMOKE_BENCH"
+expect_usage_error "^--seed: '-1' is not a count" "$SMOKE_BIN" --seed -1
+expect_usage_error "^--seed: '5000000000' exceeds" \
+  "$SMOKE_BIN" --seed 5000000000
+expect_usage_error "^--threads: 'abc' is not a count" \
+  "$SMOKE_BIN" --threads abc
+expect_usage_error "^BCN_THREADS: 'abc' is not a count" \
+  env BCN_THREADS=abc "$SMOKE_BIN"
+
 echo "[check.sh] bench artifact smoke clean ($RUN_JSON)"
 
 # --- trace-artifact smoke -------------------------------------------------
@@ -142,8 +193,7 @@ echo "[check.sh] bench artifact smoke clean ($RUN_JSON)"
 # and the RUN json must carry the folded profile.* gauges.
 cmake --build "$SMOKE_BUILD_DIR" -j --target bcn_bench_diff
 
-TRACE_OUT=$(mktemp -d)
-trap 'rm -rf "$SMOKE_OUT" "$TRACE_OUT"' EXIT
+TRACE_OUT=$(scratch_dir trace)
 TRACE_JSON="$TRACE_OUT/trace.json"
 "$SMOKE_BUILD_DIR"/bench/"$SMOKE_BENCH" --run "$SMOKE_BENCH" \
   --out "$TRACE_OUT" --trace "$TRACE_JSON" > /dev/null
@@ -171,6 +221,11 @@ grep -q '"metrics\.profile\.' "$TRACED_RUN_JSON" || {
   echo "[check.sh] bcn_bench_diff self-diff failed"; exit 1;
 }
 
+# A malformed threshold must not silently become the 0.10 default.
+expect_usage_error "^--threshold: '0.01x' is not a finite decimal number" \
+  "$SMOKE_BUILD_DIR"/tools/bcn_bench_diff --a "$TRACED_RUN_JSON" \
+  --b "$TRACED_RUN_JSON" --threshold 0.01x
+
 echo "[check.sh] trace artifact smoke clean ($TRACE_JSON)"
 
 # --- sim-throughput smoke -------------------------------------------------
@@ -179,8 +234,7 @@ echo "[check.sh] trace artifact smoke clean ($TRACE_JSON)"
 # zero-threshold self-diff (i.e. bcn_bench_diff can parse and compare it).
 cmake --build "$SMOKE_BUILD_DIR" -j --target perf_microbench
 
-TPUT_OUT=$(mktemp -d)
-trap 'rm -rf "$SMOKE_OUT" "$TRACE_OUT" "$TPUT_OUT"' EXIT
+TPUT_OUT=$(scratch_dir tput)
 BCN_BENCH_OUT="$TPUT_OUT" "$SMOKE_BUILD_DIR"/bench/perf_microbench \
   --benchmark_filter=NONE > /dev/null
 
@@ -214,9 +268,8 @@ cmake --build "$SMOKE_BUILD_DIR" -j --target feedback_loss_robustness
 
 FAULT_BENCH="$SMOKE_BUILD_DIR"/bench/feedback_loss_robustness
 FAULT_PLAN='bcn_drop=0.2,bcn_delay=0.1:100us,seed=7'
-FAULT_OUT_A=$(mktemp -d)
-FAULT_OUT_B=$(mktemp -d)
-trap 'rm -rf "$SMOKE_OUT" "$TRACE_OUT" "$TPUT_OUT" "$FAULT_OUT_A" "$FAULT_OUT_B"' EXIT
+FAULT_OUT_A=$(scratch_dir fault_a)
+FAULT_OUT_B=$(scratch_dir fault_b)
 "$FAULT_BENCH" --faults "$FAULT_PLAN" --out "$FAULT_OUT_A" > /dev/null
 "$FAULT_BENCH" --faults "$FAULT_PLAN" --out "$FAULT_OUT_B" > /dev/null
 
@@ -248,17 +301,16 @@ cmp "$FAULT_OUT_A/BENCH_feedback_loss.json" \
   echo "[check.sh] BCN_FAULTS env fallback diverges from --faults"; exit 1;
 }
 
-# A malformed spec must be a usage error (exit 2), printing the grammar.
-set +e
-FAULT_ERR=$("$FAULT_BENCH" --faults 'bcn_drop=1.5' --out "$FAULT_OUT_B" 2>&1)
-FAULT_STATUS=$?
-set -e
-[[ $FAULT_STATUS -eq 2 ]] || {
-  echo "[check.sh] malformed --faults exited $FAULT_STATUS, want 2"; exit 1;
-}
-grep -q 'fault spec grammar' <<< "$FAULT_ERR" || {
-  echo "[check.sh] malformed --faults printed no usage line"; exit 1;
-}
+# A malformed spec must be a usage error (exit 2), printing the grammar;
+# so must a non-finite duration, a negative seed, and a non-finite
+# experiment flag -- the last one before the sweep writes anything.
+expect_usage_error 'fault spec grammar' "$FAULT_BENCH" --faults 'bcn_drop=1.5'
+expect_usage_error "^--faults: 'nanms' is not a duration" \
+  "$FAULT_BENCH" --faults 'flap=nanms+2ms'
+expect_usage_error "^--faults: seed: '-1' is not a count" \
+  "$FAULT_BENCH" --faults 'bcn_drop=0.1,seed=-1'
+expect_usage_error "^--initial-rate: 'nan' is not a finite decimal number" \
+  "$FAULT_BENCH" --initial-rate nan
 
 echo "[check.sh] fault smoke clean ($FAULT_RUN_JSON)"
 
@@ -269,9 +321,8 @@ echo "[check.sh] fault smoke clean ($FAULT_RUN_JSON)"
 cmake --build "$SMOKE_BUILD_DIR" -j --target mechanism_matrix
 
 MECH_BENCH="$SMOKE_BUILD_DIR"/bench/mechanism_matrix
-MECH_OUT_A=$(mktemp -d)
-MECH_OUT_B=$(mktemp -d)
-trap 'rm -rf "$SMOKE_OUT" "$TRACE_OUT" "$TPUT_OUT" "$FAULT_OUT_A" "$FAULT_OUT_B" "$MECH_OUT_A" "$MECH_OUT_B"' EXIT
+MECH_OUT_A=$(scratch_dir mech_a)
+MECH_OUT_B=$(scratch_dir mech_b)
 "$MECH_BENCH" --out "$MECH_OUT_A" > /dev/null
 "$MECH_BENCH" --out "$MECH_OUT_B" > /dev/null
 
@@ -315,16 +366,8 @@ PY
 
 # An unknown mechanism name must be a usage error (exit 2) naming the
 # registry; `--mechanism list` must enumerate it and exit 0.
-set +e
-MECH_ERR=$("$MECH_BENCH" --mechanism bogus --out "$MECH_OUT_B" 2>&1)
-MECH_STATUS=$?
-set -e
-[[ $MECH_STATUS -eq 2 ]] || {
-  echo "[check.sh] --mechanism bogus exited $MECH_STATUS, want 2"; exit 1;
-}
-grep -q "unknown mechanism 'bogus'" <<< "$MECH_ERR" || {
-  echo "[check.sh] --mechanism bogus printed no usage line"; exit 1;
-}
+expect_usage_error "unknown mechanism 'bogus'" \
+  "$MECH_BENCH" --mechanism bogus
 MECH_LIST=$("$MECH_BENCH" --mechanism list)
 for name in bcn bcn-draft qcn rcp fera; do
   grep -q "^$name " <<< "$MECH_LIST" || {
@@ -344,8 +387,7 @@ echo "[check.sh] mechanism matrix smoke clean ($MATRIX_JSON)"
 cmake --build "$SMOKE_BUILD_DIR" -j --target map_throughput
 
 MAP_BENCH="$SMOKE_BUILD_DIR"/bench/map_throughput
-MAP_OUT=$(mktemp -d)
-trap 'rm -rf "$SMOKE_OUT" "$TRACE_OUT" "$TPUT_OUT" "$FAULT_OUT_A" "$FAULT_OUT_B" "$MECH_OUT_A" "$MECH_OUT_B" "$MAP_OUT"' EXIT
+MAP_OUT=$(scratch_dir map)
 "$MAP_BENCH" --run map_throughput --out "$MAP_OUT" --reps 1 > /dev/null
 
 MAP_JSON="$MAP_OUT/BENCH_map_throughput.json"
@@ -379,17 +421,8 @@ PY
 }
 
 # An unknown map mode must be a usage error (exit 2) naming the choices.
-set +e
-MAP_ERR=$("$MAP_BENCH" --run map_throughput --map-mode bogus \
-  --out "$MAP_OUT" 2>&1)
-MAP_STATUS=$?
-set -e
-[[ $MAP_STATUS -eq 2 ]] || {
-  echo "[check.sh] --map-mode bogus exited $MAP_STATUS, want 2"; exit 1;
-}
-grep -q "unknown mode 'bogus'" <<< "$MAP_ERR" || {
-  echo "[check.sh] --map-mode bogus printed no usage line"; exit 1;
-}
+expect_usage_error "unknown mode 'bogus'" \
+  "$MAP_BENCH" --run map_throughput --map-mode bogus
 
 echo "[check.sh] map throughput smoke clean ($MAP_JSON)"
 
@@ -404,9 +437,8 @@ echo "[check.sh] map throughput smoke clean ($MAP_JSON)"
 cmake --build "$SMOKE_BUILD_DIR" -j --target packet_vs_fluid
 
 MON_BENCH="$SMOKE_BUILD_DIR"/bench/packet_vs_fluid
-MON_OUT=$(mktemp -d)
-MON_OUT_B=$(mktemp -d)
-trap 'rm -rf "$SMOKE_OUT" "$TRACE_OUT" "$TPUT_OUT" "$FAULT_OUT_A" "$FAULT_OUT_B" "$MECH_OUT_A" "$MECH_OUT_B" "$MAP_OUT" "$MON_OUT" "$MON_OUT_B"' EXIT
+MON_OUT=$(scratch_dir mon_a)
+MON_OUT_B=$(scratch_dir mon_b)
 "$MON_BENCH" --monitors all --out "$MON_OUT" > /dev/null || {
   echo "[check.sh] clean armed run exited nonzero"; exit 1;
 }
@@ -465,17 +497,11 @@ cmp "$MON_BUNDLE" "$MON_OUT_B/POSTMORTEM_crosscheck.json" || {
   echo "[check.sh] post-mortem bundle not reproducible across reruns"; exit 1;
 }
 
-# A malformed monitor spec must be a usage error (exit 2) with grammar.
-set +e
-MON_ERR=$("$MON_BENCH" --monitors bogus --out "$MON_OUT" 2>&1)
-MON_STATUS=$?
-set -e
-[[ $MON_STATUS -eq 2 ]] || {
-  echo "[check.sh] --monitors bogus exited $MON_STATUS, want 2"; exit 1;
-}
-grep -q 'monitor spec' <<< "$MON_ERR" || {
-  echo "[check.sh] --monitors bogus printed no usage line"; exit 1;
-}
+# A malformed monitor spec must be a usage error (exit 2) with grammar,
+# and so must a negative flight-recorder capacity.
+expect_usage_error 'monitor spec' "$MON_BENCH" --monitors bogus
+expect_usage_error "^--monitors: ring: '-1' is not a count" \
+  "$FAULT_BENCH" --monitors watchdog,ring=-1
 
 echo "[check.sh] monitor smoke clean ($MON_BUNDLE)"
 
@@ -487,8 +513,7 @@ echo "[check.sh] monitor smoke clean ($MON_BUNDLE)"
 cmake --build "$SMOKE_BUILD_DIR" -j --target bcn_fabric sharded_throughput
 
 FABRIC_TOOL="$SMOKE_BUILD_DIR"/tools/bcn_fabric
-SHARD_OUT=$(mktemp -d)
-trap 'rm -rf "$SMOKE_OUT" "$TRACE_OUT" "$TPUT_OUT" "$FAULT_OUT_A" "$FAULT_OUT_B" "$MECH_OUT_A" "$MECH_OUT_B" "$MAP_OUT" "$MON_OUT" "$MON_OUT_B" "$SHARD_OUT"' EXIT
+SHARD_OUT=$(scratch_dir shard)
 
 FABRIC_ARGS=(--topology fat-tree:4 --flows-per-host 4 --duration-us 2000
              --rate 2e9 --monitors queue_bounds,finite)
@@ -550,26 +575,17 @@ PY
 }
 
 # A malformed shard count must be a usage error (exit 2) on the tool and
-# on the shared bench runner alike.
-set +e
-SHARD_ERR=$("$FABRIC_TOOL" --topology fat-tree:4 --shards bogus 2>&1)
-SHARD_STATUS=$?
-set -e
-[[ $SHARD_STATUS -eq 2 ]] || {
-  echo "[check.sh] bcn_fabric --shards bogus exited $SHARD_STATUS, want 2"
-  exit 1
-}
-grep -q 'bad shard count' <<< "$SHARD_ERR" || {
-  echo "[check.sh] bcn_fabric --shards bogus printed no usage line"; exit 1;
-}
-set +e
-"$SMOKE_BUILD_DIR"/bench/sharded_throughput --run sharded_throughput \
-  --shards bogus --out "$SHARD_OUT" > /dev/null 2>&1
-SHARD_STATUS=$?
-set -e
-[[ $SHARD_STATUS -eq 2 ]] || {
-  echo "[check.sh] bench --shards bogus exited $SHARD_STATUS, want 2"; exit 1;
-}
+# on the shared bench runner alike; so must a non-positive horizon and a
+# malformed flow count.
+expect_usage_error "^--shards: 'bogus' is not a count" \
+  "$FABRIC_TOOL" --topology fat-tree:4 --shards bogus
+expect_usage_error "^--shards: 'bogus' is not a count" \
+  "$SMOKE_BUILD_DIR"/bench/sharded_throughput --run sharded_throughput \
+  --shards bogus
+expect_usage_error "^--duration-us: must be > 0" \
+  "$FABRIC_TOOL" --duration-us -1
+expect_usage_error "^--flows-per-host: 'abc' is not a count" \
+  "$FABRIC_TOOL" --flows-per-host abc
 
 echo "[check.sh] sharded-engine smoke clean ($SHARD_JSON)"
 
@@ -580,12 +596,7 @@ echo "[check.sh] sharded-engine smoke clean ($SHARD_JSON)"
 cmake --build "$SMOKE_BUILD_DIR" -j \
   --target bcn_serve bcn_load bcn_analyze service_qps
 
-SVC_OUT=$(mktemp -d)
-SERVE_PID=
-trap '[[ -n "$SERVE_PID" ]] && kill "$SERVE_PID" 2>/dev/null;
-      rm -rf "$SMOKE_OUT" "$TRACE_OUT" "$TPUT_OUT" "$FAULT_OUT_A" \
-        "$FAULT_OUT_B" "$MECH_OUT_A" "$MECH_OUT_B" "$MAP_OUT" "$MON_OUT" \
-        "$MON_OUT_B" "$SHARD_OUT" "$SVC_OUT"' EXIT
+SVC_OUT=$(scratch_dir svc)
 
 "$SMOKE_BUILD_DIR"/tools/bcn_serve --port 0 --threads 2 \
   > "$SVC_OUT/serve.log" 2>&1 &
@@ -617,8 +628,8 @@ EOF
 "$SMOKE_BUILD_DIR"/tools/bcn_load --port "$SVC_PORT" \
   --script "$SVC_OUT/session.txt" > "$SVC_OUT/responses.txt"
 
-BCN_ANALYZE="$SMOKE_BUILD_DIR"/tools/bcn_analyze \
-  python3 - "$SVC_OUT/responses.txt" <<'PY'
+BCN_ANALYZE_BIN="$SMOKE_BUILD_DIR"/tools/bcn_analyze
+BCN_ANALYZE="$BCN_ANALYZE_BIN" python3 - "$SVC_OUT/responses.txt" <<'PY'
 import json, os, subprocess, sys
 lines = [l for l in open(sys.argv[1]).read().splitlines() if l]
 assert len(lines) == 7, f"want 7 responses, got {len(lines)}"
@@ -674,26 +685,23 @@ SERVE_PID=
   exit 1
 }
 
-# Bad flags are usage errors (exit 2) on both tools.
-for bad in "--port bogus" "--port 70000" "--threads bogus" "--bogus 1"; do
-  set +e
-  # shellcheck disable=SC2086
-  "$SMOKE_BUILD_DIR"/tools/bcn_serve $bad > /dev/null 2>&1
-  STATUS=$?
-  set -e
-  [[ $STATUS -eq 2 ]] || {
-    echo "[check.sh] bcn_serve $bad exited $STATUS, want 2"; exit 1;
-  }
-done
-for bad in "--requests 4" "--port 1 --requests bogus" "--port 1"; do
-  set +e
-  # shellcheck disable=SC2086
-  "$SMOKE_BUILD_DIR"/tools/bcn_load $bad > /dev/null 2>&1
-  STATUS=$?
-  set -e
-  [[ $STATUS -eq 2 ]] || {
-    echo "[check.sh] bcn_load $bad exited $STATUS, want 2"; exit 1;
-  }
+# Bad flags are usage errors (exit 2) on both tools, and a malformed or
+# non-finite plant parameter stops bcn_analyze before any verdict.
+SERVE_BIN="$SMOKE_BUILD_DIR"/tools/bcn_serve
+LOAD_BIN="$SMOKE_BUILD_DIR"/tools/bcn_load
+expect_usage_error "^--port: 'bogus' is not a count" "$SERVE_BIN" --port bogus
+expect_usage_error "^--port: '70000' exceeds the maximum 65535" \
+  "$SERVE_BIN" --port 70000
+expect_usage_error "^--threads: 'bogus' is not a count" \
+  "$SERVE_BIN" --threads bogus
+expect_usage_error "unknown flag --bogus" "$SERVE_BIN" --bogus 1
+expect_usage_error "^--port is required" "$LOAD_BIN" --requests 4
+expect_usage_error "^--requests: 'bogus' is not a count" \
+  "$LOAD_BIN" --port 1 --requests bogus
+expect_usage_error "^need --script file or --requests n" "$LOAD_BIN" --port 1
+for gi in abc inf nan; do
+  expect_usage_error "^--gi: '$gi' is not a finite decimal number" \
+    "$BCN_ANALYZE_BIN" --gi "$gi"
 done
 
 # E24: the service-throughput bench doubles as the concurrent

@@ -4,7 +4,33 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/grammar.h"
+
 namespace bcn {
+namespace {
+
+// The scanned value, or a UsageError naming where `in` came from.
+template <class T>
+T scanned(const InputValue& in, const std::optional<T>& value,
+          const std::string& error) {
+  if (!value) in.fail(error);
+  return *value;
+}
+
+}  // namespace
+
+int InputValue::count(int min, int max) const {
+  std::string error;
+  const auto value = scanned(*this, scan_count(text, max, &error), error);
+  if (value < static_cast<std::uint64_t>(min)) {
+    fail("'" + text + "' is below the minimum " + std::to_string(min));
+  }
+  return static_cast<int>(value);
+}
+
+void InputValue::fail(const std::string& reason) const {
+  throw UsageError(source + ": " + reason);
+}
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -38,26 +64,32 @@ std::optional<std::string> ArgParser::get(const std::string& name) const {
   return it->second;
 }
 
-double ArgParser::get_double(const std::string& name, double fallback) const {
-  const auto v = get(name);
-  if (!v) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v->c_str(), &end);
-  return (end && *end == '\0') ? parsed : fallback;
+std::optional<InputValue> ArgParser::lookup(const std::string& name,
+                                           const char* env) const {
+  if (const auto v = get(name)) return InputValue{*v, "--" + name};
+  if (env != nullptr) {
+    const char* value = std::getenv(env);
+    if (value != nullptr && *value != '\0') return InputValue{value, env};
+  }
+  return std::nullopt;
 }
 
-int ArgParser::get_int(const std::string& name, int fallback) const {
-  const auto v = get(name);
-  if (!v) return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(v->c_str(), &end, 10);
-  return (end && *end == '\0') ? static_cast<int>(parsed) : fallback;
+double ArgParser::get_double(const std::string& name, double fallback) const {
+  const auto v = lookup(name);
+  std::string error;
+  return v ? scanned(*v, scan_number(v->text, &error), error) : fallback;
+}
+
+int ArgParser::get_count(const std::string& name, int fallback, int min,
+                         int max) const {
+  const auto v = lookup(name);
+  return v ? v->count(min, max) : fallback;
 }
 
 bool ArgParser::get_bool(const std::string& name, bool fallback) const {
-  const auto v = get(name);
-  if (!v) return fallback;
-  return *v == "true" || *v == "1" || *v == "yes" || *v == "on";
+  const auto v = lookup(name);
+  std::string error;
+  return v ? scanned(*v, scan_bool(v->text, &error), error) : fallback;
 }
 
 std::vector<std::string> ArgParser::flag_names() const {
@@ -68,18 +100,18 @@ std::vector<std::string> ArgParser::flag_names() const {
 }
 
 int thread_count(const ArgParser& args, int fallback) {
-  if (const auto v = args.get("threads")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(v->c_str(), &end, 10);
-    if (end && *end == '\0' && parsed >= 0) return static_cast<int>(parsed);
-    return fallback;
+  const auto v = args.lookup("threads", "BCN_THREADS");
+  return v ? v->count() : fallback;
+}
+
+int run_cli(int argc, const char* const* argv,
+            const std::function<int(const ArgParser&)>& body) {
+  try {
+    return body(ArgParser(argc, argv));
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return kUsageExit;
   }
-  if (const char* env = std::getenv("BCN_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end && *end == '\0' && parsed >= 0) return static_cast<int>(parsed);
-  }
-  return fallback;
 }
 
 std::vector<std::string> unknown_flags(const ArgParser& args,

@@ -1,13 +1,55 @@
-// Minimal command-line flag parsing for the tools: --name value and
-// --name=value forms, with typed lookups and unknown-flag detection.
+// Command-line flag parsing for the tools and benches: --name value and
+// --name=value forms, strict typed lookups over the common/grammar.h
+// scanners, the one flag-else-environment fallback, and unknown-flag
+// detection.
+//
+// Error path: a value that is present but malformed or out of range
+// throws UsageError, whose message names where the value came from
+// ("--gi: 'abc' is not a finite decimal number", "BCN_THREADS: ...").
+// Every main runs its body through run_cli, which catches it once,
+// prints the message and exits kUsageExit before any work is done.
 #pragma once
 
+#include <climits>
+#include <functional>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace bcn {
+
+// Exit code of a usage error: an unknown flag or a malformed value.
+inline constexpr int kUsageExit = 2;
+
+class UsageError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+// One resolved input and its source: "--gi" for a flag, "BCN_THREADS"
+// for an environment variable.  The conversions are strict: malformed or
+// out-of-range text throws UsageError("<source>: <reason>").
+struct InputValue {
+  std::string text;
+  std::string source;
+
+  int count(int min = 0, int max = INT_MAX) const;
+
+  // Runs a spec grammar (sim::parse_fault_plan, obs::parse_monitor_spec,
+  // ...); a malformed spec throws with the grammar's `usage` appended.
+  template <class T>
+  T parse(std::optional<T> (*grammar)(const std::string&, std::string*),
+          const char* usage) const {
+    std::string error;
+    auto parsed = grammar(text, &error);
+    if (!parsed) fail(error + "\n" + usage);
+    return std::move(*parsed);
+  }
+
+  [[noreturn]] void fail(const std::string& reason) const;
+};
 
 class ArgParser {
  public:
@@ -17,8 +59,16 @@ class ArgParser {
 
   bool has(const std::string& name) const;
   std::optional<std::string> get(const std::string& name) const;
+  // The flag, else environment variable `env` when given, set and
+  // non-empty; nullopt when neither supplies a value.
+  std::optional<InputValue> lookup(const std::string& name,
+                                   const char* env = nullptr) const;
+
+  // Typed lookups: `fallback` when the flag is absent, otherwise the
+  // strict conversion of its value (see InputValue).
   double get_double(const std::string& name, double fallback) const;
-  int get_int(const std::string& name, int fallback) const;
+  int get_count(const std::string& name, int fallback, int min = 0,
+                int max = INT_MAX) const;
   bool get_bool(const std::string& name, bool fallback = false) const;
 
   // Positional (non-flag) arguments, in order.
@@ -30,6 +80,12 @@ class ArgParser {
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
 };
+
+// Parses argv and runs `body`; a UsageError escaping it is printed to
+// stderr and becomes exit code kUsageExit.  The one error path of every
+// tool's and bench's main.
+int run_cli(int argc, const char* const* argv,
+            const std::function<int(const ArgParser&)>& body);
 
 // Worker-count knob shared by every tool/bench: the --threads flag, with
 // the BCN_THREADS environment variable as fallback when the flag is

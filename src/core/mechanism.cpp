@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/args.h"
 #include "core/fluid_model.h"
 
 namespace bcn::core {
@@ -298,6 +299,16 @@ std::string mechanism_name_list() {
     out += info.name;
   }
   return out;
+}
+
+std::string mechanism_flag(const ArgParser& args) {
+  const auto flag = args.lookup("mechanism");
+  if (!flag) return "bcn";
+  if (!find_mechanism(flag->text)) {
+    flag->fail("unknown mechanism '" + flag->text + "' (known: " +
+               mechanism_name_list() + ")");
+  }
+  return flag->text;
 }
 
 std::unique_ptr<FluidMechanism> make_fluid_mechanism(

@@ -32,6 +32,10 @@
 #include "ode/hybrid.h"
 #include "ode/system.h"
 
+namespace bcn {
+class ArgParser;
+}  // namespace bcn
+
 namespace bcn::core {
 
 // How much of the plant physics a fluid facet models (core/fluid_model.h
@@ -180,6 +184,10 @@ const MechanismInfo* find_mechanism(std::string_view name);
 
 // "bcn, bcn-draft, qcn, rcp, fera" -- for usage/error messages.
 std::string mechanism_name_list();
+
+// The --mechanism flag of every tool and bench (default "bcn"); an
+// unregistered name throws UsageError listing the registry.
+std::string mechanism_flag(const ArgParser& args);
 
 // Builds the fluid facet at `level`; nullptr for unknown names and for
 // packet-only mechanisms (fera).  bcn and bcn-draft build a FluidModel,

@@ -2,51 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/format.h"
+#include "common/grammar.h"
 #include "obs/postmortem.h"
 
 namespace bcn::obs {
 namespace {
-
-// Duration with unit suffix ns|us|ms|s -> seconds (mirrors the --faults
-// grammar; reimplemented here because obs sits below sim).
-bool parse_duration_seconds(const std::string& text, double* out) {
-  double scale = 0.0;
-  std::size_t suffix = 0;
-  if (text.size() > 2 && text.compare(text.size() - 2, 2, "ns") == 0) {
-    scale = 1e-9;
-    suffix = 2;
-  } else if (text.size() > 2 && text.compare(text.size() - 2, 2, "us") == 0) {
-    scale = 1e-6;
-    suffix = 2;
-  } else if (text.size() > 2 && text.compare(text.size() - 2, 2, "ms") == 0) {
-    scale = 1e-3;
-    suffix = 2;
-  } else if (text.size() > 1 && text.back() == 's') {
-    scale = 1.0;
-    suffix = 1;
-  } else {
-    return false;
-  }
-  const std::string number = text.substr(0, text.size() - suffix);
-  char* end = nullptr;
-  const double value = std::strtod(number.c_str(), &end);
-  if (end == number.c_str() || *end != '\0') return false;
-  if (!(value > 0.0) || !std::isfinite(value)) return false;
-  *out = value * scale;
-  return true;
-}
-
-bool parse_count(const std::string& text, std::size_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') return false;
-  *out = static_cast<std::size_t>(value);
-  return true;
-}
 
 bool fail(std::string* error, std::string message) {
   if (error) *error = std::move(message);
@@ -78,19 +40,23 @@ bool apply_entry(const std::string& entry, MonitorSpec* spec,
   } else if (const auto eq = entry.find('='); eq != std::string::npos) {
     const std::string key = entry.substr(0, eq);
     const std::string value = entry.substr(eq + 1);
+    std::string why;
     if (key == "window") {
-      if (!parse_duration_seconds(value, &spec->watchdog_window)) {
-        return fail(error, "window: bad duration '" + value +
-                               "' (expected e.g. 5ms, 200us)");
+      const auto window = scan_duration(value, &why);
+      if (!window) return fail(error, "window: " + why);
+      if (!(window->value > 0.0)) {
+        return fail(error, "window: '" + value + "' is not positive");
       }
+      spec->watchdog_window = window->seconds();
     } else if (key == "ring") {
-      if (!parse_count(value, &spec->ring)) {
-        return fail(error, "ring: bad count '" + value + "'");
-      }
+      const auto ring = scan_count(value, kMaxRecorderCapacity, &why);
+      if (!ring) return fail(error, "ring: " + why);
+      spec->ring = *ring;
     } else if (key == "snapshots") {
-      if (!parse_count(value, &spec->snapshots) || spec->snapshots == 0) {
-        return fail(error, "snapshots: bad count '" + value + "'");
-      }
+      const auto snapshots = scan_count(value, kMaxRecorderCapacity, &why);
+      if (!snapshots) return fail(error, "snapshots: " + why);
+      if (*snapshots == 0) return fail(error, "snapshots: must be >= 1");
+      spec->snapshots = *snapshots;
     } else {
       return fail(error, "unknown option '" + key + "'");
     }
@@ -143,8 +109,10 @@ const char* monitor_spec_usage() {
          "  monitors: all | none | queue_bounds | rate_bounds |\n"
          "            conservation | finite | watchdog | crosscheck\n"
          "  options:  window=DUR (watchdog no-progress window, e.g. 5ms)\n"
-         "            ring=N (flight-recorder event capacity, 0 = unbounded)\n"
-         "            snapshots=N (state-snapshot ring capacity)\n"
+         "            ring=N (flight-recorder event capacity, 0 = unbounded,\n"
+         "                    at most 1000000)\n"
+         "            snapshots=N (state-snapshot ring capacity,\n"
+         "                         1 to 1000000)\n"
          "  examples: all | watchdog,window=2ms | all,ring=1024";
 }
 

@@ -42,6 +42,10 @@ namespace bcn::obs {
 // 2 usage error, 3 invariant violated).
 inline constexpr int kMonitorViolationExit = 3;
 
+// Largest ring= and snapshots= capacity: both rings are reserved up
+// front, and 10^6 entries keep that allocation under ~100 MB.
+inline constexpr std::size_t kMaxRecorderCapacity = 1'000'000;
+
 // Which monitors are armed plus the flight-recorder shape.  Parsed from
 // --monitors / BCN_MONITORS (parse_monitor_spec below).
 struct MonitorSpec {
@@ -67,10 +71,12 @@ struct MonitorSpec {
 //   spec     := "none" | "all" | entry ("," entry)*
 //   entry    := "queue_bounds" | "rate_bounds" | "conservation"
 //             | "finite" | "watchdog" | "crosscheck"
-//             | "window=" DUR      (watchdog no-progress window)
-//             | "ring=" N          (flight-recorder event capacity)
-//             | "snapshots=" N     (state-snapshot ring capacity)
-//   DUR      := number with unit suffix ns | us | ms | s   (e.g. 5ms)
+//             | "window=" DUR      (watchdog no-progress window, > 0)
+//             | "ring=" N          (flight-recorder event capacity,
+//                                   0 = unbounded, <= 10^6)
+//             | "snapshots=" N     (state-snapshot ring capacity,
+//                                   1 to 10^6)
+//   DUR, N   := common/grammar.h durations (e.g. 5ms) and counts
 //
 // "all" arms every monitor; option-only specs (e.g. "all,window=2ms")
 // compose.  Returns nullopt and fills *error on a malformed spec.

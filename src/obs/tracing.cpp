@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -254,14 +253,11 @@ void profile_to_metrics(const std::vector<ProfileEntry>& profile,
 
 std::optional<std::filesystem::path> maybe_enable_tracing(
     const ArgParser& args) {
-  std::optional<std::string> dest = args.get("trace");
-  if (!dest) {
-    if (const char* env = std::getenv("BCN_TRACE")) dest = env;
-  }
-  if (!dest || dest->empty()) return std::nullopt;
+  const auto dest = args.lookup("trace", "BCN_TRACE");
+  if (!dest || dest->text.empty()) return std::nullopt;
   tracing_set_thread_name("main");
   tracing_enable();
-  return std::filesystem::path(*dest);
+  return std::filesystem::path(dest->text);
 }
 
 std::size_t finalize_tracing(const std::filesystem::path& path) {

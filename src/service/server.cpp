@@ -11,6 +11,10 @@
 
 namespace bcn::service {
 
+// A connection whose unterminated request line grows past this is sent a
+// parse error and cut off.
+constexpr std::size_t kMaxLineBytes = 1 << 20;
+
 // --- JobQueue ---------------------------------------------------------------
 
 bool ServiceServer::JobQueue::push(std::shared_ptr<Job> job) {
@@ -235,15 +239,16 @@ void ServiceServer::reader_loop(Connection* conn) {
       handle_line(conn, std::move(line));
       if (stopping_.load(std::memory_order_acquire)) alive = false;
     }
-    if (buffer.size() > config_.max_line_bytes) {
+    if (buffer.size() > kMaxLineBytes) {
       errors_->inc();
       write_line(conn->fd, error_response("parse", "request line too long"));
+      ::shutdown(conn->fd, SHUT_RDWR);  // the peer reads EOF next
       break;
     }
   }
   // The fd is closed by the accept loop's reaper or by stop(), never
   // here: closing it while stop() may concurrently shutdown() the same
-  // fd would race with kernel fd reuse.
+  // fd would race with kernel fd reuse.  shutdown() keeps the fd open.
   conn->done.store(true, std::memory_order_release);
 }
 

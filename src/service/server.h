@@ -55,8 +55,6 @@ struct ServiceConfig {
   std::size_t queue_capacity = 256;
   // Largest micro-batch the batcher dispatches onto the pool at once.
   std::size_t max_batch = 32;
-  // A connection sending a longer unterminated line is cut off.
-  std::size_t max_line_bytes = 1 << 20;
   obs::MonitorSpec monitors;
 };
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
-#include <cstdio>
+#include <limits>
 
 #include "common/format.h"
+#include "common/grammar.h"
 #include "common/log.h"
 #include "obs/event_trace.h"
 #include "obs/metrics.h"
@@ -31,39 +31,20 @@ bool set_error(std::string* error, std::string message) {
 // "0.25" -> probability; rejects anything outside [0, 1].
 bool parse_probability(const std::string& text, double* out,
                        std::string* error) {
-  char extra = 0;
-  if (std::sscanf(text.c_str(), "%lf%c", out, &extra) != 1) {
-    return set_error(error, "'" + text + "' is not a number");
+  const auto value = scan_number(text, error);
+  if (!value) return false;
+  if (!(*value >= 0.0 && *value <= 1.0)) {
+    return set_error(error, "probability '" + text + "' outside [0, 1]");
   }
-  if (!(*out >= 0.0 && *out <= 1.0)) {
-    return set_error(error,
-                     "probability '" + text + "' outside [0, 1]");
-  }
+  *out = *value;
   return true;
 }
 
 // "100us" / "2.5ms" / "750ns" / "1s" -> nanoseconds.
-bool parse_duration(const std::string& text, SimTime* out,
-                    std::string* error) {
-  double value = 0.0;
-  char unit[8] = {0};
-  if (std::sscanf(text.c_str(), "%lf%7s", &value, unit) != 2 ||
-      value < 0.0) {
-    return set_error(error, "bad duration '" + text +
-                                "' (want <number><ns|us|ms|s>)");
-  }
-  const std::string u = unit;
-  double scale = 0.0;
-  if (u == "ns") scale = 1.0;
-  else if (u == "us") scale = 1e3;
-  else if (u == "ms") scale = 1e6;
-  else if (u == "s") scale = 1e9;
-  else {
-    return set_error(error, "bad duration unit '" + u +
-                                "' in '" + text + "' (want ns|us|ms|s)");
-  }
-  *out = static_cast<SimTime>(std::llround(value * scale));
-  return true;
+bool parse_time(const std::string& text, SimTime* out, std::string* error) {
+  const auto duration = scan_duration(text, error);
+  if (duration) *out = duration->nanoseconds();
+  return duration.has_value();
 }
 
 // "10ms+2ms/30ms+2ms" -> down/up windows (down-at + hold time each).
@@ -82,13 +63,17 @@ bool parse_flaps(const std::string& text, std::vector<LinkFlapWindow>* out,
     }
     LinkFlapWindow w;
     SimTime hold = 0;
-    if (!parse_duration(window.substr(0, plus), &w.down_at, error) ||
-        !parse_duration(window.substr(plus + 1), &hold, error)) {
+    if (!parse_time(window.substr(0, plus), &w.down_at, error) ||
+        !parse_time(window.substr(plus + 1), &hold, error)) {
       return false;
     }
     if (hold <= 0) {
       return set_error(error, "flap hold must be positive in '" + window +
                                   "'");
+    }
+    if (hold > std::numeric_limits<SimTime>::max() - w.down_at) {
+      return set_error(error, "flap window '" + window +
+                                  "' ends past the simulated clock");
     }
     w.up_at = w.down_at + hold;
     out->push_back(w);
@@ -145,8 +130,7 @@ std::optional<FaultPlan> parse_fault_plan(const std::string& spec,
       } else {
         ok = parse_probability(value.substr(0, colon), &plan.bcn_delay_p,
                                error) &&
-             parse_duration(value.substr(colon + 1), &plan.bcn_delay,
-                            error);
+             parse_time(value.substr(colon + 1), &plan.bcn_delay, error);
         if (ok && plan.bcn_delay_p > 0.0 && plan.bcn_delay <= 0) {
           ok = set_error(error, "bcn_delay duration must be positive");
         }
@@ -158,13 +142,11 @@ std::optional<FaultPlan> parse_fault_plan(const std::string& spec,
     } else if (key == "flap") {
       ok = parse_flaps(value, &plan.flaps, error);
     } else if (key == "seed") {
-      char extra = 0;
-      unsigned long long seed = 0;
-      if (std::sscanf(value.c_str(), "%llu%c", &seed, &extra) != 1) {
-        ok = set_error(error, "seed '" + value + "' is not an integer");
-      } else {
-        plan.seed = seed;
-      }
+      std::string why;
+      const auto seed =
+          scan_count(value, std::numeric_limits<std::uint64_t>::max(), &why);
+      if (seed) plan.seed = *seed;
+      else ok = set_error(error, "seed: " + why);
     } else {
       ok = set_error(error, "unknown fault key '" + key + "'");
     }
@@ -185,7 +167,8 @@ const char* fault_plan_usage() {
       "  pause_drop=P        drop 802.3x PAUSE frames\n"
       "  flap=AT+HOLD[/...]  timed link-down windows (e.g. 10ms+2ms)\n"
       "  seed=N              fault RNG seed (default 0xfa17)\n"
-      "P is a probability in [0,1]; durations take ns|us|ms|s suffixes.\n"
+      "P is a probability in [0,1]; DUR a finite number with an ns|us|ms|s\n"
+      "suffix; N a 64-bit decimal count.\n"
       "Example: --faults bcn_drop=0.2,bcn_delay=0.1:100us,seed=7";
 }
 

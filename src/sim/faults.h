@@ -84,8 +84,10 @@ struct FaultPlan {
 //             | "data_drop=" P | "pause_drop=" P
 //             | "flap=" DUR "+" DUR ("/" DUR "+" DUR)*   (down-at + hold)
 //             | "seed=" N
-//   P        := probability in [0, 1]
-//   DUR      := number with unit suffix ns | us | ms | s   (e.g. 100us)
+//   P        := number in [0, 1]
+//   DUR      := duration, e.g. 100us                       (numbers,
+//   N        := 64-bit count                 durations and counts as in
+//                                            common/grammar.h)
 //
 // Examples:
 //   bcn_drop=0.2

@@ -98,6 +98,9 @@ struct FabricResult {
   std::vector<obs::Violation> violations;
 };
 
+// Largest --shards / BCN_SHARDS value the tools accept (six digits).
+inline constexpr int kMaxShards = 999'999;
+
 // Runs `topo` for options.duration on `shards` shards (clamped to >= 1).
 // shards == 1 runs inline on the calling thread; otherwise the engine
 // spins up a ThreadPool of exactly `shards` pinned workers.

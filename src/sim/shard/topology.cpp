@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/grammar.h"
 #include "common/rng.h"
 
 namespace bcn::sim::shard {
@@ -342,20 +343,15 @@ bool parse_topology_spec(const std::string& spec, Topology* out,
   }
   const std::string kind = spec.substr(0, colon);
   const std::string shape = spec.substr(colon + 1);
-  const auto parse_int = [](const std::string& s, int* value) {
-    if (s.empty()) return false;
-    int v = 0;
-    for (const char c : s) {
-      if (c < '0' || c > '9') return false;
-      v = v * 10 + (c - '0');
-      if (v > 1'000'000) return false;
-    }
-    *value = v;
-    return true;
+  // A shape component is a count of at most 10^6; a malformed one reads
+  // as 0, which every kind's lower bound rejects.
+  const auto component = [](const std::string& s) {
+    return static_cast<int>(scan_count(s, 1'000'000).value_or(0));
   };
   if (kind == "fat-tree") {
     FatTreeOptions options;
-    if (!parse_int(shape, &options.k) || options.k < 2 || options.k % 2) {
+    options.k = component(shape);
+    if (options.k < 2 || options.k % 2) {
       return fail("fat-tree shape must be an even k >= 2, e.g. fat-tree:8");
     }
     *out = make_fat_tree(options);
@@ -365,11 +361,12 @@ bool parse_topology_spec(const std::string& spec, Topology* out,
     LeafSpineOptions options;
     const auto x1 = shape.find('x');
     const auto x2 = x1 == std::string::npos ? x1 : shape.find('x', x1 + 1);
-    if (x2 == std::string::npos ||
-        !parse_int(shape.substr(0, x1), &options.spines) ||
-        !parse_int(shape.substr(x1 + 1, x2 - x1 - 1), &options.leaves) ||
-        !parse_int(shape.substr(x2 + 1), &options.hosts_per_leaf) ||
-        options.spines < 1 || options.leaves < 1 ||
+    if (x2 != std::string::npos) {
+      options.spines = component(shape.substr(0, x1));
+      options.leaves = component(shape.substr(x1 + 1, x2 - x1 - 1));
+      options.hosts_per_leaf = component(shape.substr(x2 + 1));
+    }
+    if (x2 == std::string::npos || options.spines < 1 || options.leaves < 1 ||
         options.hosts_per_leaf < 1) {
       return fail(
           "leaf-spine shape must be SPINESxLEAVESxHOSTS, e.g. "
@@ -380,7 +377,8 @@ bool parse_topology_spec(const std::string& spec, Topology* out,
   }
   if (kind == "star") {
     StarOptions options;
-    if (!parse_int(shape, &options.hosts) || options.hosts < 1) {
+    options.hosts = component(shape);
+    if (options.hosts < 1) {
       return fail("star shape must be a host count >= 1, e.g. star:50");
     }
     *out = make_star(options);

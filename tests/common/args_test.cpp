@@ -22,7 +22,7 @@ TEST(ArgParserTest, SpaceSeparatedValues) {
 TEST(ArgParserTest, EqualsForm) {
   const auto args = parse({"--q0=2.5e6", "--gi=4"});
   EXPECT_DOUBLE_EQ(args.get_double("q0", 0.0), 2.5e6);
-  EXPECT_EQ(args.get_int("gi", 0), 4);
+  EXPECT_EQ(args.get_count("gi", 0), 4);
 }
 
 TEST(ArgParserTest, BooleanFlags) {
@@ -41,11 +41,21 @@ TEST(ArgParserTest, ExplicitBooleanValues) {
   EXPECT_FALSE(args.get_bool("d"));
 }
 
+// Only a missing flag falls back; a malformed one is a usage error that
+// names the flag.
 TEST(ArgParserTest, FallbacksOnMissingOrMalformed) {
-  const auto args = parse({"--x", "notanumber"});
-  EXPECT_DOUBLE_EQ(args.get_double("x", 7.0), 7.0);
+  const auto args = parse({"--x", "notanumber", "--n", "-3", "--b", "maybe"});
   EXPECT_DOUBLE_EQ(args.get_double("y", 3.0), 3.0);
-  EXPECT_EQ(args.get_int("x", -1), -1);
+  EXPECT_EQ(args.get_count("y", 7), 7);
+  EXPECT_THROW(args.get_count("x", 1), UsageError);
+  EXPECT_THROW(args.get_count("n", 1), UsageError);
+  EXPECT_THROW(args.get_bool("b"), UsageError);
+  try {
+    args.get_double("x", 7.0);
+    ADD_FAILURE() << "--x notanumber accepted";
+  } catch (const UsageError& e) {
+    EXPECT_STREQ(e.what(), "--x: 'notanumber' is not a finite decimal number");
+  }
 }
 
 TEST(ArgParserTest, PositionalArguments) {
@@ -65,7 +75,7 @@ TEST(ArgParserTest, HasAndNames) {
 
 TEST(ArgParserTest, NegativeNumberAsValue) {
   const auto args = parse({"--offset", "-5"});
-  EXPECT_EQ(args.get_int("offset", 0), -5);
+  EXPECT_DOUBLE_EQ(args.get_double("offset", 0.0), -5.0);
 }
 
 class ThreadCountTest : public ::testing::Test {
@@ -98,11 +108,22 @@ TEST_F(ThreadCountTest, ZeroMeansAllHardwareThreadsIsAccepted) {
   EXPECT_EQ(thread_count(args, 1), 0);
 }
 
+// Malformed values no longer fall back: they are usage errors naming
+// the flag or the variable they came from.
 TEST_F(ThreadCountTest, InvalidValuesFallBack) {
-  EXPECT_EQ(thread_count(parse({"--threads", "abc"}), 2), 2);
-  EXPECT_EQ(thread_count(parse({"--threads", "-3"}), 2), 2);
-  EXPECT_EQ(thread_count(parse({"--threads", "4x"}), 2), 2);
+  EXPECT_THROW(thread_count(parse({"--threads", "abc"}), 2), UsageError);
+  EXPECT_THROW(thread_count(parse({"--threads", "-3"}), 2), UsageError);
+  EXPECT_THROW(thread_count(parse({"--threads", "4x"}), 2), UsageError);
+  EXPECT_THROW(thread_count(parse({"--threads"}), 2), UsageError);
   setenv("BCN_THREADS", "garbage", 1);
+  try {
+    thread_count(parse({}), 2);
+    ADD_FAILURE() << "BCN_THREADS=garbage accepted";
+  } catch (const UsageError& e) {
+    EXPECT_STREQ(e.what(),
+                 "BCN_THREADS: 'garbage' is not a count (digits only)");
+  }
+  setenv("BCN_THREADS", "", 1);  // empty counts as unset
   EXPECT_EQ(thread_count(parse({}), 2), 2);
 }
 

@@ -13,7 +13,12 @@ namespace {
 class BenchDiffTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "bcn_bench_diff_test";
+    // One directory per test: ctest runs each case as its own process,
+    // in parallel under -j, so a shared path would let cases delete each
+    // other's files.
+    dir_ = std::filesystem::temp_directory_path() /
+           (std::string("bcn_bench_diff_test.") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

@@ -74,6 +74,17 @@ TEST(MonitorSpecTest, MalformedSpecsFillError) {
   EXPECT_FALSE(parse_monitor_spec("window=-3ms", &error).has_value());
   EXPECT_FALSE(parse_monitor_spec("snapshots=0", &error).has_value());
   EXPECT_FALSE(parse_monitor_spec("ring=abc", &error).has_value());
+  EXPECT_FALSE(parse_monitor_spec("window=nanms", &error).has_value());
+  EXPECT_FALSE(parse_monitor_spec("window=infms", &error).has_value());
+  EXPECT_FALSE(parse_monitor_spec("ring=-1", &error).has_value());
+  EXPECT_NE(error.find("ring: '-1' is not a count"), std::string::npos);
+  EXPECT_FALSE(parse_monitor_spec("snapshots=-1", &error).has_value());
+  EXPECT_FALSE(parse_monitor_spec("ring=1000001", &error).has_value());
+  EXPECT_NE(error.find("exceeds the maximum 1000000"), std::string::npos);
+  EXPECT_FALSE(
+      parse_monitor_spec("all,ring=100000000000", &error).has_value());
+  EXPECT_TRUE(parse_monitor_spec("all,ring=1000000,snapshots=1000000")
+                  .has_value());
   EXPECT_FALSE(parse_monitor_spec("color=red", &error).has_value());
   EXPECT_NE(error.find("unknown option 'color'"), std::string::npos);
 }

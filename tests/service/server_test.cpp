@@ -5,6 +5,11 @@
 // scripts/check.sh gate 1.
 #include "service/server.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <map>
@@ -178,6 +183,38 @@ TEST_F(ServerTest, ShutdownOpUnblocksWaitAndStopIsIdempotent) {
   server_->stop();  // idempotent
   LineClient refused;
   EXPECT_FALSE(refused.connect_to("127.0.0.1", server_->port()));
+}
+
+TEST_F(ServerTest, OverlongRequestLineIsRejectedAndCutOff) {
+  start();
+  // A raw socket: LineClient always terminates what it sends.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(server_->port()));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const std::string line((1 << 20) + 1, 'x');  // 1 MiB + 1, no newline
+  for (std::size_t sent = 0; sent < line.size();) {
+    const ssize_t n = ::write(fd, line.data() + sent, line.size() - sent);
+    ASSERT_GT(n, 0);
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string reply;
+  char chunk[256];
+  for (ssize_t n; (n = ::read(fd, chunk, sizeof(chunk))) > 0;) {
+    reply.append(chunk, static_cast<std::size_t>(n));
+  }  // read() returning 0 is the EOF the server owes us
+  ::close(fd);
+  ASSERT_FALSE(reply.empty());
+  EXPECT_EQ(reply.back(), '\n');
+  EXPECT_EQ(reply.find('\n'), reply.size() - 1) << "one line, then EOF";
+  EXPECT_NE(reply.find("\"error\":\"parse\""), std::string::npos) << reply;
+  EXPECT_NE(reply.find("request line too long"), std::string::npos) << reply;
+  EXPECT_EQ(counter("service.errors"), 1u);
+  server_->stop();
 }
 
 TEST_F(ServerTest, DestructorStopsARunningServer) {

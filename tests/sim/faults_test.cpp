@@ -104,11 +104,20 @@ TEST(FaultsTest, ParserRejectsMalformedSpecs) {
         "bcn_drop=abc", "unknown_key=1", "bcn_delay=0.5", "bcn_delay=0.5:",
         "bcn_delay=0.5:100", "bcn_delay=0.5:100furlongs", "flap=10ms",
         "flap=10ms+0ms", "flap=10ms+5ms/12ms+1ms", "seed=notanumber",
-        "=0.5", "bcn_drop=0.1,,bcn_dup=0.1"}) {
+        "=0.5", "bcn_drop=0.1,,bcn_dup=0.1", "bcn_delay=0.5:infus",
+        "flap=nanms+2ms", "flap=infms+2ms", "flap=1ms+nanms", "seed=-1",
+        "seed=18446744073709551616", "bcn_drop=nan", "bcn_drop=0x.8",
+        "flap=9e18ns+9e18ns"}) {
     std::string err;
     EXPECT_FALSE(parse_fault_plan(bad, &err)) << "accepted: " << bad;
     EXPECT_FALSE(err.empty()) << "no error message for: " << bad;
   }
+}
+
+TEST(FaultsTest, SeedIsAFull64BitCount) {
+  const auto plan = parse_fault_plan("bcn_drop=0.1,seed=18446744073709551615");
+  ASSERT_TRUE(plan);
+  EXPECT_EQ(plan->seed, 18446744073709551615ull);
 }
 
 TEST(FaultsTest, SummaryRoundTripsThroughParser) {

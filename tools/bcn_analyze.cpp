@@ -15,7 +15,6 @@
 // service verdict is byte-identical to this tool's output by
 // construction (docs/SERVICE.md, scripts/check.sh gate 10).
 #include <cstdio>
-#include <cstdlib>
 
 #include "analysis/report.h"
 #include "common/args.h"
@@ -50,10 +49,7 @@ void usage() {
       "                (BCN_TRACE env fallback)");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const ArgParser args(argc, argv);
+int run(const ArgParser& args) {
   if (args.get_bool("help")) {
     usage();
     return 0;
@@ -64,32 +60,11 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  const std::string mechanism = args.get("mechanism").value_or("bcn");
-  if (!core::find_mechanism(mechanism)) {
-    std::fprintf(stderr, "--mechanism: unknown mechanism '%s' (known: %s)\n",
-                 mechanism.c_str(), core::mechanism_name_list().c_str());
-    return 2;
-  }
+  const std::string mechanism = core::mechanism_flag(args);
   obs::MonitorSpec monitors;
-  {
-    std::optional<std::string> spec = args.get("monitors");
-    if (!spec) {
-      if (const char* env = std::getenv("BCN_MONITORS")) {
-        if (*env) spec = env;
-      }
-    }
-    if (spec) {
-      std::string error;
-      const auto parsed = obs::parse_monitor_spec(*spec, &error);
-      if (!parsed) {
-        std::fprintf(stderr, "--monitors: %s\n%s\n", error.c_str(),
-                     obs::monitor_spec_usage());
-        return 2;
-      }
-      monitors = *parsed;
-    }
+  if (const auto spec = args.lookup("monitors", "BCN_MONITORS")) {
+    monitors = spec->parse(obs::parse_monitor_spec, obs::monitor_spec_usage());
   }
-  const auto trace_path = obs::maybe_enable_tracing(args);
 
   core::BcnParams p = core::BcnParams::standard_draft();
   p.num_sources = args.get_double("N", p.num_sources);
@@ -102,6 +77,13 @@ int main(int argc, char** argv) {
   p.ru = args.get_double("ru", p.ru);
   p.w = args.get_double("w", p.w);
   p.pm = args.get_double("pm", p.pm);
+  // --duration defaults differ: the report's fluid run spans 1.5 ms, the
+  // --delay run 5 ms.
+  const double duration = args.get_double("duration", 1.5e-3);
+  const double delay = args.get_double("delay", 0.0);
+  const double delay_duration = args.get_double("duration", 5e-3);
+  const bool plot = args.get_bool("plot");
+  const auto trace_path = obs::maybe_enable_tracing(args);
 
   const auto issues = p.validate();
   if (!issues.empty()) {
@@ -115,7 +97,7 @@ int main(int argc, char** argv) {
   analysis::VerdictRequest request;
   request.params = p;
   request.mechanism = mechanism;
-  request.duration = args.get_double("duration", 1.5e-3);
+  request.duration = duration;
   request.finite_monitor = monitors.finite;
   const auto report = analysis::render_verdict_report(request);
   std::fputs(report.text.c_str(), stdout);
@@ -127,11 +109,10 @@ int main(int argc, char** argv) {
   // The delay model, the integrator statistics and the --trace profile
   // are BCN-only extras.
   const bool closed_form = mechanism == "bcn" || mechanism == "bcn-draft";
-  const double delay = args.get_double("delay", 0.0);
   if (closed_form && delay > 0.0) {
     core::DelayedRunOptions dopts;
     dopts.delay = delay;
-    dopts.duration = args.get_double("duration", 5e-3);
+    dopts.duration = delay_duration;
     const auto run = core::simulate_delayed(p, dopts);
     std::printf("\nwith feedback delay %.4g s: peak q = %.6g%s\n", delay,
                 run.max_x + p.q0, run.diverged ? " (DIVERGED)" : "");
@@ -140,7 +121,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (args.get_bool("plot") && report.has_fluid) {
+  if (plot && report.has_fluid) {
     core::MechanismConfig mcfg;
     mcfg.plant = p;
     core::FluidRunOptions opts;
@@ -182,3 +163,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_cli(argc, argv, run); }

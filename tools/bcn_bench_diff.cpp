@@ -34,10 +34,7 @@ void usage() {
       "exit: 0 within threshold, 1 regression, 2 usage/IO error");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const ArgParser args(argc, argv);
+int run(const ArgParser& args) {
   if (args.get_bool("help")) {
     usage();
     return 0;
@@ -60,10 +57,7 @@ int main(int argc, char** argv) {
   opts.abs_floor = args.get_double("abs-floor", opts.abs_floor);
   opts.match = args.get("match").value_or("");
   opts.require_same_keys = args.get_bool("require-same-keys");
-  if (opts.threshold < 0.0) {
-    std::fprintf(stderr, "bcn_bench_diff: --threshold must be >= 0\n");
-    return 2;
-  }
+  if (opts.threshold < 0.0) throw UsageError("--threshold: must be >= 0");
 
   const auto result = obs::bench_diff(*file_a, *file_b, opts);
   if (!result.ok) {
@@ -73,3 +67,7 @@ int main(int argc, char** argv) {
   std::printf("%s", obs::format_bench_diff(result, opts).c_str());
   return result.regressions > 0 ? 1 : 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_cli(argc, argv, run); }

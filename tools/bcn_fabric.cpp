@@ -14,11 +14,11 @@
 // cross-shard determinism check (scripts/check.sh gate 9 does exactly
 // that).
 //
-// Exit codes: 0 ok, 2 usage error (unknown flag, malformed topology
-// spec or shard count), 3 when armed monitors recorded a violation.
+// Exit codes: 0 ok, 2 usage error (unknown flag or malformed value, e.g.
+// a bad topology spec, shard count or non-positive --duration-us), 3
+// when armed monitors recorded a violation.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "common/args.h"
@@ -53,23 +53,18 @@ void usage() {
       "  --json file   write the shard-invariant artifact there");
 }
 
-// ArgParser::get_int silently falls back on garbage; a malformed shard
-// count must fail loudly with the usage exit code.
-bool parse_shards(const std::string& text, int* out) {
-  if (text.empty() || text.size() > 6) return false;
-  int value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + (c - '0');
+// A positive span in microseconds as simulated time.
+sim::SimTime span_us(const ArgParser& args, const char* name,
+                     double fallback) {
+  const double us = args.get_double(name, fallback);
+  if (!(us > 0.0 && us * sim::kMicrosecond < 0x1p63)) {
+    throw UsageError(std::string("--") + name +
+                     ": must be > 0 and inside the simulated clock");
   }
-  *out = value;
-  return true;
+  return static_cast<sim::SimTime>(us * sim::kMicrosecond);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const ArgParser args(argc, argv);
+int run(const ArgParser& args) {
   if (args.get_bool("help")) {
     usage();
     return 0;
@@ -82,39 +77,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::string spec = args.get("topology").value_or("fat-tree:4");
-  sim::shard::Topology topo;
-  std::string error;
-  if (!sim::shard::parse_topology_spec(spec, &topo, &error)) {
-    std::fprintf(stderr, "--topology: %s\n", error.c_str());
-    return 2;
-  }
-
   int shards = 1;
-  {
-    std::optional<std::string> text = args.get("shards");
-    if (!text) {
-      if (const char* env = std::getenv("BCN_SHARDS")) {
-        if (*env) text = env;
-      }
-    }
-    if (text && !parse_shards(*text, &shards)) {
-      std::fprintf(stderr,
-                   "--shards: bad shard count '%s' (expected a non-negative "
-                   "integer; 0 = all hardware threads)\n",
-                   text->c_str());
-      return 2;
-    }
+  if (const auto v = args.lookup("shards", "BCN_SHARDS")) {
+    shards = v->count(0, sim::shard::kMaxShards);
   }
   if (shards == 0) shards = exec::resolve_threads(0);
-
-  const int rounds = args.get_int("flows-per-host", 2);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 0));
-  sim::shard::add_permutation_flows(topo, rounds, seed);
-  if (topo.flows.empty()) {
-    std::fprintf(stderr, "no flows generated (--flows-per-host %d)\n", rounds);
-    return 2;
-  }
+  const int rounds = args.get_count("flows-per-host", 2);
+  const auto seed = static_cast<std::uint64_t>(args.get_count("seed", 0));
 
   sim::shard::FabricOptions options;
   options.q0 = args.get_double("q0", 2.5e6);
@@ -123,21 +92,25 @@ int main(int argc, char** argv) {
   options.regulator.gi = args.get_double("gi", 0.5);
   options.regulator.gd = args.get_double("gd", 1.0 / 128.0);
   options.regulator.ru = args.get_double("ru", 8e6);
-  options.regulator.max_rate = topo.host_rate;
   options.initial_rate = args.get_double("rate", 5e7);
-  options.duration = static_cast<sim::SimTime>(
-      args.get_double("duration-us", 500.0) * sim::kMicrosecond);
-  options.sample_interval = static_cast<sim::SimTime>(
-      args.get_double("sample-us", 50.0) * sim::kMicrosecond);
-  if (const auto mon = args.get("monitors")) {
-    std::string mon_error;
-    const auto parsed = obs::parse_monitor_spec(*mon, &mon_error);
-    if (!parsed) {
-      std::fprintf(stderr, "--monitors: %s\n%s\n", mon_error.c_str(),
-                   obs::monitor_spec_usage());
-      return 2;
-    }
-    options.monitors = *parsed;
+  options.duration = span_us(args, "duration-us", 500.0);
+  options.sample_interval = span_us(args, "sample-us", 50.0);
+  if (const auto spec = args.lookup("monitors")) {
+    options.monitors =
+        spec->parse(obs::parse_monitor_spec, obs::monitor_spec_usage());
+  }
+
+  const std::string spec = args.get("topology").value_or("fat-tree:4");
+  sim::shard::Topology topo;
+  std::string error;
+  if (!sim::shard::parse_topology_spec(spec, &topo, &error)) {
+    throw UsageError("--topology: " + error);
+  }
+  options.regulator.max_rate = topo.host_rate;
+  sim::shard::add_permutation_flows(topo, rounds, seed);
+  if (topo.flows.empty()) {
+    std::fprintf(stderr, "no flows generated (--flows-per-host %d)\n", rounds);
+    return 2;
   }
 
   const auto part = sim::shard::partition_topology(topo, shards);
@@ -229,3 +202,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_cli(argc, argv, run); }

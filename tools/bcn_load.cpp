@@ -52,32 +52,6 @@ void usage() {
       "latency, and the server's cache hit/miss counters");
 }
 
-bool parse_count(const std::string& text, long long max, long long* out) {
-  if (text.empty() || text.size() > 9) return false;
-  long long value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + (c - '0');
-  }
-  if (value > max) return false;
-  *out = value;
-  return true;
-}
-
-bool flag_count(const ArgParser& args, const char* name, long long max,
-                long long* out) {
-  const auto text = args.get(name);
-  if (!text) return true;
-  if (!parse_count(*text, max, out)) {
-    std::fprintf(stderr,
-                 "--%s: bad value '%s' (expected a non-negative integer "
-                 "<= %lld)\n",
-                 name, text->c_str(), max);
-    return false;
-  }
-  return true;
-}
-
 int run_script(const std::string& host, int port, const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -230,10 +204,7 @@ int run_load(const std::string& host, int port, long long requests,
   return mismatches > 0 ? 1 : 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const ArgParser args(argc, argv);
+int run(const ArgParser& args) {
   if (args.get_bool("help")) {
     usage();
     return 0;
@@ -244,14 +215,11 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  long long port = -1, requests = 0, connections = 4, space = 16, seed = 1;
-  if (!flag_count(args, "port", 65535, &port) ||
-      !flag_count(args, "requests", 100'000'000, &requests) ||
-      !flag_count(args, "connections", 1024, &connections) ||
-      !flag_count(args, "space", 1'000'000, &space) ||
-      !flag_count(args, "seed", 999'999'999, &seed)) {
-    return 2;
-  }
+  const int port = args.get_count("port", -1, 0, 65535);
+  const int requests = args.get_count("requests", 0, 0, 100'000'000);
+  const int connections = args.get_count("connections", 4, 1, 1024);
+  const int space = args.get_count("space", 16, 1, 1'000'000);
+  const int seed = args.get_count("seed", 1, 0, 999'999'999);
   if (port < 0) {
     std::fprintf(stderr, "--port is required\n");
     usage();
@@ -259,16 +227,15 @@ int main(int argc, char** argv) {
   }
   const std::string host = args.get("host").value_or("127.0.0.1");
   const auto script = args.get("script");
-  if (script) return run_script(host, static_cast<int>(port), *script);
+  if (script) return run_script(host, port, *script);
   if (requests <= 0) {
     std::fprintf(stderr, "need --script file or --requests n\n");
     usage();
     return 2;
   }
-  if (connections <= 0 || space <= 0) {
-    std::fprintf(stderr, "--connections and --space must be positive\n");
-    return 2;
-  }
-  return run_load(host, static_cast<int>(port), requests, connections, space,
-                  seed);
+  return run_load(host, port, requests, connections, space, seed);
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_cli(argc, argv, run); }

@@ -13,7 +13,6 @@
 // Exit codes: 0 ok, 1 startup failure (bind/listen), 2 usage error.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "common/args.h"
@@ -46,41 +45,10 @@ void usage() {
       "                    integration become monitor errors");
 }
 
-// ArgParser::get_int silently falls back on garbage; malformed counts
-// must fail loudly with the usage exit code.
-bool parse_count(const std::string& text, long long max, long long* out) {
-  if (text.empty() || text.size() > 9) return false;
-  long long value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + (c - '0');
-  }
-  if (value > max) return false;
-  *out = value;
-  return true;
-}
-
-bool flag_count(const ArgParser& args, const char* name, long long max,
-                long long* out) {
-  const auto text = args.get(name);
-  if (!text) return true;
-  if (!parse_count(*text, max, out)) {
-    std::fprintf(stderr,
-                 "--%s: bad value '%s' (expected a non-negative integer "
-                 "<= %lld)\n",
-                 name, text->c_str(), max);
-    return false;
-  }
-  return true;
-}
-
 volatile std::sig_atomic_t g_signal = 0;
 void on_signal(int) { g_signal = 1; }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const ArgParser args(argc, argv);
+int run(const ArgParser& args) {
   if (args.get_bool("help")) {
     usage();
     return 0;
@@ -92,39 +60,16 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  long long port = 0, threads = 0, cache_entries = 4096, cache_shards = 8;
-  long long queue = 256, max_batch = 32;
-  if (!flag_count(args, "port", 65535, &port) ||
-      !flag_count(args, "threads", 4096, &threads) ||
-      !flag_count(args, "cache-entries", 100'000'000, &cache_entries) ||
-      !flag_count(args, "cache-shards", 4096, &cache_shards) ||
-      !flag_count(args, "queue", 1'000'000, &queue) ||
-      !flag_count(args, "max-batch", 100'000, &max_batch)) {
-    return 2;
-  }
-  if (cache_entries == 0 || cache_shards == 0 || queue == 0 ||
-      max_batch == 0) {
-    std::fprintf(stderr, "--cache-entries/--cache-shards/--queue/--max-batch "
-                         "must be positive\n");
-    return 2;
-  }
-
   service::ServiceConfig config;
-  config.port = static_cast<int>(port);
-  config.threads = static_cast<int>(threads);
-  config.cache_entries = static_cast<std::size_t>(cache_entries);
-  config.cache_shards = static_cast<std::size_t>(cache_shards);
-  config.queue_capacity = static_cast<std::size_t>(queue);
-  config.max_batch = static_cast<std::size_t>(max_batch);
-  if (const auto spec = args.get("monitors")) {
-    std::string error;
-    const auto parsed = obs::parse_monitor_spec(*spec, &error);
-    if (!parsed) {
-      std::fprintf(stderr, "--monitors: %s\n%s\n", error.c_str(),
-                   obs::monitor_spec_usage());
-      return 2;
-    }
-    config.monitors = *parsed;
+  config.port = args.get_count("port", 0, 0, 65535);
+  config.threads = args.get_count("threads", 0, 0, 4096);
+  config.cache_entries = args.get_count("cache-entries", 4096, 1, 100'000'000);
+  config.cache_shards = args.get_count("cache-shards", 8, 1, 4096);
+  config.queue_capacity = args.get_count("queue", 256, 1, 1'000'000);
+  config.max_batch = args.get_count("max-batch", 32, 1, 100'000);
+  if (const auto spec = args.lookup("monitors")) {
+    config.monitors =
+        spec->parse(obs::parse_monitor_spec, obs::monitor_spec_usage());
   }
 
   service::ServiceServer server(config);
@@ -153,3 +98,7 @@ int main(int argc, char** argv) {
                       ->value()));
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_cli(argc, argv, run); }
