@@ -143,7 +143,7 @@ CaseBenchResult run_case_dynamics(const core::BcnParams& params,
               control::to_string(cls.increase_kind).c_str(),
               control::to_string(cls.decrease_kind).c_str());
 
-  const auto trace = core::AnalyticTracer(params).trace();
+  const auto closed = core::AnalyticTracer(params).extrema();
 
   core::FluidRunOptions ropts;
   ropts.duration = duration;
@@ -155,11 +155,11 @@ CaseBenchResult run_case_dynamics(const core::BcnParams& params,
 
   TablePrinter extrema({"quantity", "closed form", "numeric (linearized)",
                         "numeric (nonlinear)"});
-  extrema.add_row({"max x", TablePrinter::format(trace.max_x),
+  extrema.add_row({"max x", TablePrinter::format(closed.max_x),
                    TablePrinter::format(lin.max_x),
                    TablePrinter::format(non.max_x)});
   extrema.add_row({"min x (post-crossing)",
-                   TablePrinter::format(trace.min_x),
+                   TablePrinter::format(closed.min_x),
                    TablePrinter::format(lin.post_switch_min_x),
                    TablePrinter::format(non.post_switch_min_x)});
   std::fputs(extrema.to_string("transient extrema [bits]").c_str(), stdout);
@@ -212,7 +212,7 @@ CaseBenchResult run_case_dynamics(const core::BcnParams& params,
                raw_queue(non.trajectory, "nonlinear")},
               ascii_q, svg_q);
 
-  return {trace.max_x, trace.min_x, lin.max_x, non.max_x,
+  return {closed.max_x, closed.min_x, lin.max_x, non.max_x,
           verdict.strongly_stable};
 }
 

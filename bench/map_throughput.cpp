@@ -6,6 +6,7 @@
 // must reproduce the scalar verdict in every cell, and adaptive must do
 // it while integrating a minority of them.  Emits
 // BENCH_map_throughput.json for tools/bcn_bench_diff tracking.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -14,6 +15,7 @@
 #include "analysis/sweep.h"
 #include "bench_util.h"
 #include "common/json.h"
+#include "core/analytic_tracer.h"
 #include "runner.h"
 
 using namespace bcn;
@@ -73,6 +75,19 @@ int run(bench::RunContext& ctx) {
   const double adaptive_fraction =
       static_cast<double>(maps[2].integrated_cells) /
       static_cast<double>(cells);
+  // Every mode's closed-form half stops each cell's trace at its first
+  // proven contraction.  The largest round count is an exact,
+  // host-independent guard against a return to full-length traces.
+  int closed_form_rounds_max = 0;
+  for (const double cell_gi : gi) {
+    for (const double cell_gd : gd) {
+      core::BcnParams p = base;
+      p.gi = cell_gi;
+      p.gd = cell_gd;
+      closed_form_rounds_max = std::max(
+          closed_form_rounds_max, core::AnalyticTracer(p).extrema().rounds);
+    }
+  }
   const double batch_speedup =
       seconds[1] > 0.0 ? seconds[0] / seconds[1] : 0.0;
   const double adaptive_speedup =
@@ -111,6 +126,7 @@ int run(bench::RunContext& ctx) {
            static_cast<std::int64_t>(maps[2].integrated_cells));
   json.add("adaptive_integrated_fraction", adaptive_fraction);
   json.add("adaptive_waves", maps[2].refinement_waves);
+  json.add("closed_form_rounds_max", closed_form_rounds_max);
   const auto path = ctx.out_dir / "BENCH_map_throughput.json";
   if (json.write_file(path)) {
     std::printf("  [artifact] %s\n", path.string().c_str());

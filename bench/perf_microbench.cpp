@@ -119,6 +119,18 @@ void BM_AnalyticTracer(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyticTracer);
 
+void BM_ClosedFormReport(benchmark::State& state) {
+  core::BcnParams p = core::BcnParams::standard_draft();
+  p.buffer = 12e6;
+  p.qsc = 11e6;
+  for (auto _ : state) {
+    const auto report = core::analyze_stability(p);
+    benchmark::DoNotOptimize(report.predicted_max_x);
+  }
+  state.SetLabel("closed-form half of one (Gi, Gd) map cell");
+}
+BENCHMARK(BM_ClosedFormReport);
+
 void BM_PacketSimulatorMillisecond(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();

@@ -40,8 +40,9 @@
 #     stability-map comparison, validates BENCH_map_throughput.json
 #     (artifact present, zero verdict mismatches for both batched modes,
 #     scalar and batch stable-cell counts equal, adaptive refinement
-#     integrating under half the grid), requires a threshold-0 self-diff
-#     to pass, and checks --map-mode bogus is rejected with exit 2.
+#     integrating under half the grid, every cell's closed-form extrema
+#     final within 4 rounds), requires a threshold-0 self-diff to pass,
+#     and checks --map-mode bogus is rejected with exit 2.
 #  8. Monitor smoke: arms every runtime invariant monitor on a clean run
 #     (must exit 0 with monitor.* metrics and zero violations in the RUN
 #     json), provokes the fluid-verdict crosscheck with the EXPERIMENTS.md
@@ -381,7 +382,8 @@ echo "[check.sh] mechanism matrix smoke clean ($MATRIX_JSON)"
 # The batched SoA stability-map path end-to-end: batch and adaptive modes
 # must reproduce the scalar verdicts exactly (the bench itself exits
 # nonzero on any mismatch), adaptive refinement must skip a real share of
-# the grid, and the artifact must survive a zero-threshold self-diff.
+# the grid, the closed-form extrema of every cell must be final within 4
+# rounds, and the artifact must survive a zero-threshold self-diff.
 # The speedup numbers are reported but deliberately not gated: wall-clock
 # ratios on shared CI hardware are too noisy for a hard threshold.
 cmake --build "$SMOKE_BUILD_DIR" -j --target map_throughput
@@ -410,9 +412,15 @@ assert data.get("scalar_stable") == data.get("batch_stable"), \
 frac = data.get("adaptive_integrated_fraction")
 assert isinstance(frac, (int, float)) and 0.0 < frac < 0.5, \
     f"adaptive integrated {frac!r} of the grid, want < 0.5"
+# An exact count, not a timing: a closed-form tracer that stops proving
+# contraction falls back to 256 rounds per cell.
+rounds = data.get("closed_form_rounds_max")
+assert isinstance(rounds, int) and 1 <= rounds <= 4, \
+    f"closed-form extrema took {rounds!r} rounds on some cell, want <= 4"
 print(f"[check.sh] map throughput: batch {data['batch_speedup']:.2f}x, "
       f"adaptive {data['adaptive_speedup']:.2f}x at "
-      f"{frac:.0%} of {cells:.0f} cells integrated, verdicts identical")
+      f"{frac:.0%} of {cells:.0f} cells integrated, verdicts identical, "
+      f"closed form <= {rounds} rounds per cell")
 PY
 
 "$SMOKE_BUILD_DIR"/tools/bcn_bench_diff \

@@ -5,6 +5,87 @@
 
 namespace bcn::core {
 
+namespace {
+
+// extrema() stops before round r >= 3 once z_r = c z_{r-2} with
+// 0 < c <= 1 - kContractionMargin.  Both region laws are linear and the
+// switching line x + k y = 0 passes through the origin, so the flow
+// commutes with scaling by any c > 0; rounds alternate regions and every
+// round after round 0 starts on the line, so z_r and z_{r-2} are collinear
+// starts of the same region.  Every later round is then a c^j-scaled copy
+// of round r-2 or r-1, whose extrema are already folded in, and with
+// c < 1 no copy can exceed them.  Floating point iterates those rounds
+// instead of scaling them, drifting by a few hundred ulp at most; the
+// margin keeps the scaled copies far enough inside that the skipped
+// suffix of trace() cannot change max_x or min_x by a single bit.
+constexpr double kContractionMargin = 1e-9;
+
+// One region traversal from its start point, in the round's local time.
+struct RoundStep {
+  control::LinearSolution solution;
+  std::optional<double> crossing;  // first switching-line crossing
+  // The x extremum strictly before the crossing (if any).
+  std::optional<control::XExtremum> extremum;
+  Vec2 z_end;  // the crossing point; meaningful only with a crossing
+};
+
+enum class WalkEnd { Converged, Terminal, RoundLimit, Stopped };
+
+// Stitches rounds from z0 until a round start is within
+// options.convergence_tol of the origin, a round never crosses the line
+// again (Terminal), options.max_rounds rounds have run, or
+// visit(region, step) returns false after a crossing round
+// (Stopped).  Each round's interior points -- its pre-crossing extremum
+// and its crossing point -- are folded into max_x/min_x before the visit.
+// The initial point (on the empty-buffer wall when z0 = (-q0, 0)) is
+// excluded, matching the paper's min1/max1 semantics (Definition 1 judges
+// the motion after the start).
+template <class Visit>
+WalkEnd walk_rounds(const BcnParams& params, Vec2 z0,
+                    const AnalyticTraceOptions& options, double& max_x,
+                    double& min_x, Visit&& visit) {
+  const FluidModel model(params, ModelLevel::Linearized);
+  const double k = params.k();
+  const control::SecondOrderSystem inc = increase_subsystem(params);
+  const control::SecondOrderSystem dec = decrease_subsystem(params);
+
+  Vec2 z = z0;
+  // The first round's region comes from sigma's sign; afterwards regions
+  // alternate (each round ends with a transversal switching-line crossing).
+  Region region = model.region_of(z);
+  for (int round = 0; round < options.max_rounds; ++round) {
+    const double norm =
+        std::abs(z.x) / params.q0 + std::abs(z.y) / params.capacity;
+    if (norm < options.convergence_tol) return WalkEnd::Converged;
+
+    RoundStep step{
+        control::LinearSolution(region == Region::Increase ? inc : dec, z),
+        std::nullopt, std::nullopt, Vec2{}};
+    step.crossing = step.solution.first_line_crossing(1.0, k, 0.0);
+    const auto extremum = step.solution.first_x_extremum(0.0);
+    if (extremum && (!step.crossing || extremum->t < *step.crossing)) {
+      step.extremum = extremum;
+      max_x = std::max(max_x, step.extremum->value);
+      min_x = std::min(min_x, step.extremum->value);
+    }
+    if (step.crossing) {
+      step.z_end = step.solution.eval(*step.crossing);
+      max_x = std::max(max_x, step.z_end.x);
+      min_x = std::min(min_x, step.z_end.x);
+    }
+
+    const bool go_on = visit(region, step);
+    // Terminal round: converges to the origin inside this region.
+    if (!step.crossing) return WalkEnd::Terminal;
+    if (!go_on) return WalkEnd::Stopped;
+    z = step.z_end;
+    region = region == Region::Increase ? Region::Decrease : Region::Increase;
+  }
+  return WalkEnd::RoundLimit;
+}
+
+}  // namespace
+
 std::optional<double> AnalyticTrace::contraction_ratio() const {
   // Compare |x| at successive entries into the same region.
   std::vector<double> increase_entries;
@@ -28,67 +109,49 @@ AnalyticTrace AnalyticTracer::trace(const AnalyticTraceOptions& options) const {
 
 AnalyticTrace AnalyticTracer::trace_from(
     Vec2 z0, const AnalyticTraceOptions& options) const {
-  const FluidModel model(params_, ModelLevel::Linearized);
-  const double k = params_.k();
-  const control::SecondOrderSystem inc = increase_subsystem(params_);
-  const control::SecondOrderSystem dec = decrease_subsystem(params_);
-
-  // Extrema accumulate over interior points only: round extrema, crossing
-  // points, and the origin limit.  The initial point (on the empty-buffer
-  // wall when z0 = (-q0, 0)) is excluded, matching the paper's min1/max1
-  // semantics (Definition 1 judges the motion after the start).
   AnalyticTrace out;
-  out.max_x = 0.0;
-  out.min_x = 0.0;
-
   double t_abs = 0.0;
-  Vec2 z = z0;
-  // The first round's region comes from sigma's sign; afterwards regions
-  // alternate (each round ends with a transversal switching-line crossing).
-  Region region = model.region_of(z);
+  const WalkEnd end = walk_rounds(
+      params_, z0, options, out.max_x, out.min_x,
+      [&](Region region, const RoundStep& step) {
+        RoundRecord rec{region, step.solution.kind(), step.solution, t_abs,
+                        step.solution.initial(), std::nullopt, std::nullopt,
+                        std::nullopt};
+        if (step.extremum) {
+          rec.extremum = control::XExtremum{t_abs + step.extremum->t,
+                                            step.extremum->value,
+                                            step.extremum->is_maximum};
+        }
+        if (step.crossing) {
+          rec.duration = *step.crossing;
+          rec.z_end = step.z_end;
+          t_abs += *step.crossing;
+        }
+        out.rounds.push_back(std::move(rec));
+        return true;
+      });
+  out.terminated_in_region = end == WalkEnd::Terminal;
+  out.converged = end == WalkEnd::Converged || out.terminated_in_region;
+  return out;
+}
 
-  for (int round = 0; round < options.max_rounds; ++round) {
-    const double norm =
-        std::abs(z.x) / params_.q0 + std::abs(z.y) / params_.capacity;
-    if (norm < options.convergence_tol) {
-      out.converged = true;
-      break;
-    }
-
-    const control::SecondOrderSystem& sys =
-        region == Region::Increase ? inc : dec;
-    control::LinearSolution sol(sys, z);
-    RoundRecord rec{region, sol.kind(), sol, t_abs, z, std::nullopt,
-                    std::nullopt, std::nullopt};
-
-    const auto crossing = sol.first_line_crossing(1.0, k, 0.0);
-    const auto extremum = sol.first_x_extremum(0.0);
-    if (extremum && (!crossing || extremum->t < *crossing)) {
-      rec.extremum = control::XExtremum{t_abs + extremum->t, extremum->value,
-                                        extremum->is_maximum};
-      out.max_x = std::max(out.max_x, extremum->value);
-      out.min_x = std::min(out.min_x, extremum->value);
-    }
-
-    if (!crossing) {
-      // Terminal round: converges to the origin inside this region.
-      out.terminated_in_region = true;
-      out.converged = true;
-      out.rounds.push_back(std::move(rec));
-      break;
-    }
-
-    const Vec2 z_end = sol.eval(*crossing);
-    rec.duration = *crossing;
-    rec.z_end = z_end;
-    out.max_x = std::max(out.max_x, z_end.x);
-    out.min_x = std::min(out.min_x, z_end.x);
-    out.rounds.push_back(std::move(rec));
-
-    t_abs += *crossing;
-    z = z_end;
-    region = region == Region::Increase ? Region::Decrease : Region::Increase;
-  }
+AnalyticExtrema AnalyticTracer::extrema() const {
+  AnalyticExtrema out;
+  Vec2 last_start;  // start of the round before the one being visited
+  walk_rounds(
+      params_, {-params_.q0, 0.0}, AnalyticTraceOptions{}, out.max_x,
+      out.min_x, [&](Region, const RoundStep& step) {
+        // The next round r = out.rounds starts at z_r = step.z_end; round
+        // r - 2 started at last_start.
+        ++out.rounds;
+        const Vec2 z_r = step.z_end;
+        const Vec2 z_r2 = last_start;
+        last_start = step.solution.initial();
+        if (out.rounds < 3) return true;
+        const double c = (z_r.x * z_r2.x + z_r.y * z_r2.y) /
+                         (z_r2.x * z_r2.x + z_r2.y * z_r2.y);
+        return !(c > 0.0 && c <= 1.0 - kContractionMargin);
+      });
   return out;
 }
 

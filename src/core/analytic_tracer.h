@@ -7,7 +7,9 @@
 // switching line x + k y = 0, which is computed in closed form as well (the
 // paper's H^{-1} inversions, e.g. T_i^1).  Stitching the rounds yields the
 // exact transient extrema max1/min1/max2 of Propositions 2-3 without any
-// numeric integration.
+// numeric integration.  When only those extrema are needed, extrema()
+// stops at the first round that proves the rest of the orbit cannot reach
+// them again.
 #pragma once
 
 #include <optional>
@@ -56,6 +58,13 @@ struct AnalyticTrace {
   std::optional<double> contraction_ratio() const;
 };
 
+// The transient extrema of trace() without its round records.
+struct AnalyticExtrema {
+  double max_x = 0.0;  // bit-identical to trace().max_x
+  double min_x = 0.0;  // bit-identical to trace().min_x
+  int rounds = 0;      // rounds stitched before the extrema were final
+};
+
 class AnalyticTracer {
  public:
   // The tracer always works at the Linearized model level; `params` gives
@@ -66,6 +75,14 @@ class AnalyticTracer {
   AnalyticTrace trace(const AnalyticTraceOptions& options = {}) const;
   AnalyticTrace trace_from(Vec2 z0,
                            const AnalyticTraceOptions& options = {}) const;
+
+  // trace().max_x/min_x from the analysis start, bit for bit, without
+  // tracing to convergence: stops at the first proven contraction, a
+  // round start z_r = c z_{r-2} with 0 < c < 1, after which every round
+  // is a scaled-down copy of one already seen (kContractionMargin in the
+  // source gives the exact rule).  Allocates nothing; throws
+  // std::invalid_argument on an invalid plant, as trace() does.
+  AnalyticExtrema extrema() const;
 
   // Samples the closed-form trace into a polyline for plotting /
   // cross-validation against numeric integration.  `points_per_round`

@@ -41,10 +41,9 @@ StabilityReport analyze_stability(const BcnParams& params) {
   StabilityReport report;
   report.classification = classify_case(params);
 
-  const AnalyticTracer tracer(params);
-  const AnalyticTrace trace = tracer.trace();
-  report.predicted_max_x = trace.max_x;
-  report.predicted_min_x = trace.min_x;
+  const AnalyticExtrema extrema = AnalyticTracer(params).extrema();
+  report.predicted_max_x = extrema.max_x;
+  report.predicted_min_x = extrema.min_x;
 
   const double x_hi = params.buffer - params.q0;
   const double x_lo = -params.q0;

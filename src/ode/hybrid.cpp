@@ -4,7 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-
+#include <memory>
 #include <optional>
 
 #include "common/log.h"
@@ -97,16 +97,17 @@ HybridResult integrate_hybrid(const HybridSystem& system, double t0, Vec2 z0,
   // One child span per inter-switch segment: a Perfetto view of a hybrid
   // run shows how wall-clock splits across the mode episodes.  Strict
   // nesting holds — the segment span is always the innermost open span
-  // on this thread whenever it is re-emplaced.
-  std::optional<obs::TraceSpan> segment;
-  if (obs::tracing_enabled()) {
-    segment.emplace("ode.hybrid_segment", "mode", mode);
-  }
+  // on this thread whenever it is replaced.  A span links to its parent
+  // by address, so it lives on the heap, allocated only when tracing is
+  // on: an untraced run never touches it.
+  std::unique_ptr<obs::TraceSpan> segment;
   const auto next_segment = [&](int new_mode) {
     if (!obs::tracing_enabled()) return;
     segment.reset();
-    segment.emplace("ode.hybrid_segment", "mode", new_mode);
+    segment = std::make_unique<obs::TraceSpan>("ode.hybrid_segment", "mode",
+                                               new_mode);
   };
+  next_segment(mode);
   for (std::size_t i = 0; i < options.max_steps && t < t1; ++i) {
     const Dopri5Step step = steppers[mode].trial_step(t, z, k1, h);
     if (step.error > 1.0) {

@@ -115,9 +115,9 @@ struct FatTreeShape {
   std::uint32_t h, k, edges, ports_per_sw, agg_base, core_base;
 };
 
-void fat_tree_route(const Topology& topo, const FatTreeShape& ft,
-                    std::uint32_t flow_id, std::uint32_t src,
-                    std::uint32_t dst, std::vector<std::uint32_t>& hops) {
+void fat_tree_route(const FatTreeShape& ft, std::uint32_t flow_id,
+                    std::uint32_t src, std::uint32_t dst,
+                    std::vector<std::uint32_t>& hops) {
   const std::uint32_t e1 = src / ft.h, e2 = dst / ft.h;
   const std::uint32_t p1 = e1 / ft.h, p2 = e2 / ft.h;
   const std::uint64_t hash = mix64(flow_id);
@@ -251,7 +251,7 @@ void resolve_route(Topology& topo, std::uint32_t flow_id, std::uint32_t src,
     ft.ports_per_sw = 2 * ft.h;
     ft.agg_base = ft.edges * ft.ports_per_sw;
     ft.core_base = 2 * ft.agg_base;
-    fat_tree_route(topo, ft, flow_id, src, dst, topo.route_hops);
+    fat_tree_route(ft, flow_id, src, dst, topo.route_hops);
   } else {
     // Leaf-spine.
     const auto H = static_cast<std::uint32_t>(topo.hosts_per_edge());

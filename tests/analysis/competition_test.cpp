@@ -105,7 +105,9 @@ TEST(CompetitionTest, SeriesAreAlignedAndInsideTheWalls) {
   for (std::size_t i = 0; i < run.t.size(); ++i) {
     EXPECT_GE(run.x[i], lo - 1.0);
     EXPECT_LE(run.x[i], hi + 1.0);
-    if (i > 0) EXPECT_GT(run.t[i], run.t[i - 1]);
+    if (i > 0) {
+      EXPECT_GT(run.t[i], run.t[i - 1]);
+    }
   }
   EXPECT_LE(run.max_x, hi + 1.0);
   EXPECT_GE(run.min_x, lo - 1.0);

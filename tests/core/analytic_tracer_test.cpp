@@ -1,9 +1,12 @@
 #include "core/analytic_tracer.h"
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/sweep.h"
 #include "common/rng.h"
 #include "test_params.h"
 
@@ -11,6 +14,44 @@ namespace bcn::core {
 namespace {
 
 using namespace testing;
+
+// E22's plant and gain ranges (bench/map_throughput.cpp) on an n x n grid.
+std::vector<BcnParams> e22_grid(int n) {
+  BcnParams base = BcnParams::standard_draft();
+  base.buffer = 12e6;
+  base.qsc = 11e6;
+  std::vector<BcnParams> plants;
+  for (const double gi : analysis::logspace(0.125, 32.0, n)) {
+    for (const double gd : analysis::logspace(1.0 / 1024.0, 0.5, n)) {
+      BcnParams p = base;
+      p.gi = gi;
+      p.gd = gd;
+      plants.push_back(p);
+    }
+  }
+  return plants;
+}
+
+double log_uniform(Rng& rng, double lo, double hi) {
+  return lo * std::pow(hi / lo, rng.uniform());
+}
+
+// A plant drawn log-uniformly over every quantity the region laws and
+// the switching line depend on, wide enough to reach Cases 1-4.
+BcnParams random_plant(Rng& rng) {
+  BcnParams p = BcnParams::standard_draft();
+  p.gi = log_uniform(rng, 1e-3, 1e3);
+  p.gd = log_uniform(rng, 1e-4, 1e4);
+  p.pm = log_uniform(rng, 1e-3, 1.0);
+  p.w = log_uniform(rng, 0.1, 1e3);
+  p.num_sources = log_uniform(rng, 1.0, 1e3);
+  p.capacity = log_uniform(rng, 1e6, 1e11);
+  return p;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
 
 TEST(AnalyticTracerTest, StandardDraftFirstRound) {
   const BcnParams p = case1_params();
@@ -127,6 +168,62 @@ TEST(AnalyticTracerTest, ConvergenceStopsTracing) {
   opts.convergence_tol = 1e-9;
   const auto tight = AnalyticTracer(p).trace(opts);
   EXPECT_LE(loose.rounds.size(), tight.rounds.size());
+}
+
+// extrema() skips the rounds after the first proven contraction; the
+// extrema it returns must still be trace()'s to the last bit.
+TEST(AnalyticTracerTest, ExtremaMatchFullTraceBitwise) {
+  std::vector<BcnParams> plants = e22_grid(97);
+  Rng rng(15);
+  int per_case[5] = {0, 0, 0, 0, 0};
+  for (int i = 0; i < 20000; ++i) {
+    plants.push_back(random_plant(rng));
+    ++per_case[static_cast<int>(classify_case(plants.back()).paper_case)];
+  }
+  // Within 1e-3 of the increase-spiral threshold a = 4/k^2, where the
+  // increase round turns from a slow spiral into a node.
+  for (int i = 0; i < 2000; ++i) {
+    BcnParams p = random_plant(rng);
+    p.gi = p.spiral_threshold() * (1.0 + rng.uniform(-1e-3, 1e-3)) /
+           (p.ru * p.num_sources);
+    plants.push_back(p);
+  }
+  for (const PaperCase c : {PaperCase::Case1, PaperCase::Case2,
+                            PaperCase::Case3, PaperCase::Case4}) {
+    EXPECT_GE(per_case[static_cast<int>(c)], 1000) << to_string(c);
+  }
+
+  int mismatches = 0;
+  for (const BcnParams& p : plants) {
+    const AnalyticTracer tracer(p);
+    const AnalyticTrace trace = tracer.trace();
+    const AnalyticExtrema extrema = tracer.extrema();
+    if (same_bits(extrema.max_x, trace.max_x) &&
+        same_bits(extrema.min_x, trace.min_x)) {
+      continue;
+    }
+    if (++mismatches == 1) {
+      ADD_FAILURE() << "max_x " << extrema.max_x << " vs " << trace.max_x
+                    << ", min_x " << extrema.min_x << " vs " << trace.min_x
+                    << " at " << p.describe();
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << plants.size() << " plants";
+}
+
+TEST(AnalyticTracerTest, ExtremaStopAfterOneReturn) {
+  const std::vector<BcnParams> grid = e22_grid(97);
+  const std::size_t last = grid.size() - 1;
+  for (const BcnParams& p : {BcnParams::standard_draft(), grid[0],
+                             grid[96], grid[last - 96], grid[last]}) {
+    ASSERT_EQ(classify_case(p).paper_case, PaperCase::Case1)
+        << p.describe();
+    const AnalyticTracer tracer(p);
+    EXPECT_LE(tracer.extrema().rounds, 4) << p.describe();
+    // trace() itself still runs to its round limit on these slowly
+    // contracting spirals.
+    EXPECT_EQ(tracer.trace().rounds.size(), 256u) << p.describe();
+  }
 }
 
 TEST(AnalyticTracerTest, SampleCoversAllRounds) {

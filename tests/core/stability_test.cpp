@@ -1,7 +1,10 @@
 #include "core/stability.h"
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "common/rng.h"
 #include "test_params.h"
 
@@ -105,6 +108,23 @@ TEST(StabilityTest, BaselineBlindToBuffer) {
   // While strong stability does change.
   EXPECT_FALSE(rs.proposition_satisfied);
   EXPECT_TRUE(rl.proposition_satisfied);
+}
+
+// The closed-form half of every stability-map cell must not touch the
+// heap.
+TEST(StabilityTest, AnalyzeStabilityAllocatesNothing) {
+  const BcnParams p = case1_params();
+  ASSERT_EQ(classify_case(p).paper_case, PaperCase::Case1);
+  const bcn::testing::AllocationCounter counter;
+  const StabilityReport report = analyze_stability(p);
+  EXPECT_EQ(counter.count(), 0u);
+  EXPECT_GT(report.predicted_max_x, 0.0);
+}
+
+TEST(StabilityTest, InvalidPlantThrows) {
+  BcnParams p = case1_params();
+  p.buffer = p.q0;  // B must exceed q0
+  EXPECT_THROW(analyze_stability(p), std::invalid_argument);
 }
 
 }  // namespace

@@ -32,7 +32,7 @@ ode::Trajectory naive_fixed_step(const BcnParams& p, double duration,
 
 TEST(EventDetectionAblation, HybridMatchesClosedFormTighterThanNaive) {
   const BcnParams p = BcnParams::standard_draft();
-  const double exact_max = AnalyticTracer(p).trace().max_x;
+  const double exact_max = AnalyticTracer(p).extrema().max_x;
 
   FluidRunOptions opts;
   opts.duration = 5e-4;
@@ -52,7 +52,7 @@ TEST(EventDetectionAblation, HybridMatchesClosedFormTighterThanNaive) {
 
 TEST(EventDetectionAblation, NaiveConvergesOnlyAsStepShrinks) {
   const BcnParams p = BcnParams::standard_draft();
-  const double exact_max = AnalyticTracer(p).trace().max_x;
+  const double exact_max = AnalyticTracer(p).extrema().max_x;
   const double coarse =
       std::abs(naive_fixed_step(p, 5e-4, 2e-6).max_component(0) - exact_max);
   const double fine =

@@ -263,7 +263,9 @@ TEST_F(TracingTest, ChromeTraceExportIsBalancedSortedAndComplete) {
                 line.find("\"name\": \"exec.") != std::string::npos)
         << line;
     // Monotonic start times within each thread lane.
-    if (last_ts.count(tid)) EXPECT_GE(ts, last_ts[tid]);
+    if (last_ts.count(tid)) {
+      EXPECT_GE(ts, last_ts[tid]);
+    }
     last_ts[tid] = ts;
   }
   // 2 nested + 8 work spans + the exec.parallel_for/exec.chunk spans.

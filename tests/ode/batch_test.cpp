@@ -3,33 +3,13 @@
 // zero-steady-state-allocation contract.
 #include "ode/batch.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <new>
 #include <numbers>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-// Global allocation counter for the zero-allocation assertions below
-// (same idiom as the event-heap tests: counting is toggled only around
-// the region under test so gtest's own allocations never pollute it).
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#include "alloc_counter.h"
 
 namespace bcn::ode {
 namespace {
@@ -162,12 +142,10 @@ TEST(BatchIntegratorTest, SteadyStateAllocatesNothing) {
   batch.reset(lanes);
   batch.run_to_completion();
 
-  g_alloc_count.store(0, std::memory_order_relaxed);
-  g_count_allocs.store(true, std::memory_order_relaxed);
+  const bcn::testing::AllocationCounter counter;
   batch.reset(lanes);
   batch.run_to_completion();
-  g_count_allocs.store(false, std::memory_order_relaxed);
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u);
+  EXPECT_EQ(counter.count(), 0u);
   EXPECT_TRUE(batch.results()[63].completed);
 }
 

@@ -1,47 +1,14 @@
 // The typed-event pool and indexed heap: handle lifecycle, in-place
 // cancel/reschedule, FIFO tie-breaking, slot recycling, and the
 // zero-allocation steady state.
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "obs/metrics.h"
 #include "recorder.h"
 #include "sim/event_queue.h"
-
-// Global allocation counter for the zero-allocation assertions below.
-// Counting is toggled around the region under test, so the gtest
-// machinery's own allocations never pollute a measurement.  Atomics keep
-// the override safe under the TSan job, which runs this binary too.
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-// The nothrow form too (std::stable_sort's temporary buffer comes from
-// it): left to the runtime, it would hand sanitizer-owned memory to the
-// replaced delete below.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace bcn::sim {
 namespace {
@@ -276,8 +243,7 @@ TEST(EventHeapTest, SteadyStateTypedEventsAllocateNothing) {
   sim.run_until(sim.now() + 100);
   ASSERT_TRUE(sim.idle());
 
-  g_alloc_count.store(0);
-  g_count_allocs.store(true);
+  const bcn::testing::AllocationCounter counter;
   for (int round = 0; round < 1000; ++round) {
     for (int i = 0; i < 32; ++i) {
       sim.schedule_frame(sim.now() + 1 + i % 7, &rec, 0, frame);
@@ -288,9 +254,9 @@ TEST(EventHeapTest, SteadyStateTypedEventsAllocateNothing) {
     sim.cancel(dropped);
     sim.run_until(sim.now() + 10);
   }
-  g_count_allocs.store(false);
+  const std::uint64_t allocs = counter.count();
   EXPECT_TRUE(sim.idle());
-  EXPECT_EQ(g_alloc_count.load(), 0u);
+  EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(rec.count(), 64u + 1000u * 33u);
 }
 
