@@ -62,6 +62,26 @@ VerdictLane make_bcn_verdict_lane(const BcnParams& params, ModelLevel level,
       .value();
 }
 
+ode::BatchLane make_batch_lane(const VerdictLane& lane,
+                               const BatchVerdictOptions& options) {
+  ode::BatchLane b;
+  b.law = lane.law;
+  b.x0 = -lane.q0;  // the canonical empty-queue analysis start
+  b.y0 = 0.0;
+  b.t_end = lane.duration;
+  if (lane.dt > 0.0) {
+    b.dt[0] = b.dt[1] = lane.dt;
+  } else {
+    auto_dt(lane, options.oversample, b.dt);
+  }
+  if (lane.use_convergence_stop && options.convergence_tol > 0.0) {
+    b.inv_x_scale = 1.0 / lane.q0;
+    b.inv_y_scale = 1.0 / lane.capacity;
+    b.stop_tol = options.convergence_tol;
+  }
+  return b;
+}
+
 std::vector<NumericVerdict> batch_numeric_verdicts(
     const std::vector<VerdictLane>& lanes,
     const BatchVerdictOptions& options) {
@@ -71,22 +91,7 @@ std::vector<NumericVerdict> batch_numeric_verdicts(
 
   std::vector<ode::BatchLane> batch(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const VerdictLane& lane = lanes[i];
-    ode::BatchLane& b = batch[i];
-    b.law = lane.law;
-    b.x0 = -lane.q0;  // the canonical empty-queue analysis start
-    b.y0 = 0.0;
-    b.t_end = lane.duration;
-    if (lane.dt > 0.0) {
-      b.dt[0] = b.dt[1] = lane.dt;
-    } else {
-      auto_dt(lane, options.oversample, b.dt);
-    }
-    if (lane.use_convergence_stop && options.convergence_tol > 0.0) {
-      b.inv_x_scale = 1.0 / lane.q0;
-      b.inv_y_scale = 1.0 / lane.capacity;
-      b.stop_tol = options.convergence_tol;
-    }
+    batch[i] = make_batch_lane(lanes[i], options);
   }
 
   // Contiguous slices keep each worker's integrator hot; results land by

@@ -65,6 +65,12 @@ std::optional<VerdictLane> make_mechanism_verdict_lane(
 VerdictLane make_bcn_verdict_lane(const BcnParams& params, ModelLevel level,
                                   double duration = 0.0);
 
+// The integrator lane batch_numeric_verdicts runs for `lane`: start
+// (-q0, 0), the lane's horizon, its fixed step or each region's step
+// sized from that region's rates, and the convergence stop.
+ode::BatchLane make_batch_lane(const VerdictLane& lane,
+                               const BatchVerdictOptions& options = {});
+
 // Runs every lane to completion and scores it; slot i is lane i's
 // verdict.  Lanes are integrated in contiguous slices, each through its
 // own BatchIntegrator, and slices are distributed over the exec layer —
