@@ -16,6 +16,7 @@
 #include "bench_util.h"
 #include "common/json.h"
 #include "core/analytic_tracer.h"
+#include "ode/batch.h"
 #include "runner.h"
 
 using namespace bcn;
@@ -26,6 +27,8 @@ int run(bench::RunContext& ctx) {
   const int grid = ctx.args->get_count("grid", 33, 2);
   const int reps = ctx.args->get_count("reps", 3);
   std::printf("=== map throughput: scalar vs batch vs adaptive ===\n");
+  std::printf("batch lanes step on the %s vector pass\n",
+              ode::batch_kernel_name());
   core::BcnParams base = core::BcnParams::standard_draft();
   base.buffer = 12e6;
   base.qsc = 11e6;
@@ -127,6 +130,7 @@ int run(bench::RunContext& ctx) {
   json.add("adaptive_integrated_fraction", adaptive_fraction);
   json.add("adaptive_waves", maps[2].refinement_waves);
   json.add("closed_form_rounds_max", closed_form_rounds_max);
+  json.add("batch_kernel", ode::batch_kernel_name());
   const auto path = ctx.out_dir / "BENCH_map_throughput.json";
   if (json.write_file(path)) {
     std::printf("  [artifact] %s\n", path.string().c_str());

@@ -1,6 +1,7 @@
 // E12: performance microbenchmarks (google-benchmark) for the numeric
-// substrates, including the event-detection ablation cost, plus the
-// tracked perf artifacts: the serial-vs-parallel stability-map
+// substrates, including the event-detection ablation cost and each
+// compiled batch-lane vector pass, plus the tracked perf artifacts: the
+// serial-vs-parallel stability-map
 // comparison (BENCH_parallel_sweep.json), the span-tracing overhead
 // measurement (BENCH_tracing_overhead.json), the per-subsystem
 // self-time breakdown (BENCH_subsystem_profile.json), and the
@@ -23,10 +24,12 @@
 #include "bench_util.h"
 #include "common/json.h"
 #include "core/analytic_tracer.h"
+#include "core/batch_verdict.h"
 #include "core/poincare.h"
 #include "core/simulate.h"
 #include "exec/parallel_for.h"
 #include "obs/tracing.h"
+#include "ode/batch_kernel.h"
 #include "ode/hybrid.h"
 #include "ode/integrate.h"
 #include "ode/steppers.h"
@@ -160,6 +163,56 @@ void BM_StabilityMapCell(benchmark::State& state) {
   state.SetLabel("one (Gi, Gd) map cell, linearized ground truth");
 }
 BENCHMARK(BM_StabilityMapCell);
+
+// The lanes E22's plant integrates in the Adaptive 97x97 map (the repo
+// benchmark's map workload), built at run time.
+const std::vector<ode::BatchLane>& e22_integrated_lanes() {
+  static const std::vector<ode::BatchLane> lanes = [] {
+    core::BcnParams base = core::BcnParams::standard_draft();
+    base.buffer = 12e6;
+    base.qsc = 11e6;
+    analysis::StabilityMapOptions opts;
+    opts.numeric_level = core::ModelLevel::Linearized;
+    opts.mode = analysis::MapMode::Adaptive;
+    const auto map = analysis::compute_stability_map(
+        base, analysis::logspace(0.125, 32.0, 97),
+        analysis::logspace(1.0 / 1024.0, 0.5, 97), opts);
+    std::vector<ode::BatchLane> out;
+    for (const auto& cell : map.cells) {
+      if (!cell.integrated) continue;
+      core::BcnParams p = base;
+      p.gi = cell.gi;
+      p.gd = cell.gd;
+      out.push_back(core::make_batch_lane(
+          core::make_bcn_verdict_lane(p, opts.numeric_level)));
+    }
+    return out;
+  }();
+  return lanes;
+}
+
+// One vector pass of the batch integrator, registered per kernel this
+// CPU can run (BM_BatchLaneStep/baseline, BM_BatchLaneStep/avx2): on an
+// AVX2 host this is the only place the baseline pass is timed.
+void BM_BatchLaneStep(benchmark::State& state,
+                      const ode::internal::BatchKernel* kernel) {
+  const auto& lanes = e22_integrated_lanes();
+  ode::BatchIntegrator batch;
+  kernel->install(batch);
+  for (auto _ : state) {
+    batch.reset(lanes);
+    batch.run_to_completion();
+    benchmark::DoNotOptimize(batch.results().data());
+    benchmark::ClobberMemory();
+  }
+  double steps = 0.0;
+  for (const auto& r : batch.results()) steps += r.steps;
+  // Seconds per lane-step, printed with an SI prefix (n for ns).
+  state.counters["lane_step"] = benchmark::Counter(
+      steps, benchmark::Counter::kIsIterationInvariantRate |
+                 benchmark::Counter::kInvert);
+  state.SetLabel(std::to_string(lanes.size()) + " lanes of E22's map");
+}
 
 // Serial vs parallel wall-clock on a fixed stability-map grid, written as
 // a machine-readable artifact so the perf trajectory of the exec layer is
@@ -565,6 +618,11 @@ void emit_sim_throughput_json() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  for (const auto* kernel : ode::internal::host_batch_kernels()) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_BatchLaneStep/") + kernel->name).c_str(),
+        BM_BatchLaneStep, kernel);
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -41,8 +41,9 @@
 #     (artifact present, zero verdict mismatches for both batched modes,
 #     scalar and batch stable-cell counts equal, adaptive refinement
 #     integrating under half the grid, every cell's closed-form extrema
-#     final within 4 rounds), requires a threshold-0 self-diff to pass,
-#     and checks --map-mode bogus is rejected with exit 2.
+#     final within 4 rounds, the batch lane kernel named as avx2 or
+#     baseline), requires a threshold-0 self-diff to pass, and checks
+#     --map-mode bogus is rejected with exit 2.
 #  8. Monitor smoke: arms every runtime invariant monitor on a clean run
 #     (must exit 0 with monitor.* metrics and zero violations in the RUN
 #     json), provokes the fluid-verdict crosscheck with the EXPERIMENTS.md
@@ -417,10 +418,13 @@ assert isinstance(frac, (int, float)) and 0.0 < frac < 0.5, \
 rounds = data.get("closed_form_rounds_max")
 assert isinstance(rounds, int) and 1 <= rounds <= 4, \
     f"closed-form extrema took {rounds!r} rounds on some cell, want <= 4"
+# The vector pass the CPU selected for the batch lanes.
+kernel = data.get("batch_kernel")
+assert kernel in ("avx2", "baseline"), f"batch_kernel = {kernel!r}"
 print(f"[check.sh] map throughput: batch {data['batch_speedup']:.2f}x, "
       f"adaptive {data['adaptive_speedup']:.2f}x at "
       f"{frac:.0%} of {cells:.0f} cells integrated, verdicts identical, "
-      f"closed form <= {rounds} rounds per cell")
+      f"closed form <= {rounds} rounds per cell, {kernel} lane kernel")
 PY
 
 "$SMOKE_BUILD_DIR"/tools/bcn_bench_diff \

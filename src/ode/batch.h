@@ -5,10 +5,21 @@
 // time through std::function right-hand sides — ideal for a single
 // high-accuracy run, wasteful for a map that integrates thousands of
 // short, mutually independent trajectories.  This driver instead steps N
-// lanes per fixed-size RK4 macro step over contiguous SoA arrays.  The
-// inner loop is branch-light (the active region only selects
-// coefficients), indirection-free and auto-vectorizable, and after the
-// first reset at a given capacity the integrator allocates nothing.
+// lanes per fixed-size RK4 macro step over contiguous SoA arrays, and
+// after the first reset at a given capacity it allocates nothing.
+//
+// Each step_all() is one fused vector pass plus a scalar pass over the
+// few lanes the first one flags.  The vector pass takes the RK4 step,
+// sigma at both ends and, for every lane that neither crosses the
+// switching line nor goes non-finite, the commit, the extrema fold and
+// both retirement tests.  The scalar pass localizes crossings, retires
+// non-finite and finished lanes, and compacts.  The vector pass is
+// compiled twice from one template: four lanes wide under AVX2, chosen
+// once from the CPU, and two lanes wide (baseline SSE2 on x86-64) for
+// every other host.  Neither build may use FMA: contracting a
+// multiply-add rounds once instead of twice, and the AVX2 kernel must
+// reproduce the scalar RK4 bit for bit, so its target is exactly
+// "avx2" (AVX-512 implies FMA).
 //
 // Lane dynamics are restricted to the affine switched family
 //
@@ -41,6 +52,14 @@
 #include "common/log.h"
 
 namespace bcn::ode {
+
+namespace internal {
+struct BatchKernel;
+}  // namespace internal
+
+// The vector pass this host's BatchIntegrators run: "avx2" or
+// "baseline".
+const char* batch_kernel_name();
 
 // One lane's switched interior law (see the family above).
 struct LaneLaw {
@@ -126,43 +145,38 @@ class BatchIntegrator {
   // Steps until every lane has retired.
   void run_to_completion();
 
-  std::size_t active() const { return active_; }
-  std::size_t size() const { return results_.size(); }
-
   // Results indexed like the lanes passed to reset().  Valid for retired
   // lanes; fully populated once run_to_completion/step_all reports 0.
   const std::vector<LaneResult>& results() const { return results_; }
 
-  // Read-only views of the live SoA state (active lanes, compacted; use
-  // lane_ids() to map a slot back to its reset() index).
-  const double* x() const { return x_.data(); }
-  const double* y() const { return y_.data(); }
-  const double* t() const { return t_.data(); }
-  const std::uint8_t* region() const { return reg_.data(); }
-  const std::uint32_t* lane_ids() const { return ids_.data(); }
-
  private:
-  void commit_plain(std::size_t i, double h);
-  void commit_at_crossing(std::size_t i, double h);
-  void fold_sample(std::size_t i, double xs);
+  friend struct internal::BatchKernel;
+
+  void commit_at_crossing(std::size_t i);
   bool retire_if_done(std::size_t i);
   void retire_nonfinite(std::size_t i);
 
   BatchOptions options_;
+  const internal::BatchKernel* kernel_;
   std::size_t active_ = 0;
 
-  // SoA lane state.
-  std::vector<double> x_, y_, t_, dt0_, dt1_, tend_;
+  // SoA lane state, padded to whole vector blocks.  Region, switched,
+  // crossed and the step count are 64-bit so the vector pass loads them
+  // lane for lane beside the doubles.  tstop_ is the completion time
+  // t_end - 1e-12 max(1, |t_end|).
+  std::vector<double> x_, y_, t_, dt0_, dt1_, tend_, tstop_;
   std::vector<double> sx_, sy_, dr0_, dr1_, ga0_, ga1_, gb0_, gb1_;
   std::vector<double> ivx_, ivy_, stol_;
-  std::vector<std::uint8_t> reg_, swi_;
+  std::vector<std::int64_t> reg_, swi_;
   std::vector<std::uint32_t> ids_;
-  // Pass-1 scratch: candidate step ends and sigma at both ends.
+  // Vector-pass outputs: candidate step ends, sigma at both ends, the
+  // step taken, and the flag that sends a lane to the scalar pass.
   std::vector<double> xn_, yn_, s0_, s1_, hcur_;
+  std::vector<std::uint8_t> flag_;
   // Per-lane running statistics.
   std::vector<double> maxx_, minx_, pmaxx_, pminx_, fct_;
-  std::vector<std::uint8_t> crossed_;
-  std::vector<std::uint32_t> steps_, ncross_;
+  std::vector<std::int64_t> crossed_, steps_;
+  std::vector<std::uint32_t> ncross_;
   // Rate limit for non-finite lane diagnostics (fail fast, log the
   // first few offending lanes, keep the per-lane flags as the tally).
   LogRateLimit nonfinite_warnings_{3};

@@ -16,6 +16,7 @@
 #include "analysis/sweep.h"
 #include "core/batch_verdict.h"
 #include "digest.h"
+#include "ode/batch_kernel.h"
 
 namespace bcn::ode {
 namespace {
@@ -165,17 +166,20 @@ TEST(BatchIntegratorTest, ResultsKeyedByLaneIdAcrossCompaction) {
 
 TEST(BatchIntegratorTest, SteadyStateAllocatesNothing) {
   const double omega = 2.0 * std::numbers::pi;
-  std::vector<BatchLane> lanes(64, oscillator_lane(omega, -1.0, 0.5, 1e-3));
-  BatchIntegrator batch;
-  // First reset establishes the high-water capacity.
-  batch.reset(lanes);
-  batch.run_to_completion();
+  // Whole vector blocks and a partial last block.
+  for (const std::size_t n : {64, 37}) {
+    std::vector<BatchLane> lanes(n, oscillator_lane(omega, -1.0, 0.5, 1e-3));
+    BatchIntegrator batch;
+    // First reset establishes the high-water capacity.
+    batch.reset(lanes);
+    batch.run_to_completion();
 
-  const bcn::testing::AllocationCounter counter;
-  batch.reset(lanes);
-  batch.run_to_completion();
-  EXPECT_EQ(counter.count(), 0u);
-  EXPECT_TRUE(batch.results()[63].completed);
+    const bcn::testing::AllocationCounter counter;
+    batch.reset(lanes);
+    batch.run_to_completion();
+    EXPECT_EQ(counter.count(), 0u) << n << " lanes";
+    EXPECT_TRUE(batch.results()[n - 1].completed) << n << " lanes";
+  }
 }
 
 TEST(BatchIntegratorTest, RepeatRunsAreBitwiseIdentical) {
@@ -311,13 +315,18 @@ std::uint64_t lane_digest(const std::vector<BatchLane>& lanes,
 }
 
 TEST(BatchIntegratorTest, LaneResultsMatchPinnedDigest) {
-  // Every LaneResult field of a fixed lane set, bit for bit: a change to
-  // the stepping arithmetic, its operation order or the crossing,
+  // Every LaneResult field of a fixed lane set, bit for bit, on every
+  // vector pass this host can run: a change to the stepping arithmetic,
+  // its operation order (an FMA contraction, say) or the crossing,
   // retirement and compaction logic moves this digest.
   const std::vector<BatchLane> lanes = pinned_lane_set();
   ASSERT_EQ(lanes.size(), 1068u);
-  BatchIntegrator batch;
-  EXPECT_EQ(lane_digest(lanes, batch), 0x82e90c46b82978c0ull);
+  for (const internal::BatchKernel* kernel : internal::host_batch_kernels()) {
+    BatchIntegrator batch;
+    kernel->install(batch);
+    EXPECT_EQ(lane_digest(lanes, batch), 0x82e90c46b82978c0ull)
+        << kernel->name;
+  }
 }
 
 }  // namespace
