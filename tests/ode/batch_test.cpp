@@ -1,6 +1,7 @@
 // SoA batched switched-system integrator: analytic accuracy, crossing
-// localization, retirement/compaction bookkeeping, and the
-// zero-steady-state-allocation contract.
+// localization, retirement/compaction bookkeeping, the
+// zero-steady-state-allocation contract, and a pinned digest of every
+// lane result on every vector pass the host can run.
 #include "ode/batch.h"
 
 #include <algorithm>
