@@ -1,7 +1,7 @@
 // E24: stability-verdict service throughput -- QPS and p50/p99 latency
 // of the in-process TCP service, cold (every request a verdict-cache
-// miss micro-batched onto the pool) vs cached (every request answered
-// from the sharded LRU).  The phases double as the byte-identity gate:
+// miss, executed on its connection's reader) vs cached (every request
+// answered from the sharded LRU).  The phases double as the byte-identity gate:
 // each cached response must equal, byte for byte, the cold response to
 // the same request line.  Emits BENCH_service_qps.json for
 // tools/bcn_bench_diff tracking.
@@ -109,7 +109,7 @@ int run(bench::RunContext& ctx) {
                  server.error().c_str());
     return 1;
   }
-  std::printf("in-process server on port %d, %d pool thread(s), %d "
+  std::printf("in-process server on port %d, %d execution slot(s), %d "
               "connection(s), %d distinct request(s)\n",
               server.port(), config.threads, connections, space);
 

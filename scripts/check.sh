@@ -70,12 +70,14 @@
 #     field to match the CLI stdout byte for byte (the docs/SERVICE.md
 #     determinism contract, end-to-end), requires repeated request
 #     lines to produce byte-identical responses with the cache-hit
-#     counters accounting for them exactly, runs the load generator and
-#     the E24 service_qps bench (both exit nonzero on any cold/cached
-#     divergence), validates and self-diffs BENCH_service_qps.json at
-#     threshold 0, checks bad flags exit 2 on bcn_serve, bcn_load and
-#     bcn_analyze (--gi abc|inf|nan), checks the shutdown op
-#     terminates the server with exit 0, and
+#     counters accounting for them exactly (and one execution per miss,
+#     since a connection's reader runs its own misses), runs the load
+#     generator and the E24 service_qps bench (both exit nonzero on any
+#     cold/cached divergence), validates and self-diffs
+#     BENCH_service_qps.json at threshold 0, checks bad flags exit 2 on
+#     bcn_serve (including the removed --queue and --max-batch),
+#     bcn_load and bcn_analyze (--gi abc|inf|nan), checks the shutdown
+#     op terminates the server with exit 0, and
 #     finishes with a relative-link check over README.md and docs/*.md
 #     (every non-URL link target must exist).  (The cache/protocol/
 #     server unit tests already ran under TSan in gate 1 as part of
@@ -667,14 +669,16 @@ for body in bodies[1:5]:
 assert lines[5] == lines[1], "cached response != cold response"
 
 # The stats snapshot accounts for the script exactly: 7 requests, 4
-# distinct cacheable keys (misses), 1 replay (hit).
+# distinct cacheable keys (misses), 1 replay (hit).  On one connection
+# every miss is its own execution, so executions equal misses.
 stats = bodies[6]
 assert stats["service.requests"] == 7, stats
 assert stats["service.cache.misses"] == 4, stats
 assert stats["service.cache.hits"] == 1, stats
+assert stats["service.batches"] == 4, stats
 assert stats["service.errors"] == 0, stats
 print("[check.sh] scripted requests: 4 verdicts CLI-identical, "
-      "replay cached byte-identically (hits=1, misses=4)")
+      "replay cached byte-identically (hits=1, misses=4, executions=4)")
 PY
 
 # Load mode: a seeded pool replayed over concurrent connections; the
@@ -707,6 +711,8 @@ expect_usage_error "^--port: '70000' exceeds the maximum 65535" \
 expect_usage_error "^--threads: 'bogus' is not a count" \
   "$SERVE_BIN" --threads bogus
 expect_usage_error "unknown flag --bogus" "$SERVE_BIN" --bogus 1
+expect_usage_error "unknown flag --queue" "$SERVE_BIN" --queue 256
+expect_usage_error "unknown flag --max-batch" "$SERVE_BIN" --max-batch 4
 expect_usage_error "^--port is required" "$LOAD_BIN" --requests 4
 expect_usage_error "^--requests: 'bogus' is not a count" \
   "$LOAD_BIN" --port 1 --requests bogus

@@ -1,5 +1,5 @@
 // Named (x, y) series: the common currency between traces, benches and the
-// ASCII/SVG/gnuplot backends.
+// ASCII and SVG backends.
 #pragma once
 
 #include <string>

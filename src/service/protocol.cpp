@@ -8,6 +8,7 @@
 #include "analysis/crossval.h"
 #include "analysis/report.h"
 #include "analysis/stability_map.h"
+#include "analysis/sweep.h"
 #include "core/mechanism.h"
 #include "core/simulate.h"
 #include "plot/series.h"
@@ -216,17 +217,6 @@ void add_gain_echo(JsonWriter& json, const GainTuple& t,
   json.add("pm", p.pm);
 }
 
-std::vector<double> logspace(double lo, double hi, int n) {
-  std::vector<double> out(static_cast<std::size_t>(n));
-  const double llo = std::log(lo);
-  const double lhi = std::log(hi);
-  for (int i = 0; i < n; ++i) {
-    out[static_cast<std::size_t>(i)] =
-        n == 1 ? lo : std::exp(llo + (lhi - llo) * i / (n - 1));
-  }
-  return out;
-}
-
 // --- op executors ----------------------------------------------------------
 
 ExecResult exec_verdict(const Request& request,
@@ -302,8 +292,10 @@ ExecResult exec_stability_map(const Request& request,
   core::BcnParams base;
   if (auto err = check_plant(corner, &base); err.error) return err;
 
-  const auto a_values = logspace(t.a_min, t.a_max, t.grid);
-  const auto b_values = logspace(t.b_min, t.b_max, t.grid);
+  // Grid and bounds are validated above, so logspace cannot throw; its
+  // endpoints are exactly the requested bounds.
+  const auto a_values = analysis::logspace(t.a_min, t.a_max, t.grid);
+  const auto b_values = analysis::logspace(t.b_min, t.b_max, t.grid);
   std::vector<double> gi_values(a_values.size());
   for (std::size_t i = 0; i < a_values.size(); ++i) {
     gi_values[i] = a_values[i] / (base.ru * base.num_sources);
@@ -312,7 +304,7 @@ ExecResult exec_stability_map(const Request& request,
   analysis::StabilityMapOptions opts;
   opts.numeric_level = level;
   opts.mode = mode;
-  opts.threads = 1;  // handlers are serial; the server batches across them
+  opts.threads = 1;  // handlers are serial; parallelism is across connections
   const auto map =
       analysis::compute_stability_map(base, gi_values, b_values, opts);
 

@@ -62,8 +62,8 @@ struct ExecResult {
 
 // Computes the response for a parsed request — the cold path.  Pure and
 // thread-safe: handlers never touch shared state (`metrics` is read
-// only by the stats op, which the server executes inline, never on the
-// pool).  `metrics` may be null; stats then reports an empty snapshot.
+// only by the stats op, which the server runs at once, outside any
+// execution slot).  `metrics` may be null; stats then reports an empty snapshot.
 ExecResult execute(const Request& request, const ServiceOptions& options,
                    const obs::MetricsRegistry* metrics);
 

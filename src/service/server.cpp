@@ -4,57 +4,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+
+#include "exec/thread_pool.h"
 
 namespace bcn::service {
 
 // A connection whose unterminated request line grows past this is sent a
 // parse error and cut off.
 constexpr std::size_t kMaxLineBytes = 1 << 20;
-
-// --- JobQueue ---------------------------------------------------------------
-
-bool ServiceServer::JobQueue::push(std::shared_ptr<Job> job) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  space_.wait(lock,
-              [this] { return stopped_ || jobs_.size() < capacity_; });
-  if (stopped_) return false;
-  jobs_.push_back(std::move(job));
-  ready_.notify_one();
-  return true;
-}
-
-std::shared_ptr<ServiceServer::Job> ServiceServer::JobQueue::pop_wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  ready_.wait(lock, [this] { return stopped_ || !jobs_.empty(); });
-  if (jobs_.empty()) return nullptr;
-  auto job = std::move(jobs_.front());
-  jobs_.pop_front();
-  space_.notify_one();
-  return job;
-}
-
-void ServiceServer::JobQueue::drain_into(
-    std::vector<std::shared_ptr<Job>>& out, std::size_t max) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t taken = 0;
-  while (taken < max && !jobs_.empty()) {
-    out.push_back(std::move(jobs_.front()));
-    jobs_.pop_front();
-    ++taken;
-  }
-  if (taken > 0) space_.notify_all();
-}
-
-void ServiceServer::JobQueue::stop() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  stopped_ = true;
-  ready_.notify_all();
-  space_.notify_all();
-}
 
 // --- lifecycle --------------------------------------------------------------
 
@@ -64,7 +24,7 @@ ServiceServer::ServiceServer(const ServiceConfig& config)
       requests_(&metrics_.counter("service.requests")),
       errors_(&metrics_.counter("service.errors")),
       batches_(&metrics_.counter("service.batches")),
-      queue_(config.queue_capacity > 0 ? config.queue_capacity : 1) {
+      slots_(exec::resolve_threads(config.threads)) {
   options_.monitors = config.monitors;
   VerdictCache::Config cache_config;
   cache_config.entries = config.cache_entries;
@@ -103,8 +63,6 @@ bool ServiceServer::start() {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
 
-  pool_ = std::make_unique<exec::ThreadPool>(config_.threads);
-  batch_thread_ = std::thread([this] { batch_loop(); });
   accept_thread_ = std::thread([this] { accept_loop(); });
   return true;
 }
@@ -142,8 +100,11 @@ void ServiceServer::stop() {
   // 1. Unblock and retire the accept loop.
   ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
-  // 2. Unblock every reader's read(); readers waiting on a pending job
-  //    stay blocked until the batcher answers it below.
+  // 2. Unblock every reader's read().
+  // 3. Join the readers.  One that is executing a request finishes it
+  //    and answers it; a leader's publish releases the readers waiting
+  //    on its flight, and a slot always frees once an execution ends.
+  // 4. Close the fds, which no reader ever closes itself.
   {
     std::lock_guard<std::mutex> lock(conns_mutex_);
     for (auto& conn : conns_) {
@@ -151,14 +112,6 @@ void ServiceServer::stop() {
         ::shutdown(conn->fd, SHUT_RDWR);
       }
     }
-  }
-  // 3. Stop admissions; the batcher drains whatever is queued (every
-  //    admitted job still gets an answer) and exits.
-  queue_.stop();
-  if (batch_thread_.joinable()) batch_thread_.join();
-  // 4. Readers are now answerable and unblocked; join and close.
-  {
-    std::lock_guard<std::mutex> lock(conns_mutex_);
     for (auto& conn : conns_) {
       if (conn->thread.joinable()) conn->thread.join();
       ::close(conn->fd);
@@ -167,7 +120,6 @@ void ServiceServer::stop() {
   }
   ::close(listen_fd_);
   listen_fd_ = -1;
-  pool_.reset();
   request_shutdown();  // release any wait_for_shutdown() caller
 }
 
@@ -262,94 +214,73 @@ void ServiceServer::handle_line(Connection* conn, std::string line) {
   }
   requests_->inc();
 
-  // Cheap control-plane ops run inline on the reader: the stats
-  // snapshot must not sit behind queued analysis work.
-  if (request->op == "ping" || request->op == "stats" ||
-      request->op == "shutdown") {
+  // Only the control-plane ops (ping, stats, shutdown) have no cache
+  // key.  They run at once and take no slot: the stats snapshot must not
+  // sit behind analysis work.
+  const std::string key = cache_key(*request);
+  if (key.empty()) {
     const ExecResult result = execute(*request, options_, &metrics_);
     write_line(conn->fd, attach_id(request->id, result.body));
     if (request->op == "shutdown") request_shutdown();
     return;
   }
 
-  const std::string key = cache_key(*request);
   if (auto cached = cache_->get(key)) {
     write_line(conn->fd, attach_id(request->id, *cached));
     return;
   }
 
-  auto job = std::make_shared<Job>();
-  job->request = std::move(*request);
-  job->key = key;
-  if (!queue_.push(job)) {
-    errors_->inc();
-    write_line(conn->fd, attach_id(job->request.id,
-                                   error_response("shutting_down",
-                                                  "server is shutting down")));
-    return;
-  }
-  {
-    std::unique_lock<std::mutex> lock(job->mutex);
-    job->cv.wait(lock, [&job] { return job->done; });
-  }
-  if (job->error) errors_->inc();
-  write_line(conn->fd, attach_id(job->request.id, job->body));
+  const auto flight = resolve_miss(*request, key);
+  if (flight->error) errors_->inc();
+  write_line(conn->fd, attach_id(request->id, flight->body));
 }
 
-// --- batcher ----------------------------------------------------------------
+// --- single flight ----------------------------------------------------------
 
-void ServiceServer::finish(Job& job, std::string body, bool is_error) {
+// The first reader to miss on a key leads its flight: it takes a slot,
+// executes, caches the answer, retires the flight and publishes.  A
+// reader that misses on a key already in flight waits for that answer.
+// One window stays open: a reader that misses the cache just before the
+// leader's insert, and reaches the table just after the leader's erase,
+// leads a second execution of the same key.  That wastes one analysis
+// but never answers wrongly, since a response is a pure function of its
+// key; closing it would take a second, counted cache lookup.
+std::shared_ptr<ServiceServer::Flight> ServiceServer::resolve_miss(
+    const Request& request, const std::string& key) {
+  std::shared_ptr<Flight> flight;
+  bool leader = false;
   {
-    std::lock_guard<std::mutex> lock(job.mutex);
-    job.body = std::move(body);
-    job.error = is_error;
-    job.done = true;
+    std::lock_guard<std::mutex> lock(flights_mutex_);
+    auto& entry = flights_[key];
+    if (!entry) {
+      entry = std::make_shared<Flight>();
+      leader = true;
+    }
+    flight = entry;
   }
-  job.cv.notify_one();
-}
-
-void ServiceServer::batch_loop() {
-  std::vector<std::shared_ptr<Job>> batch;
-  for (;;) {
-    batch.clear();
-    auto first = queue_.pop_wait();
-    if (!first) return;  // stopped and fully drained
-    batch.push_back(std::move(first));
-    if (config_.max_batch > 1) {
-      queue_.drain_into(batch, config_.max_batch - 1);
-    }
-    batches_->inc();
-
-    // Deduplicate within the batch: jobs sharing a cache key are
-    // answered by one execution (concurrent clients asking the same
-    // question cost one analysis, not N).
-    std::vector<std::vector<std::shared_ptr<Job>>> groups;
-    for (auto& job : batch) {
-      bool grouped = false;
-      for (auto& group : groups) {
-        if (group.front()->key == job->key) {
-          group.push_back(std::move(job));
-          grouped = true;
-          break;
-        }
-      }
-      if (!grouped) groups.push_back({std::move(job)});
-    }
-
-    for (auto& group : groups) {
-      pool_->submit([this, &group] {
-        ExecResult result = execute(group.front()->request, options_,
-                                    &metrics_);
-        if (result.cacheable && !result.error) {
-          cache_->put(group.front()->key, result.body);
-        }
-        for (std::size_t i = 0; i < group.size(); ++i) {
-          finish(*group[i], result.body, result.error);
-        }
-      });
-    }
-    pool_->wait_idle();  // micro-batch barrier: groups die with the loop
+  if (!leader) {
+    std::unique_lock<std::mutex> lock(flight->mutex);
+    flight->cv.wait(lock, [&flight] { return flight->done; });
+    return flight;
   }
+
+  slots_.acquire();
+  batches_->inc();
+  ExecResult result = execute(request, options_, &metrics_);
+  slots_.release();
+  if (result.cacheable && !result.error) cache_->put(key, result.body);
+  {
+    std::lock_guard<std::mutex> lock(flights_mutex_);
+    flights_.erase(key);
+  }
+  {
+    std::lock_guard<std::mutex> lock(flight->mutex);
+    flight->body = std::move(result.body);
+    flight->error = result.error;
+    flight->done = true;
+  }
+  flight->cv.notify_all();
+  return flight;
 }
 
 }  // namespace bcn::service

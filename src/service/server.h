@@ -5,19 +5,17 @@
 // Execution shape:
 //
 //   accept thread -> one reader thread per connection
-//                 -> bounded admission queue (blocking backpressure)
-//                 -> single batcher thread
-//                 -> micro-batches on the exec-layer ThreadPool
 //
-// Each reader resolves requests in arrival order: cheap ops (ping,
-// stats, shutdown) and verdict-cache hits are answered inline; misses
-// are pushed onto the admission queue and the reader blocks until the
-// batcher has executed the job, so responses on one connection are
-// always FIFO.  The batcher drains up to `max_batch` jobs at a time,
-// deduplicates jobs sharing a cache key (one execution answers all of
-// them), dispatches one pool task per distinct key and waits for the
-// batch to finish; handlers themselves run serially (no nested pools),
-// so parallelism comes from batching across connections.
+// Each reader resolves its requests in arrival order and answers each
+// before reading the next, so responses on one connection are always
+// FIFO and a busy reader stops reading its socket (blocking
+// backpressure).  Cheap ops (ping, stats, shutdown) and verdict-cache
+// hits are answered at once.  A miss is executed by the reader itself,
+// holding one of `threads` execution slots; readers that miss on a key
+// already in flight wait for that execution's answer instead of
+// repeating it (single flight), so concurrent clients asking the same
+// question cost one analysis.  Handlers themselves run serially (no
+// nested pools), so parallelism comes from concurrent connections.
 //
 // Determinism contract: every analytic response is a pure function of
 // its quantized cache key (protocol.h), so a cached answer is
@@ -31,14 +29,14 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <mutex>
+#include <semaphore>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
-#include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "service/protocol.h"
 #include "service/verdict_cache.h"
@@ -47,14 +45,10 @@ namespace bcn::service {
 
 struct ServiceConfig {
   int port = 0;  // 0 -> ephemeral; the bound port is reported by port()
-  int threads = 0;  // pool workers (exec::resolve_threads semantics)
+  // Cache misses executing at once (exec::resolve_threads semantics).
+  int threads = 0;
   std::size_t cache_entries = 4096;
   std::size_t cache_shards = 8;
-  // Admission-queue bound: readers block (backpressure) when this many
-  // cache misses are already waiting for the batcher.
-  std::size_t queue_capacity = 256;
-  // Largest micro-batch the batcher dispatches onto the pool at once.
-  std::size_t max_batch = 32;
   obs::MonitorSpec monitors;
 };
 
@@ -66,8 +60,8 @@ class ServiceServer {
   ServiceServer(const ServiceServer&) = delete;
   ServiceServer& operator=(const ServiceServer&) = delete;
 
-  // Binds, listens and starts the accept / batcher threads.  False on
-  // socket failure; error() then holds the reason.
+  // Binds, listens and starts the accept thread.  False on socket
+  // failure; error() then holds the reason.
   bool start();
   const std::string& error() const { return error_; }
 
@@ -85,44 +79,23 @@ class ServiceServer {
   // handler cannot safely notify a condition variable).
   bool wait_for_shutdown(double seconds);
 
-  // Full teardown: unblocks the accept loop and every reader, drains
-  // the admission queue through the batcher (pending jobs still get
-  // answers), joins all threads, closes all sockets.  Idempotent.
+  // Full teardown: unblocks the accept loop and every reader, lets a
+  // reader that is executing a request finish and answer it, joins all
+  // threads, closes all sockets.  Idempotent.
   void stop();
 
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   VerdictCache& cache() { return *cache_; }
 
  private:
-  struct Job {
-    Request request;
-    std::string key;
+  // One in-flight execution of a cache key, shared by its leader and
+  // every reader waiting for the same answer.
+  struct Flight {
     std::mutex mutex;
     std::condition_variable cv;
     bool done = false;
     std::string body;  // canonical (id-less) response
     bool error = false;
-  };
-
-  // Bounded blocking MPSC queue between readers and the batcher.
-  class JobQueue {
-   public:
-    explicit JobQueue(std::size_t capacity) : capacity_(capacity) {}
-    // Blocks while full; false once stopped (the job was not enqueued).
-    bool push(std::shared_ptr<Job> job);
-    // Blocks for the next job; null only when stopped AND empty, so the
-    // batcher drains every admitted job before exiting.
-    std::shared_ptr<Job> pop_wait();
-    // Grabs up to `max` more jobs without waiting.
-    void drain_into(std::vector<std::shared_ptr<Job>>& out, std::size_t max);
-    void stop();
-
-   private:
-    std::size_t capacity_;
-    std::mutex mutex_;
-    std::condition_variable ready_, space_;
-    std::deque<std::shared_ptr<Job>> jobs_;
-    bool stopped_ = false;
   };
 
   struct Connection {
@@ -134,9 +107,9 @@ class ServiceServer {
   void accept_loop();
   void reader_loop(Connection* conn);
   void handle_line(Connection* conn, std::string line);
-  void batch_loop();
+  std::shared_ptr<Flight> resolve_miss(const Request& request,
+                                       const std::string& key);
   static bool write_line(int fd, const std::string& body);
-  void finish(Job& job, std::string body, bool is_error);
 
   ServiceConfig config_;
   ServiceOptions options_;
@@ -150,15 +123,16 @@ class ServiceServer {
   obs::Counter* connections_;
   obs::Counter* requests_;
   obs::Counter* errors_;
-  obs::Counter* batches_;
+  obs::Counter* batches_;  // executions: one per single-flight group
   std::unique_ptr<VerdictCache> cache_;
-  std::unique_ptr<exec::ThreadPool> pool_;
-  JobQueue queue_;
+
+  std::counting_semaphore<> slots_;  // bounds concurrent executions
+  std::mutex flights_mutex_;
+  std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
 
   int listen_fd_ = -1;
   int port_ = 0;
   std::thread accept_thread_;
-  std::thread batch_thread_;
 
   std::mutex conns_mutex_;
   std::vector<std::unique_ptr<Connection>> conns_;

@@ -4,8 +4,8 @@
 // verdict endpoint: mechanism plus the gain-space tuple (a, b, k, q0,
 // B)), so repeated queries over the quantized gain space are answered
 // from memory.  The cache is sharded — each shard owns an independent
-// mutex, LRU list and index — so concurrent lookups from the admission
-// path only contend when they hash to the same shard.
+// mutex, LRU list and index — so concurrent lookups from the connection
+// readers only contend when they hash to the same shard.
 //
 // Quantization rule: every numeric request field is snapped to 12
 // significant decimal digits (quantize() below) before the key is

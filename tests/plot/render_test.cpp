@@ -1,10 +1,8 @@
 #include <filesystem>
-#include <fstream>
 
 #include <gtest/gtest.h>
 
 #include "plot/ascii.h"
-#include "plot/gnuplot.h"
 #include "plot/svg.h"
 
 namespace bcn::plot {
@@ -87,25 +85,6 @@ TEST(SvgTest, WriteCreatesFile) {
   const auto path = dir / "sub" / "plot.svg";
   ASSERT_TRUE(write_svg(path, {wave()}));
   EXPECT_TRUE(std::filesystem::exists(path));
-  std::filesystem::remove_all(dir);
-}
-
-TEST(GnuplotTest, WritesDatAndScript) {
-  const auto dir = std::filesystem::temp_directory_path() / "bcn_gp_test";
-  std::filesystem::remove_all(dir);
-  GnuplotOptions opts;
-  opts.title = "T";
-  Series b = wave();
-  b.name = "second";
-  ASSERT_TRUE(write_gnuplot(dir / "fig", {wave(), b}, opts));
-  EXPECT_TRUE(std::filesystem::exists(dir / "fig.dat"));
-  EXPECT_TRUE(std::filesystem::exists(dir / "fig.gp"));
-  std::ifstream gp(dir / "fig.gp");
-  std::string all((std::istreambuf_iterator<char>(gp)),
-                  std::istreambuf_iterator<char>());
-  EXPECT_NE(all.find("index 0"), std::string::npos);
-  EXPECT_NE(all.find("index 1"), std::string::npos);
-  EXPECT_NE(all.find("title 'second'"), std::string::npos);
   std::filesystem::remove_all(dir);
 }
 

@@ -215,8 +215,15 @@ TEST(Execute, StabilityMapGridShapeAndAggregates) {
   ASSERT_FALSE(result.error) << result.body;
   const auto body = FlatJson::parse(result.body);
   ASSERT_TRUE(body);
-  EXPECT_EQ(body->arrays().at("a_values").size(), 4u);
-  EXPECT_EQ(body->arrays().at("b_values").size(), 4u);
+  const auto& a_values = body->arrays().at("a_values");
+  const auto& b_values = body->arrays().at("b_values");
+  ASSERT_EQ(a_values.size(), 4u);
+  ASSERT_EQ(b_values.size(), 4u);
+  // The axes start and end exactly at the requested bounds.
+  EXPECT_EQ(a_values.front(), 4e8);
+  EXPECT_EQ(a_values.back(), 4e9);
+  EXPECT_EQ(b_values.front(), 0.002);
+  EXPECT_EQ(b_values.back(), 0.06);
   EXPECT_EQ(body->arrays().at("stable").size(), 16u);
   EXPECT_EQ(body->arrays().at("theorem1").size(), 16u);
   double stable = 0.0;

@@ -1,6 +1,7 @@
 // End-to-end tests of the stability-verdict TCP server: protocol
-// round-trips, FIFO ordering, cache-counter accuracy, and the
-// determinism contract (cached == cold, byte for byte) under
+// round-trips, FIFO ordering, cache-counter accuracy, single-flight
+// sharing of concurrent identical misses, teardown while misses execute,
+// and the determinism contract (cached == cold, byte for byte) under
 // concurrent clients.  The whole suite runs under TSan in
 // scripts/check.sh gate 1.
 #include "service/server.h"
@@ -12,8 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <latch>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -169,6 +173,63 @@ TEST_F(ServerTest, CachedEqualsColdByteForByteUnderConcurrentClients) {
             static_cast<std::uint64_t>(kClients * kPasses) * pool.size());
   EXPECT_EQ(counter("service.cache.misses"), pool.size());
   server_->stop();
+}
+
+TEST_F(ServerTest, ConcurrentIdenticalMissesShareOneExecution) {
+  start();
+  // Four readers miss on one slow key at once.  The first leads the
+  // execution; the others wait for its answer (or hit the cache, if
+  // they look after the leader's insert) instead of running it again.
+  constexpr int kClients = 4;
+  const std::string line =
+      "{\"op\":\"stability_map\",\"grid\":12,\"mode\":\"scalar\"}";
+  std::vector<LineClient> clients;
+  for (int c = 0; c < kClients; ++c) clients.push_back(connect());
+  std::vector<std::optional<std::string>> responses(kClients);
+  std::latch go(kClients);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      go.arrive_and_wait();
+      responses[c] = clients[c].request(line);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const auto& response : responses) {
+    ASSERT_TRUE(response);
+    EXPECT_FALSE(response->empty());
+    EXPECT_EQ(*response, *responses[0]);
+  }
+  EXPECT_EQ(counter("service.cache.hits") + counter("service.cache.misses"),
+            4u);
+  EXPECT_EQ(counter("service.batches"), 1u);
+  server_->stop();
+}
+
+TEST_F(ServerTest, StopWhileMissesExecuteJoinsEveryReader) {
+  start();
+  // Three distinct slow maps on two slots: two execute, one waits for a
+  // slot.  stop() must let each reader finish its request and return.
+  std::vector<LineClient> clients;
+  for (int c = 0; c < 3; ++c) {
+    clients.push_back(connect());
+    JsonWriter json;
+    json.add("op", "stability_map");
+    json.add("grid", 12);
+    json.add("mode", "scalar");
+    json.add("a_max", 1e10 + 1e9 * c);
+    ASSERT_TRUE(clients.back().send_line(json.to_line()));
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (counter("service.cache.misses") < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  server_->stop();
+  // Every reader that missed ran its execution to the end.
+  EXPECT_EQ(counter("service.batches"), counter("service.cache.misses"));
 }
 
 TEST_F(ServerTest, ShutdownOpUnblocksWaitAndStopIsIdempotent) {

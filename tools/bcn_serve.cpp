@@ -2,8 +2,7 @@
 // engine as a long-running TCP server (protocol: docs/SERVICE.md).
 //
 //   bcn_serve [--port 0] [--threads 0] [--cache-entries 4096]
-//             [--cache-shards 8] [--queue 256] [--max-batch 32]
-//             [--monitors spec]
+//             [--cache-shards 8] [--monitors spec]
 //
 // Binds 127.0.0.1:<port> (0 = ephemeral), prints "listening on port N"
 // once ready, and serves until SIGINT/SIGTERM or a client's shutdown
@@ -26,20 +25,16 @@ namespace {
 void usage() {
   std::puts(
       "usage: bcn_serve [--port n] [--threads n] [--cache-entries n]\n"
-      "                 [--cache-shards n] [--queue n] [--max-batch n]\n"
-      "                 [--monitors spec] [--help]\n"
+      "                 [--cache-shards n] [--monitors spec] [--help]\n"
       "  --port n          TCP port on 127.0.0.1 (default 0 = ephemeral;\n"
       "                    the chosen port is printed on startup)\n"
-      "  --threads n       worker pool size (default 0 = all hardware\n"
-      "                    threads); handlers are serial, parallelism\n"
-      "                    comes from batching across connections\n"
+      "  --threads n       cache misses executing at once (default 0 = all\n"
+      "                    hardware threads); each connection's reader\n"
+      "                    runs its own misses, so parallelism comes from\n"
+      "                    concurrent connections\n"
       "  --cache-entries n verdict-cache capacity across all shards\n"
       "                    (default 4096)\n"
       "  --cache-shards n  verdict-cache lock shards (default 8)\n"
-      "  --queue n         admission-queue bound; readers block when this\n"
-      "                    many cache misses are pending (default 256)\n"
-      "  --max-batch n     largest micro-batch dispatched onto the pool\n"
-      "                    (default 32)\n"
       "  --monitors spec   arm runtime monitors (obs/monitor.h); with\n"
       "                    `finite` armed, verdicts built on a non-finite\n"
       "                    integration become monitor errors");
@@ -54,8 +49,7 @@ int run(const ArgParser& args) {
     return 0;
   }
   if (!reject_unknown_flags(args, {"help", "port", "threads", "cache-entries",
-                                   "cache-shards", "queue", "max-batch",
-                                   "monitors"})) {
+                                   "cache-shards", "monitors"})) {
     usage();
     return 2;
   }
@@ -65,8 +59,6 @@ int run(const ArgParser& args) {
   config.threads = args.get_count("threads", 0, 0, 4096);
   config.cache_entries = args.get_count("cache-entries", 4096, 1, 100'000'000);
   config.cache_shards = args.get_count("cache-shards", 8, 1, 4096);
-  config.queue_capacity = args.get_count("queue", 256, 1, 1'000'000);
-  config.max_batch = args.get_count("max-batch", 32, 1, 100'000);
   if (const auto spec = args.lookup("monitors")) {
     config.monitors =
         spec->parse(obs::parse_monitor_spec, obs::monitor_spec_usage());
