@@ -1,11 +1,11 @@
 // THE cross-shard determinism contract (sim/shard/engine.h): the FNV-1a
 // trajectory digest of a fabric run is bitwise-identical for every shard
 // count, including the single-shard idle-skip fast path and a shard
-// count that divides nothing evenly (7).  Also pins that the digest
-// reacts to parameter changes (it is not a constant), that armed
-// per-shard monitors neither perturb the trajectory nor lose their
-// merged counts across shard counts, and that repeated runs are
-// reproducible.
+// count that divides nothing evenly (7), and equal to a pinned value.
+// Also pins that the digest reacts to parameter changes (it is not a
+// constant), that armed per-shard monitors neither perturb the
+// trajectory nor lose their merged counts across shard counts, and that
+// repeated runs are reproducible.
 #include <cstdint>
 #include <vector>
 
@@ -43,11 +43,26 @@ Topology fabric(const char* spec, int rounds) {
   return topo;
 }
 
+// Absolute pins beside the cross-shard comparison: a change that moved
+// the event order the same way at every shard count would pass every
+// shard-versus-shard check, so each spec's single-shard trajectory is
+// pinned too.
+struct PinnedFabric {
+  const char* spec;
+  std::uint64_t digest;
+  std::uint64_t events;
+};
+
 TEST(ShardDeterminismTest, DigestInvariantAcrossShardCounts) {
-  for (const char* spec : {"fat-tree:4", "leaf-spine:2x4x4"}) {
+  for (const PinnedFabric& pin :
+       {PinnedFabric{"fat-tree:4", 0x7c65096d73c0fd1cull, 202'004},
+        PinnedFabric{"leaf-spine:2x4x4", 0x115d9fc7a7dbefd7ull, 147'308}}) {
+    const char* spec = pin.spec;
     const Topology topo = fabric(spec, 3);
     const FabricOptions options = active_options();
     const FabricResult reference = run_fabric(topo, options, 1);
+    EXPECT_EQ(reference.digest, pin.digest) << spec;
+    EXPECT_EQ(reference.events_executed, pin.events) << spec;
     ASSERT_GT(reference.frames_sent, 0u) << spec;
     ASSERT_GT(reference.frames_sampled, 0u)
         << spec << ": horizon too short for the feedback loop";
