@@ -129,8 +129,11 @@ class Shard final : public TransferSink {
   }
 
   // Canonical injection: the epoch's records sorted by the shard-
-  // invariant key, so the Simulator's FIFO tie-break reproduces the same
-  // global order on every shard count.
+  // invariant key and appended to the Simulator's presorted lane.  Each
+  // append takes the next seq, as a schedule would, so the (when, seq)
+  // order -- and every tie with a local timer -- is the same global
+  // order on every shard count.  Every record is due in [eQ, (e+1)Q),
+  // after now(), and the epoch's run_until drains the lane.
   void inject(std::uint64_t epoch) {
     std::vector<TransferRecord>& bucket = buckets[epoch % ring];
     if (bucket.empty()) return;
@@ -138,13 +141,8 @@ class Shard final : public TransferSink {
       std::sort(bucket.begin(), bucket.end(), transfer_before);
     }
     for (const TransferRecord& record : bucket) {
-      EventTarget* target = shared->targets[record.dst_gid];
-      if (record.kind == EventKind::FrameArrival) {
-        sim.schedule_frame(record.deliver_at, target, 0,
-                           record.payload.frame);
-      } else {
-        sim.schedule_bcn(record.deliver_at, target, 0, record.payload.bcn);
-      }
+      sim.append_sorted(record.deliver_at, shared->targets[record.dst_gid],
+                        record.kind, record.payload);
     }
     bucket.clear();
   }

@@ -3,8 +3,9 @@
 // One Simulator shard per worker thread, each owning a topology
 // partition (ports + the sources homed at their ingress edge).  Time
 // advances in epochs of a fixed quantum Q; within an epoch every shard
-// runs its own event heap -- the unchanged zero-alloc fast path -- and
-// all inter-entity handoffs are staged as TransferRecords.  Shards
+// runs its own Simulator -- local timers on the zero-alloc event heap,
+// the epoch's injected handoffs on its presorted FIFO lane -- and all
+// inter-entity handoffs are staged as TransferRecords.  Shards
 // synchronize at epoch boundaries with a sense-reversing barrier; no
 // null messages are exchanged, because the lookahead is structural:
 // every handoff travels at least one link, so a record staged during
@@ -19,7 +20,10 @@
 // that epoch boundaries, staging buckets, the canonical injection order
 // (sorted by (deliver_at, src_gid, src_seq)), and therefore the FNV-1a
 // trajectory digest are bitwise-identical for every shard count,
-// including 1.  tests/sim/shard_determinism_test.cpp pins this.
+// including 1.  Injection appends each sorted record to the lane with
+// the next seq from the counter the shard's timers share, so the lane
+// and heap merge on (when, seq) into one order on every shard count.
+// tests/sim/shard_determinism_test.cpp pins this.
 //
 // Cross-shard records travel over lock-free bounded MPSC inboxes (one
 // per shard).  A producer facing a full inbox drains its *own* inbox

@@ -4,14 +4,17 @@
 // The determinism contract: an entity NEVER schedules an event on
 // another entity directly.  Every inter-entity handoff -- frame hop,
 // reverse-path BCN -- is staged as a TransferRecord through its shard's
-// TransferSink, and the engine injects each epoch's records into the
-// owning shard's Simulator in the canonical order sorted by
+// TransferSink, and the engine appends each epoch's records to the
+// owning shard's Simulator lane in the canonical order sorted by
 // (deliver_at, src_gid, src_seq).  That key is a pure function of the
-// workload, so the injected order -- and therefore every FIFO tie-break
+// workload, so the injected order -- and, since each append takes the
+// next seq exactly as a schedule would, every (when, seq) tie-break
 // inside any Simulator -- is identical for every shard count, including
-// the degenerate single-shard run.  Intra-entity timers (service
-// completions, pacing tokens) go straight into the local Simulator; they
-// touch only their owner's state, so their interleaving is irrelevant.
+// the degenerate single-shard run.  Injected events fire once with tag 0
+// and no handle; no handler here reads event.id for them.  Intra-entity
+// timers (service completions, pacing tokens) go straight into the
+// local Simulator's heap; they touch only their owner's state, so their
+// interleaving is irrelevant.
 //
 // Fabric ports implement the paper's baseline congestion point: drop-tail
 // FIFO, deterministic 1/pm arrival sampling, sigma per eq. (1), BCN of

@@ -2,7 +2,9 @@
 // sorted-vector reference model.  The model mirrors the Simulator's
 // contract exactly: events fire in (when, seq) order, cancel removes a
 // pending event and no-ops on stale handles, reschedule re-enters the FIFO
-// order with a fresh sequence number, and deadlines clamp to >= now.
+// order with a fresh sequence number, and deadlines clamp to >= now.  A
+// sorted lane append is, to the model, one more schedule: it takes the
+// next sequence number and is never cancelled or rescheduled.
 #include <algorithm>
 #include <cstdint>
 #include <vector>
@@ -43,6 +45,12 @@ class Model {
     return true;
   }
 
+  // The deadline of a pending event, or -1 once it fired or was
+  // cancelled.
+  SimTime pending_when(std::size_t handle) const {
+    return events_[handle].live ? events_[handle].when : -1;
+  }
+
   // Fires everything due by `until` into `fired`, in (when, seq) order.
   void run_until(SimTime until, std::vector<std::uint32_t>& fired) {
     std::vector<std::size_t> due;
@@ -76,10 +84,18 @@ class Model {
   SimTime now_ = 0;
 };
 
+// Heap events carry their marker in the tag; lane events fire with tag 0
+// and no handle, so theirs rides in the frame payload.
 class FiringRecorder : public EventTarget {
  public:
   void on_event(const SimEvent& event) override {
-    fired_.push_back(event.tag);
+    if (event.kind == EventKind::FrameArrival) {
+      EXPECT_EQ(event.tag, 0u);
+      EXPECT_EQ(event.id, kInvalidEvent);
+      fired_.push_back(static_cast<std::uint32_t>(event.payload.frame.seq));
+    } else {
+      fired_.push_back(event.tag);
+    }
   }
   std::vector<std::uint32_t>& fired() { return fired_; }
 
@@ -102,15 +118,17 @@ TEST(EventFuzzTest, RandomizedOpsMatchSortedVectorReference) {
       return rng;
     };
 
-    // Parallel handle tables: the same lane always holds the pair of
+    // Parallel handle tables: the same index always holds the pair of
     // handles for one scheduled event (or a stale pair after it fired).
+    // Lane appends have no handle and never enter them.
     std::vector<EventId> sim_ids;
     std::vector<std::size_t> model_ids;
     std::uint32_t marker = 0;
+    SimTime lane_tail = 0;  // deadline of the last lane append
 
     for (int op = 0; op < 20'000; ++op) {
       const std::uint64_t roll = next() % 100;
-      if (roll < 55 || sim_ids.empty()) {
+      if (roll < 50 || sim_ids.empty()) {
         // Schedule: mostly near-future, sometimes deliberately in the past
         // (both sides clamp to now).
         const SimTime when =
@@ -119,18 +137,34 @@ TEST(EventFuzzTest, RandomizedOpsMatchSortedVectorReference) {
             sim.schedule_event(when, &rec, EventKind::Tick, marker));
         model_ids.push_back(model.schedule(when, marker));
         ++marker;
-      } else if (roll < 70) {
-        // Cancel a random lane; fired lanes exercise the stale-handle path.
-        const std::size_t lane = next() % sim_ids.size();
-        sim.cancel(sim_ids[lane]);
-        model.cancel(model_ids[lane]);
-      } else if (roll < 85) {
-        // Reschedule a random lane (no-op when stale on both sides).
-        const std::size_t lane = next() % sim_ids.size();
+      } else if (roll < 63) {
+        // Cancel a random pair; fired pairs exercise the stale-handle path.
+        const std::size_t pick = next() % sim_ids.size();
+        sim.cancel(sim_ids[pick]);
+        model.cancel(model_ids[pick]);
+      } else if (roll < 76) {
+        // Sorted append, often tied with a pending heap event's deadline:
+        // the later seq must fire after it, never ahead of it.
+        const SimTime floor = std::max(sim.now(), lane_tail);
+        SimTime when = floor + static_cast<SimTime>(next() % 40);
+        const SimTime tied = model.pending_when(
+            model_ids[next() % model_ids.size()]);
+        if (tied >= floor && next() % 4 != 0) when = tied;
+        Frame frame;
+        frame.seq = marker;
+        EventPayload payload;
+        payload.frame = frame;
+        sim.append_sorted(when, &rec, EventKind::FrameArrival, payload);
+        model.schedule(when, marker);
+        lane_tail = when;
+        ++marker;
+      } else if (roll < 88) {
+        // Reschedule a random pair (no-op when stale on both sides).
+        const std::size_t pick = next() % sim_ids.size();
         const SimTime when =
             sim.now() + static_cast<SimTime>(next() % 150) - 10;
-        const bool sim_ok = sim.reschedule(sim_ids[lane], when);
-        const bool model_ok = model.reschedule(model_ids[lane], when);
+        const bool sim_ok = sim.reschedule(sim_ids[pick], when);
+        const bool model_ok = model.reschedule(model_ids[pick], when);
         ASSERT_EQ(sim_ok, model_ok) << "seed=" << seed << " op=" << op;
       } else {
         // Advance time and drain.

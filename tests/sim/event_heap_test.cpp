@@ -1,6 +1,7 @@
 // The typed-event pool and indexed heap: handle lifecycle, in-place
-// cancel/reschedule, FIFO tie-breaking, slot recycling, and the
-// zero-allocation steady state.
+// cancel/reschedule, FIFO tie-breaking, slot recycling, the presorted
+// lane beside the heap, and the zero-allocation steady state.
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -235,10 +236,14 @@ TEST(EventHeapTest, SteadyStateTypedEventsAllocateNothing) {
   CountingTarget rec;
   Frame frame;
   frame.size_bits = 12000.0;
-  // Warm-up: grow the slab, the heap array, and the free list to their
-  // working-set sizes.
+  EventPayload payload;
+  payload.frame = frame;
+  // Warm-up: grow the slab, the heap array, the free list, and the lane
+  // to their working-set sizes.
   for (int i = 0; i < 64; ++i) {
     sim.schedule_frame(sim.now() + 1 + i % 7, &rec, 0, frame);
+    sim.append_sorted(sim.now() + 1 + i / 8, &rec, EventKind::FrameArrival,
+                      payload);
   }
   sim.run_until(sim.now() + 100);
   ASSERT_TRUE(sim.idle());
@@ -247,6 +252,8 @@ TEST(EventHeapTest, SteadyStateTypedEventsAllocateNothing) {
   for (int round = 0; round < 1000; ++round) {
     for (int i = 0; i < 32; ++i) {
       sim.schedule_frame(sim.now() + 1 + i % 7, &rec, 0, frame);
+      sim.append_sorted(sim.now() + 1 + i / 4, &rec, EventKind::FrameArrival,
+                        payload);
     }
     EventId moved = sim.schedule_event(sim.now() + 9, &rec, EventKind::Tick, 1);
     sim.reschedule(moved, sim.now() + 3);
@@ -257,7 +264,82 @@ TEST(EventHeapTest, SteadyStateTypedEventsAllocateNothing) {
   const std::uint64_t allocs = counter.count();
   EXPECT_TRUE(sim.idle());
   EXPECT_EQ(allocs, 0u);
-  EXPECT_EQ(rec.count(), 64u + 1000u * 33u);
+  EXPECT_EQ(rec.count(), 2u * 64u + 1000u * 65u);
+}
+
+// The lane and the heap draw seqs from one counter, so a lane event ties
+// with a heap event at the same instant exactly as two heap events would:
+// whichever was scheduled or appended first fires first.
+TEST(EventHeapTest, LaneMergesWithHeapInScheduleOrder) {
+  Simulator sim;
+  Recorder rec(sim);
+  EventPayload payload;
+  payload.frame = Frame{};
+  payload.frame.seq = 7;
+  sim.schedule_event(10, &rec, EventKind::Tick, 1);
+  sim.append_sorted(10, &rec, EventKind::FrameArrival, payload);
+  sim.schedule_event(10, &rec, EventKind::Tick, 2);
+  sim.append_sorted(20, &rec, EventKind::FrameArrival, payload);
+  sim.schedule_event(15, &rec, EventKind::Tick, 3);
+  EXPECT_EQ(sim.run_until(100), 5u);
+  EXPECT_EQ(sim.executed(), 5u);
+  const std::vector<EventKind> kinds = {
+      EventKind::Tick, EventKind::FrameArrival, EventKind::Tick,
+      EventKind::Tick, EventKind::FrameArrival};
+  const std::vector<SimTime> times = {10, 10, 10, 15, 20};
+  ASSERT_EQ(rec.entries().size(), kinds.size());
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    EXPECT_EQ(rec.entries()[i].kind, kinds[i]) << i;
+    EXPECT_EQ(rec.entries()[i].at, times[i]) << i;
+  }
+  EXPECT_EQ(rec.entries()[2].tag, 2u);
+  // A lane event fires once, with tag 0 and no handle.
+  EXPECT_EQ(rec.last().tag, 0u);
+  EXPECT_EQ(rec.last().id, kInvalidEvent);
+  EXPECT_EQ(rec.frames().back().seq, 7u);
+  // No pool slot was taken for either lane event.
+  EXPECT_EQ(sim.pool_slots(), 3u);
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(EventHeapTest, PendingLaneEventKeepsTheSimulatorBusy) {
+  Simulator sim;
+  Recorder rec(sim);
+  EventPayload payload;
+  payload.bcn = BcnMessage{};
+  sim.append_sorted(500, &rec, EventKind::BcnDelivery, payload);
+  sim.schedule_event(50, &rec, EventKind::Tick, 0);
+  EXPECT_EQ(sim.next_event_time(), 50);
+  sim.run_until(100);
+  ASSERT_EQ(rec.entries().size(), 1u);
+  // Only the lane holds an event now, beyond `until`.
+  EXPECT_EQ(sim.heap_size(), 0u);
+  EXPECT_FALSE(sim.idle());
+  EXPECT_EQ(sim.next_event_time(), 500);
+  EXPECT_EQ(sim.now(), 100);
+  sim.run_until(500);
+  EXPECT_EQ(rec.entries().size(), 2u);
+  EXPECT_TRUE(sim.idle());
+}
+
+// The lane never clamps or reorders: an out-of-order append is a caller
+// bug and throws, leaving the lane as it was.
+TEST(EventHeapTest, LaneAppendOutOfOrderThrows) {
+  Simulator sim;
+  Recorder rec(sim);
+  EventPayload payload;
+  payload.frame = Frame{};
+  sim.schedule_event(100, &rec, EventKind::Tick, 0);
+  sim.run_until(100);
+  EXPECT_THROW(sim.append_sorted(99, &rec, EventKind::FrameArrival, payload),
+               std::logic_error);
+  sim.append_sorted(100, &rec, EventKind::FrameArrival, payload);
+  sim.append_sorted(300, &rec, EventKind::FrameArrival, payload);
+  EXPECT_THROW(sim.append_sorted(299, &rec, EventKind::FrameArrival, payload),
+               std::logic_error);
+  sim.append_sorted(300, &rec, EventKind::FrameArrival, payload);
+  EXPECT_EQ(sim.run_until(1000), 3u);
+  EXPECT_EQ(rec.entries().size(), 4u);
 }
 
 TEST(EventHeapTest, PastDeadlineClampsAndCounts) {
