@@ -89,7 +89,9 @@ int run(bench::RunContext& ctx) {
   }
   const auto duration =
       static_cast<sim::SimTime>(duration_us * sim::kMicrosecond);
+  // core::BcnParams::validate's rule for an initial rate.
   const double rate = ctx.args->get_double("rate", 5e7);
+  if (!(rate >= 0.0)) throw UsageError("--rate: must be >= 0");
 
   JsonWriter json;
   json.add("benchmark", "sharded_throughput");

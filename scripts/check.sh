@@ -589,8 +589,9 @@ PY
 }
 
 # A malformed shard count must be a usage error (exit 2) on the tool and
-# on the shared bench runner alike; so must a non-positive horizon and a
-# malformed flow count.
+# on the shared bench runner alike; so must a non-positive horizon, a
+# malformed flow count, and a physics flag outside
+# core::BcnParams::validate's range (--pm 2 would sample every arrival).
 expect_usage_error "^--shards: 'bogus' is not a count" \
   "$FABRIC_TOOL" --topology fat-tree:4 --shards bogus
 expect_usage_error "^--shards: 'bogus' is not a count" \
@@ -600,6 +601,11 @@ expect_usage_error "^--duration-us: must be > 0" \
   "$FABRIC_TOOL" --duration-us -1
 expect_usage_error "^--flows-per-host: 'abc' is not a count" \
   "$FABRIC_TOOL" --flows-per-host abc
+expect_usage_error '^--pm: must lie in (0, 1]' "$FABRIC_TOOL" --pm 2
+expect_usage_error "^--rate: must be >= 0" "$FABRIC_TOOL" --rate -1
+expect_usage_error "^--rate: must be >= 0" \
+  "$SMOKE_BUILD_DIR"/bench/sharded_throughput --run sharded_throughput \
+  --rate -1
 
 echo "[check.sh] sharded-engine smoke clean ($SHARD_JSON)"
 

@@ -15,7 +15,9 @@
 // that).
 //
 // Exit codes: 0 ok, 2 usage error (unknown flag or malformed value, e.g.
-// a bad topology spec, shard count or non-positive --duration-us), 3
+// a bad topology spec, shard count, non-positive --duration-us, or a
+// physics flag outside core::BcnParams::validate's range: --pm outside
+// (0, 1], a non-positive --q0/--w/--gi/--gd/--ru, a negative --rate), 3
 // when armed monitors recorded a violation.
 #include <chrono>
 #include <cstdio>
@@ -64,6 +66,16 @@ sim::SimTime span_us(const ArgParser& args, const char* name,
   return static_cast<sim::SimTime>(us * sim::kMicrosecond);
 }
 
+// The physics flags hold to core::BcnParams::validate's rule for each
+// quantity, so a value bcn_analyze rejects never runs here either.
+double positive(const ArgParser& args, const char* name, double fallback) {
+  const double value = args.get_double(name, fallback);
+  if (!(value > 0.0)) {
+    throw UsageError(std::string("--") + name + ": must be > 0");
+  }
+  return value;
+}
+
 int run(const ArgParser& args) {
   if (args.get_bool("help")) {
     usage();
@@ -86,13 +98,19 @@ int run(const ArgParser& args) {
   const auto seed = static_cast<std::uint64_t>(args.get_count("seed", 0));
 
   sim::shard::FabricOptions options;
-  options.q0 = args.get_double("q0", 2.5e6);
-  options.w = args.get_double("w", 2.0);
+  options.q0 = positive(args, "q0", 2.5e6);
+  options.w = positive(args, "w", 2.0);
   options.pm = args.get_double("pm", 0.2);
-  options.regulator.gi = args.get_double("gi", 0.5);
-  options.regulator.gd = args.get_double("gd", 1.0 / 128.0);
-  options.regulator.ru = args.get_double("ru", 8e6);
+  if (!(options.pm > 0.0 && options.pm <= 1.0)) {
+    throw UsageError("--pm: must lie in (0, 1]");
+  }
+  options.regulator.gi = positive(args, "gi", 0.5);
+  options.regulator.gd = positive(args, "gd", 1.0 / 128.0);
+  options.regulator.ru = positive(args, "ru", 8e6);
   options.initial_rate = args.get_double("rate", 5e7);
+  if (!(options.initial_rate >= 0.0)) {
+    throw UsageError("--rate: must be >= 0");
+  }
   options.duration = span_us(args, "duration-us", 500.0);
   options.sample_interval = span_us(args, "sample-us", 50.0);
   if (const auto spec = args.lookup("monitors")) {
