@@ -11,15 +11,14 @@
 
 namespace bcn::analysis {
 
-namespace {
-
-// The stderr line bcn_analyze prints when the finite monitor trips.
-std::string finite_monitor_message(const char* level_name) {
+std::string finite_monitor_message(const char* what) {
   return strf(
       "monitor: finite: %s fluid integration produced a "
       "non-finite state; no verdict\n",
-      level_name);
+      what);
 }
+
+namespace {
 
 // The summary of a fluid facet without closed forms: equilibrium and
 // region laws.  False for packet-only mechanisms, which end the report.

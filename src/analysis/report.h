@@ -62,6 +62,11 @@ struct VerdictReport {
   double theorem1_required_buffer = 0.0;
 };
 
+// The message the finite monitor reports when the fluid integration of
+// `what` (a level label in the report, a mechanism name in the service's
+// crossval and svg_plot ops) went non-finite: bcn_analyze's stderr line.
+std::string finite_monitor_message(const char* what);
+
 // Renders the report for a valid parameter set and a registered
 // mechanism name.  Callers are expected to have run params.validate()
 // and core::find_mechanism first (bcn_analyze and the service both

@@ -36,31 +36,6 @@ std::array<std::complex<double>, 2> solve_monic_quadratic(double m, double n) {
   return {std::complex<double>(re, -im), std::complex<double>(re, im)};
 }
 
-std::optional<double> bisect(const std::function<double(double)>& f, double lo,
-                             double hi, double xtol, int max_iter,
-                             int* iterations) {
-  if (iterations) *iterations = 0;
-  double flo = f(lo);
-  double fhi = f(hi);
-  if (flo == 0.0) return lo;
-  if (fhi == 0.0) return hi;
-  if (sign(flo) == sign(fhi) || lo > hi) return std::nullopt;
-  for (int i = 0; i < max_iter && (hi - lo) > xtol; ++i) {
-    const double mid = lo + (hi - lo) / 2.0;
-    const double fmid = f(mid);
-    if (iterations) *iterations = i + 1;
-    if (fmid == 0.0) return mid;
-    if (sign(fmid) == sign(flo)) {
-      lo = mid;
-      flo = fmid;
-    } else {
-      hi = mid;
-      fhi = fmid;
-    }
-  }
-  return lo + (hi - lo) / 2.0;
-}
-
 double wrap_angle(double theta) {
   constexpr double two_pi = 2.0 * std::numbers::pi;
   double w = std::fmod(theta, two_pi);

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <complex>
-#include <functional>
 #include <optional>
 
 namespace bcn {
@@ -40,10 +39,33 @@ std::array<std::complex<double>, 2> solve_monic_quadratic(double m, double n);
 // where f(lo) and f(hi) have opposite (non-zero) signs.  Returns the root
 // located to within xtol.  Returns nullopt when the bracket is invalid.
 // When `iterations` is non-null it receives the number of interval
-// halvings performed (0 when an endpoint already is the root).
-std::optional<double> bisect(const std::function<double(double)>& f, double lo,
-                             double hi, double xtol = 1e-12,
-                             int max_iter = 200, int* iterations = nullptr);
+// halvings performed (0 when an endpoint already is the root).  A
+// template, so the hybrid driver's event location inlines its guard.
+template <class F>
+std::optional<double> bisect(const F& f, double lo, double hi,
+                             double xtol = 1e-12, int max_iter = 200,
+                             int* iterations = nullptr) {
+  if (iterations) *iterations = 0;
+  double flo = f(lo);
+  double fhi = f(hi);
+  if (flo == 0.0) return lo;
+  if (fhi == 0.0) return hi;
+  if (sign(flo) == sign(fhi) || lo > hi) return std::nullopt;
+  for (int i = 0; i < max_iter && (hi - lo) > xtol; ++i) {
+    const double mid = lo + (hi - lo) / 2.0;
+    const double fmid = f(mid);
+    if (iterations) *iterations = i + 1;
+    if (fmid == 0.0) return mid;
+    if (sign(fmid) == sign(flo)) {
+      lo = mid;
+      flo = fmid;
+    } else {
+      hi = mid;
+      fhi = fmid;
+    }
+  }
+  return lo + (hi - lo) / 2.0;
+}
 
 // Linear interpolation: value at fraction u in [0,1] between a and b.
 inline double lerp(double a, double b, double u) { return a + (b - a) * u; }

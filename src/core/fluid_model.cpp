@@ -7,7 +7,9 @@
 namespace bcn::core {
 
 FluidModel::FluidModel(BcnParams params, ModelLevel level, bool draft)
-    : FluidMechanism(params, level), draft_(draft) {
+    : FluidMechanism(params, level),
+      law_(params, level == ModelLevel::Linearized),
+      draft_(draft) {
   // A real check, not an assert: registry callers hand caller configs
   // straight to this constructor, and NDEBUG builds drop asserts.
   const std::vector<std::string> violations = plant_.validate();
@@ -15,31 +17,11 @@ FluidModel::FluidModel(BcnParams params, ModelLevel level, bool draft)
 }
 
 ode::Rhs FluidModel::increase_rhs() const {
-  // dy/dt = a sigma = -a (x + k y): already linear, identical at every
-  // model level.
-  const double a = plant_.a();
-  const double k = plant_.k();
-  return [a, k](double /*t*/, Vec2 z) -> Vec2 {
-    return {z.y, -a * (z.x + k * z.y)};
-  };
+  return [law = law_](double t, Vec2 z) { return law.increase(t, z); };
 }
 
 ode::Rhs FluidModel::decrease_rhs() const {
-  const double b = plant_.b();
-  const double k = plant_.k();
-  const double cap = plant_.capacity;
-  if (level_ == ModelLevel::Linearized) {
-    // Paper eq. (9): dy/dt = -b C (x + k y).
-    const double bc = b * cap;
-    return [bc, k](double /*t*/, Vec2 z) -> Vec2 {
-      return {z.y, -bc * (z.x + k * z.y)};
-    };
-  }
-  // Paper eq. (8): dy/dt = -b (y + C)(x + k y).  The y + C factor is the
-  // aggregate source rate, which multiplicative decrease scales.
-  return [b, k, cap](double /*t*/, Vec2 z) -> Vec2 {
-    return {z.y, -b * (z.y + cap) * (z.x + k * z.y)};
-  };
+  return [law = law_](double t, Vec2 z) { return law.decrease(t, z); };
 }
 
 ode::Rhs FluidModel::empty_wall_rhs() const {
@@ -63,14 +45,13 @@ ode::Rhs FluidModel::full_wall_rhs() const {
 
 ode::HybridSystem FluidModel::hybrid_system() const {
   ode::HybridSystem system;
-  const double k = plant_.k();
   system.modes.push_back(increase_rhs());
   system.modes.push_back(decrease_rhs());
-  system.mode_of = [k](double /*t*/, Vec2 z) {
-    return -(z.x + k * z.y) > 0.0 ? kModeIncrease : kModeDecrease;
+  system.mode_of = [law = law_](double t, Vec2 z) {
+    return law.mode_of(t, z);
   };
   system.guards.push_back(
-      [k](double /*t*/, Vec2 z) { return z.x + k * z.y; });  // sigma = 0
+      [law = law_](double t, Vec2 z) { return law.guard(0, t, z); });
   if (level_ != ModelLevel::Clipped) return system;
   return with_buffer_walls(std::move(system), empty_wall_rhs(),
                            full_wall_rhs());
@@ -83,7 +64,7 @@ std::vector<RegionLaw> FluidModel::region_laws() const {
 
 double FluidModel::group_rate_deriv(double x, double y_group, double y_total,
                                     double share) const {
-  const double s = -(x + plant_.k() * y_total);
+  const double s = law_.sigma({x, y_total});
   if (s > 0.0) return plant_.a() * s;  // additive increase, a = Ru Gi N_g
   // Multiplicative decrease scales the group's own aggregate rate.
   return plant_.b() * (y_group + share) * s;

@@ -1,7 +1,10 @@
 // Numeric integration of any fluid facet (core/mechanism.h) at its own
 // ModelLevel with event-localized switching, producing a phase trace plus
-// queue/rate summary statistics.  simulate_fluid is the fluid layer's only
-// integration entry point.
+// queue/rate summary statistics.  simulate_fluid and summarize_fluid are
+// the fluid layer's only integration entry points; both run BCN's
+// Linearized and Nonlinear facets on the concrete BcnLaw and every other
+// facet on its hybrid_system(), through the one driver
+// (ode/hybrid_driver.h).
 #pragma once
 
 #include <optional>
@@ -60,5 +63,11 @@ struct FluidRun {
 // options.duration.
 FluidRun simulate_fluid(const FluidMechanism& facet,
                         const FluidRunOptions& options = {});
+
+// simulate_fluid without the trajectory and switches, which stay empty:
+// every other field, bit for bit, folded as the driver steps, so its
+// allocations do not grow with the duration.  The numeric verdict's path.
+FluidRun summarize_fluid(const FluidMechanism& facet,
+                         const FluidRunOptions& options = {});
 
 }  // namespace bcn::core

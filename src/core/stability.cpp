@@ -92,7 +92,7 @@ NumericVerdict numeric_strong_stability(const FluidMechanism& facet,
   ropts.duration = duration > 0.0 ? duration : verdict_horizon(facet);
   ropts.tol = tol;
   ropts.convergence_tol = 1e-8;
-  const FluidRun run = simulate_fluid(facet, ropts);
+  const FluidRun run = summarize_fluid(facet, ropts);
 
   NumericVerdict verdict;
   verdict.max_x = run.max_x;

@@ -8,6 +8,10 @@
 // surface crossing with the dense output + bisection and restarts the
 // integration exactly at the crossing, which is what makes limit-cycle
 // amplitudes and transient extrema trustworthy.
+//
+// This header holds the std::function form of a switched system and the
+// result types; the driver's body is ode::run_hybrid (ode/hybrid_driver.h),
+// of which integrate_hybrid is one instantiation.
 #pragma once
 
 #include <functional>
@@ -50,9 +54,9 @@ struct HybridOptions {
   double record_interval = 0.0;
 };
 
-struct HybridResult {
-  Trajectory trajectory;
-  std::vector<ModeSwitch> switches;
+// The step statistics and end state of one hybrid run, whatever its
+// sink kept of the orbit (ode/hybrid_driver.h).
+struct HybridStats {
   bool completed = false;      // reached t1 (or stop_when fired)
   bool stopped_early = false;  // stop_when fired
   std::size_t steps_accepted = 0;
@@ -73,7 +77,13 @@ struct HybridResult {
   double nonfinite_t = 0.0;
 };
 
-// Integrates the hybrid system over [t0, t1] from z0.
+struct HybridResult : HybridStats {
+  Trajectory trajectory;
+  std::vector<ModeSwitch> switches;
+};
+
+// Integrates the hybrid system over [t0, t1] from z0, recording every
+// sample and switch: ode::run_hybrid over the std::function modes.
 HybridResult integrate_hybrid(const HybridSystem& system, double t0, Vec2 z0,
                               double t1, const HybridOptions& options = {});
 

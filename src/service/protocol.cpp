@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <vector>
 
 #include "analysis/crossval.h"
@@ -358,12 +357,8 @@ ExecResult exec_crossval(const Request& request,
     fluid = core::simulate_fluid(
         *core::make_fluid_mechanism(t.gains.mechanism, mcfg), fopts);
     if (options.monitors.finite && fluid.nonfinite) {
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "monitor: finite: %s fluid integration produced a "
-                    "non-finite state; no verdict\n",
-                    t.gains.mechanism.c_str());
-      return error_result("monitor", buf);
+      return error_result("monitor", analysis::finite_monitor_message(
+                                          t.gains.mechanism.c_str()));
     }
   }
 
@@ -440,12 +435,8 @@ ExecResult exec_svg_plot(const Request& request,
   const core::FluidRun run = core::simulate_fluid(
       *core::make_fluid_mechanism(t.gains.mechanism, mcfg), opts);
   if (options.monitors.finite && run.nonfinite) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "monitor: finite: %s fluid integration produced a "
-                  "non-finite state; no verdict\n",
-                  t.gains.mechanism.c_str());
-    return error_result("monitor", buf);
+    return error_result("monitor", analysis::finite_monitor_message(
+                                        t.gains.mechanism.c_str()));
   }
 
   plot::Series q;

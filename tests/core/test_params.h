@@ -2,6 +2,10 @@
 // integration test suites.
 #pragma once
 
+#include <cmath>
+#include <vector>
+
+#include "common/rng.h"
 #include "core/bcn_params.h"
 
 namespace bcn::core::testing {
@@ -64,6 +68,37 @@ inline BcnParams case5_decrease_boundary() {
   p.gi = 1.0;
   p.gd = 2048.0;  // b C = 2^22 exactly
   return p;
+}
+
+// A plant drawn around the standard draft: E22's gain ranges (log-uniform
+// Gi in [1/8, 32], Gd in [1/1024, 1/2]), plus the sampling probability,
+// the source count and the buffer, so the draws cover Cases 1-4 and both
+// verdicts.
+inline BcnParams seeded_plant(Rng& rng) {
+  const auto log_uniform = [&](double lo, double hi) {
+    return lo * std::pow(hi / lo, rng.uniform());
+  };
+  BcnParams p = BcnParams::standard_draft();
+  p.gi = log_uniform(0.125, 32.0);
+  p.gd = log_uniform(1.0 / 1024.0, 0.5);
+  p.pm = log_uniform(0.002, 0.05);
+  p.num_sources = rng.uniform(10.0, 100.0);
+  p.buffer = rng.uniform(5e6, 20e6);
+  p.qsc = 0.9 * p.buffer;
+  return p;
+}
+
+// The plants the typed-integration tests share: 32 seeded draws, whose
+// verdicts mostly run to their horizon, plus the dyadic Case 2-4 plants,
+// whose orbits reach the convergence stop.
+inline std::vector<BcnParams> typed_core_plants() {
+  Rng rng(1901);
+  std::vector<BcnParams> plants;
+  for (int i = 0; i < 32; ++i) plants.push_back(seeded_plant(rng));
+  plants.push_back(case2_params());
+  plants.push_back(case3_params());
+  plants.push_back(case4_params());
+  return plants;
 }
 
 }  // namespace bcn::core::testing
