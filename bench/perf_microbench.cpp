@@ -3,10 +3,10 @@
 // compiled batch-lane vector pass, plus the tracked perf artifacts: the
 // serial-vs-parallel stability-map
 // comparison (BENCH_parallel_sweep.json), the span-tracing overhead
-// measurement (BENCH_tracing_overhead.json), the per-subsystem
-// self-time breakdown (BENCH_subsystem_profile.json), and the
-// discrete-event-core dispatch rate (BENCH_sim_throughput.json).  Diff
-// any of them against a committed baseline with tools/bcn_bench_diff.
+// measurement (BENCH_tracing_overhead.json), the monitor overhead
+// (BENCH_monitor_overhead.json), and the discrete-event-core dispatch
+// rate (BENCH_sim_throughput.json).  Diff any of them against a
+// committed baseline with tools/bcn_bench_diff.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,7 +24,6 @@
 #include "common/json.h"
 #include "core/analytic_tracer.h"
 #include "core/batch_verdict.h"
-#include "core/poincare.h"
 #include "core/simulate.h"
 #include "exec/parallel_for.h"
 #include "obs/tracing.h"
@@ -323,85 +321,6 @@ void emit_tracing_overhead_json() {
   }
 }
 
-// Where does the wall-clock go?  One traced mixed workload touching every
-// instrumented subsystem, self-time grouped by span-name prefix.
-void emit_subsystem_profile_json() {
-  obs::tracing_clear();
-  obs::tracing_enable();
-  {
-    // ode + core: hybrid fluid run and a handful of return-map iterations.
-    const core::BcnParams p = core::BcnParams::standard_draft();
-    const core::FluidModel model(p, core::ModelLevel::Nonlinear);
-    core::FluidRunOptions fopts;
-    fopts.duration = 1.5e-3;
-    const auto run = core::simulate_fluid(model, fopts);
-    benchmark::DoNotOptimize(run.max_x);
-    core::PoincareOptions popts;
-    popts.max_time = 0.01;
-    const core::PoincareMap pmap(model, popts);
-    for (const double s : {1e10, 3e10, 1e11}) {
-      benchmark::DoNotOptimize(pmap.map(s));
-    }
-
-    // analysis + exec: a parallel stability-map grid.
-    core::BcnParams base = p;
-    base.buffer = 12e6;
-    base.qsc = 11e6;
-    const auto map = analysis::compute_stability_map(
-        base, analysis::logspace(0.25, 16.0, 6),
-        analysis::logspace(1.0 / 512.0, 0.25, 6),
-        {.numeric_level = core::ModelLevel::Linearized, .threads = 0});
-    benchmark::DoNotOptimize(map.numeric_stable);
-
-    // sim: one millisecond of packet traffic.
-    sim::NetworkConfig cfg;
-    cfg.params = p;
-    cfg.initial_rate = cfg.params.capacity / cfg.params.num_sources;
-    sim::Network net(cfg);
-    net.run(sim::kMillisecond);
-    benchmark::DoNotOptimize(net.queue_bits());
-  }
-  obs::tracing_disable();
-  obs::tracing_drain();
-  const auto profile = obs::build_self_profile(obs::tracing_spans());
-  obs::tracing_clear();
-
-  // Fold span self-time into subsystem buckets by name prefix
-  // ("exec.chunk" -> "exec").  std::map keeps the artifact key-sorted.
-  std::map<std::string, double> self_seconds;
-  std::map<std::string, std::uint64_t> calls;
-  double total = 0.0;
-  for (const auto& e : profile) {
-    const auto dot = e.name.find('.');
-    const std::string prefix =
-        dot == std::string::npos ? e.name : e.name.substr(0, dot);
-    self_seconds[prefix] += e.self_seconds;
-    calls[prefix] += e.calls;
-    total += e.self_seconds;
-  }
-
-  JsonWriter json;
-  json.add("benchmark", "subsystem_profile");
-  json.add("total_self_seconds", total);
-  json.add("span_names", static_cast<std::int64_t>(profile.size()));
-  for (const auto& [prefix, secs] : self_seconds) {
-    json.add(prefix + "_self_seconds", secs);
-    json.add(prefix + "_calls", static_cast<std::int64_t>(calls[prefix]));
-  }
-  const auto path = bench::output_dir() / "BENCH_subsystem_profile.json";
-  if (json.write_file(path)) {
-    std::printf("subsystem profile: %.3f s of self-time across %zu span "
-                "names\n",
-                total, profile.size());
-    for (const auto& [prefix, secs] : self_seconds) {
-      std::printf("  %-10s %8.3f s (%5.1f%%, %llu calls)\n", prefix.c_str(),
-                  secs, total > 0.0 ? secs / total * 100.0 : 0.0,
-                  static_cast<unsigned long long>(calls[prefix]));
-    }
-    std::printf("  [artifact] %s\n", path.string().c_str());
-  }
-}
-
 // Acceptance budget for the runtime invariant monitors
 // (BENCH_monitor_overhead.json): the reference single-bottleneck packet
 // run timed with monitors off and with every monitor armed but quiet
@@ -630,7 +549,6 @@ int main(int argc, char** argv) {
   emit_parallel_sweep_json();
   emit_tracing_overhead_json();
   emit_monitor_overhead_json();
-  emit_subsystem_profile_json();
   emit_sim_throughput_json();
   return 0;
 }

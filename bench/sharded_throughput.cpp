@@ -82,13 +82,8 @@ int run(bench::RunContext& ctx) {
     throw UsageError("--topology: " + error);
   }
   const int rounds = ctx.args->get_count("flows-per-host", 15);
-  const double duration_us = ctx.args->get_double("duration-us", 2000.0);
-  if (!(duration_us > 0.0 && duration_us * sim::kMicrosecond < 0x1p63)) {
-    throw UsageError("--duration-us: must be > 0 and inside the simulated "
-                     "clock");
-  }
-  const auto duration =
-      static_cast<sim::SimTime>(duration_us * sim::kMicrosecond);
+  const sim::SimTime duration =
+      sim::shard::span_us(*ctx.args, "duration-us", 2000.0);
   // core::BcnParams::validate's rule for an initial rate.
   const double rate = ctx.args->get_double("rate", 5e7);
   if (!(rate >= 0.0)) throw UsageError("--rate: must be >= 0");

@@ -589,9 +589,10 @@ PY
 }
 
 # A malformed shard count must be a usage error (exit 2) on the tool and
-# on the shared bench runner alike; so must a non-positive horizon, a
-# malformed flow count, and a physics flag outside
-# core::BcnParams::validate's range (--pm 2 would sample every arrival).
+# on the shared bench runner alike; so must a non-positive horizon or one
+# under 1 ns (it would truncate to a zero-length run), a malformed flow
+# count, and a physics flag outside core::BcnParams::validate's range
+# (--pm 2 would sample every arrival).
 expect_usage_error "^--shards: 'bogus' is not a count" \
   "$FABRIC_TOOL" --topology fat-tree:4 --shards bogus
 expect_usage_error "^--shards: 'bogus' is not a count" \
@@ -599,6 +600,13 @@ expect_usage_error "^--shards: 'bogus' is not a count" \
   --shards bogus
 expect_usage_error "^--duration-us: must be > 0" \
   "$FABRIC_TOOL" --duration-us -1
+expect_usage_error "^--duration-us: must be > 0, at least 0.001 (1 ns)" \
+  "$FABRIC_TOOL" --topology star:4 --duration-us 0.0001
+expect_usage_error "^--sample-us: must be > 0, at least 0.001 (1 ns)" \
+  "$FABRIC_TOOL" --topology star:4 --sample-us 0.0001
+expect_usage_error "^--duration-us: must be > 0, at least 0.001 (1 ns)" \
+  "$SMOKE_BUILD_DIR"/bench/sharded_throughput --run sharded_throughput \
+  --duration-us 0.0001
 expect_usage_error "^--flows-per-host: 'abc' is not a count" \
   "$FABRIC_TOOL" --flows-per-host abc
 expect_usage_error '^--pm: must lie in (0, 1]' "$FABRIC_TOOL" --pm 2

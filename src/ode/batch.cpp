@@ -83,11 +83,13 @@ template <typename V, typename M>
   out = (stol > 0.0) & (ax * ivx + ay * ivy < stol);
 }
 
+// Bisection iterations on the Hermite interpolant per crossing.
+constexpr int kMaxBisections = 48;
+
 // Root of the cubic Hermite interpolant of sigma over [0, 1] given end
 // values and end derivatives (d/du).  Bisection on the polynomial: the
 // caller guarantees a sign change between the endpoints.
-inline double hermite_root(double p0, double m0, double p1, double m1,
-                           int iters) {
+inline double hermite_root(double p0, double m0, double p1, double m1) {
   const auto eval = [&](double u) {
     const double u2 = u * u;
     const double u3 = u2 * u;
@@ -96,7 +98,7 @@ inline double hermite_root(double p0, double m0, double p1, double m1,
   };
   double lo = 0.0, hi = 1.0;
   double flo = p0;
-  for (int it = 0; it < iters; ++it) {
+  for (int it = 0; it < kMaxBisections; ++it) {
     const double mid = 0.5 * (lo + hi);
     const double fm = eval(mid);
     if ((flo <= 0.0) == (fm <= 0.0)) {
@@ -289,8 +291,8 @@ std::vector<const BatchKernel*> host_batch_kernels() {
 
 const char* batch_kernel_name() { return internal::host_batch_kernel().name; }
 
-BatchIntegrator::BatchIntegrator(BatchOptions options)
-    : options_(options), kernel_(&internal::host_batch_kernel()) {}
+BatchIntegrator::BatchIntegrator()
+    : kernel_(&internal::host_batch_kernel()) {}
 
 void BatchIntegrator::reset(const BatchLane* lanes, std::size_t n) {
   const std::size_t capacity = (n + kBlock - 1) / kBlock * kBlock;
@@ -369,8 +371,7 @@ void BatchIntegrator::commit_at_crossing(std::size_t i) {
   field_y(xb, yb, sx, sy, drive, g0, g1, fb);
   sigma(ya, fa, sx, sy, da);
   sigma(yb, fb, sx, sy, db);
-  double u = hermite_root(s0_[i], da * h, s1_[i], db * h,
-                          options_.max_bisections);
+  double u = hermite_root(s0_[i], da * h, s1_[i], db * h);
   // Guarantee forward progress even if the interpolant pins the root
   // onto the step's start.
   u = std::clamp(u, 1e-6, 1.0);

@@ -118,14 +118,9 @@ struct LaneResult {
   std::uint32_t crossings = 0;
 };
 
-struct BatchOptions {
-  // Bisection iterations on the Hermite interpolant per crossing.
-  int max_bisections = 48;
-};
-
 class BatchIntegrator {
  public:
-  explicit BatchIntegrator(BatchOptions options = {});
+  BatchIntegrator();
 
   // Loads n lanes (all become active, t = 0).  Scratch is resized, not
   // shrunk: after the first reset at the high-water lane count, further
@@ -156,7 +151,6 @@ class BatchIntegrator {
   bool retire_if_done(std::size_t i);
   void retire_nonfinite(std::size_t i);
 
-  BatchOptions options_;
   const internal::BatchKernel* kernel_;
   std::size_t active_ = 0;
 

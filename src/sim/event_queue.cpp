@@ -232,6 +232,50 @@ void Simulator::append_sorted(SimTime when, EventTarget* target,
   lane_.push_back({make_key(when, next_seq_++), target, kind, payload});
 }
 
+// --- delay FIFO ----------------------------------------------------------
+
+void Simulator::schedule_after(SimTime delay, EventTarget* target,
+                               EventKind kind) {
+  if (delay < 0) {
+    throw std::invalid_argument("sim: schedule_after delay " +
+                                std::to_string(delay) + " ns is negative");
+  }
+  const SimTime when = now_ + delay;
+  // A deadline ahead of the tail would unsort the ring: the heap takes
+  // it, with the seq it would have had here.
+  if (fifo_size_ != 0 &&
+      when < key_when(fifo_[fifo_slot(fifo_size_ - 1)].key)) {
+    schedule_event(when, target, kind, 0);
+    return;
+  }
+  if (fifo_size_ == fifo_.size()) grow_fifo();
+  fifo_[fifo_slot(fifo_size_)] = {make_key(when, next_seq_++), target, kind};
+  ++fifo_size_;
+}
+
+// Doubles the full ring, unwrapping its pending events to the front.
+void Simulator::grow_fifo() {
+  std::vector<FifoEntry> grown(std::max<std::size_t>(16, 2 * fifo_.size()));
+  for (std::size_t i = 0; i < fifo_size_; ++i) {
+    grown[i] = fifo_[fifo_slot(i)];
+  }
+  fifo_.swap(grown);
+  fifo_head_ = 0;
+}
+
+// Pops the FIFO head before its handler runs, which may schedule_after
+// again; a FIFO event has no handle, so it fires with id kInvalidEvent.
+void Simulator::fire_fifo_head() {
+  const FifoEntry head = fifo_[fifo_head_];
+  fifo_head_ = fifo_slot(1);
+  --fifo_size_;
+  now_ = key_when(head.key);
+  ++executed_;
+  SimEvent event;
+  event.kind = head.kind;
+  head.target->on_event(event);
+}
+
 // --- dispatch ------------------------------------------------------------
 
 // Pops the lane head before its handler runs: the handler may append,
@@ -260,16 +304,23 @@ std::size_t Simulator::run_until(SimTime until) {
   const std::size_t executed_before = executed_;
   const unsigned __int128 limit = make_key(until, ~0ull);
   while (true) {
-    // One seq counter numbers both sets, so keys are unique and the
-    // smaller of the two heads is the next event of the single
-    // (when, seq) order; an equal `when` never favours the lane.
-    if (!lane_.empty() &&
-        (heap_.empty() || lane_[lane_head_].key < heap_[0].key)) {
-      if (lane_[lane_head_].key > limit) break;
+    // One seq counter numbers all three sets, so keys are unique and the
+    // least of the three heads is the next event of the single
+    // (when, seq) order; an equal `when` never favours a FIFO.
+    const unsigned __int128 heap = heap_key();
+    const unsigned __int128 lane = lane_key();
+    const unsigned __int128 fifo = fifo_key();
+    if (fifo < heap && fifo < lane) {
+      if (fifo > limit) break;
+      fire_fifo_head();
+      continue;
+    }
+    if (lane < heap) {
+      if (lane > limit) break;
       fire_lane_head();
       continue;
     }
-    if (heap_.empty() || heap_[0].key > limit) break;
+    if (heap_.empty() || heap > limit) break;
     const std::uint32_t top = heap_[0].slot;
 
     // Fire in place: the root entry stays in the heap while its handler

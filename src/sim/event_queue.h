@@ -1,6 +1,6 @@
 // Discrete-event simulation core: typed pooled events on an indexed 4-ary
-// min-heap with stable FIFO ordering for simultaneous events, plus a
-// presorted FIFO lane beside the heap for events that arrive in order.
+// min-heap with stable FIFO ordering for simultaneous events, plus two
+// presorted FIFOs beside the heap for events that arrive in order.
 //
 // Design (the simulator fast path):
 //   * Event records live in a slab of pool slots recycled through a free
@@ -17,15 +17,24 @@
 //     the simulation instead of allocating a fresh event every tick.
 //   * A caller that already holds events in (when) order -- the sharded
 //     engine's canonically sorted epoch handoffs -- appends them to the
-//     lane instead: no slot, no heap push, no full-depth pop.  An append
-//     draws its seq from the same counter as every schedule_*, so each
-//     event keeps the (when, seq) key the heap would have given it, and
-//     the lane stays sorted by that key.  run_until fires whichever of
-//     the lane head and the heap root has the smaller key; both are the
-//     minima of their sorted sets, so the merge fires every event in
-//     exactly the order a single heap would.  Lane events fire once and
-//     have no handle.  The lane is a vector plus a head index, cleared
-//     (keeping its capacity) whenever it drains.
+//     lane instead: no slot, no heap push, no full-depth pop.  The lane is
+//     a vector plus a head index, cleared (keeping its capacity) whenever
+//     it drains.
+//   * A fire-once event due a fixed delay from now -- a port's departure,
+//     one service time out -- goes through schedule_after.
+//     Most such deadlines are no earlier than the last one scheduled, so
+//     they append to the delay FIFO, again with no slot and no sift; one
+//     that would land ahead of the FIFO's tail (a shorter delay after a
+//     longer one) is scheduled into the heap instead.  The FIFO is a
+//     power-of-two ring that grows only when full, so its memory is
+//     bounded by its peak pending count even if it never drains.
+//   * Every lane append and schedule_after draws its seq from the same
+//     counter as every schedule_*, so each event keeps the (when, seq)
+//     key the heap would have given it, and both FIFOs stay sorted by
+//     that key.  run_until fires the least of the heap root, the lane
+//     head and the FIFO head; each is the minimum of its sorted set, so
+//     the merge fires every event in exactly the order a single heap
+//     would.  Lane and FIFO events fire once, with tag 0 and no handle.
 #pragma once
 
 #include <algorithm>
@@ -90,24 +99,34 @@ class Simulator {
   void append_sorted(SimTime when, EventTarget* target, EventKind kind,
                      const EventPayload& payload);
 
+  // --- delay FIFO ---------------------------------------------------------
+  // Schedules a fire-once event at now() + `delay` with the next seq,
+  // exactly as schedule_event would number it.  It joins the delay FIFO
+  // when that deadline is not earlier than the FIFO's last pending one,
+  // and the heap otherwise; either way it fires in the single-heap order,
+  // dispatched with tag 0.  The caller gets no handle, so the event
+  // cannot be cancelled or rescheduled, and its handler must not read
+  // event.id.  Throws std::invalid_argument on a negative delay.
+  void schedule_after(SimTime delay, EventTarget* target, EventKind kind);
+
   // Runs until the queue drains or simulated time exceeds `until`.
-  // Returns the number of events executed, lane events included.
-  // Advances now() to `until`.
+  // Returns the number of events executed, lane and FIFO events
+  // included.  Advances now() to `until`.
   std::size_t run_until(SimTime until);
 
-  // True when no live events remain in the heap or the lane.  (The
-  // firing event stays in the heap while its handler runs, so an empty
-  // heap means no heap event is pending.)
-  bool idle() const { return heap_.empty() && lane_.empty(); }
+  // True when no live events remain in the heap, the lane or the delay
+  // FIFO.  (The firing event stays in the heap while its handler runs, so
+  // an empty heap means no heap event is pending.)
+  bool idle() const {
+    return heap_.empty() && lane_.empty() && fifo_size_ == 0;
+  }
 
-  // Deadline of the earliest pending event, heap or lane; only meaningful
-  // when not idle().  The sharded engine's single-shard fast path peeks
-  // it to jump over empty epochs (sim/shard/engine.cpp).
+  // Deadline of the earliest pending event, in the heap, the lane or the
+  // delay FIFO; only meaningful when not idle().  The sharded engine's
+  // single-shard fast path peeks it to jump over empty epochs
+  // (sim/shard/engine.cpp).
   SimTime next_event_time() const {
-    unsigned __int128 key = ~static_cast<unsigned __int128>(0);
-    if (!heap_.empty()) key = heap_.front().key;
-    if (!lane_.empty()) key = std::min(key, lane_[lane_head_].key);
-    return key_when(key);
+    return key_when(std::min({heap_key(), lane_key(), fifo_key()}));
   }
 
   std::size_t executed() const { return executed_; }
@@ -175,6 +194,10 @@ class Simulator {
   static bool entry_less(const HeapEntry& a, const HeapEntry& b) {
     return a.key < b.key;
   }
+  // The key of an empty set: after every real key, since a real key's
+  // `when` is a non-negative SimTime and so leaves the top bit clear.
+  static constexpr unsigned __int128 kNoKey =
+      ~static_cast<unsigned __int128>(0);
   void heap_push(const HeapEntry& entry);
   void heap_remove(std::int32_t heap_index);
   void pop_root();
@@ -189,6 +212,30 @@ class Simulator {
     EventPayload payload;
   };
   void fire_lane_head();
+
+  // A delay-FIFO event: its key and its dispatch, with no payload.
+  struct FifoEntry {
+    unsigned __int128 key;
+    EventTarget* target;
+    EventKind kind;
+  };
+  // The ring index of the i-th pending FIFO event.
+  std::size_t fifo_slot(std::size_t i) const {
+    return (fifo_head_ + i) & (fifo_.size() - 1);
+  }
+  void grow_fifo();
+  void fire_fifo_head();
+
+  // The head key of each pending set, kNoKey when it is empty.
+  unsigned __int128 heap_key() const {
+    return heap_.empty() ? kNoKey : heap_[0].key;
+  }
+  unsigned __int128 lane_key() const {
+    return lane_.empty() ? kNoKey : lane_[lane_head_].key;
+  }
+  unsigned __int128 fifo_key() const {
+    return fifo_size_ == 0 ? kNoKey : fifo_[fifo_head_].key;
+  }
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -205,6 +252,12 @@ class Simulator {
   // Pending lane events are lane_[lane_head_, size); empty when drained.
   std::vector<LaneEntry> lane_;
   std::size_t lane_head_ = 0;
+  // The delay FIFO is a ring: pending events are the fifo_size_ entries
+  // from fifo_head_, wrapping at fifo_.size(), which is zero or a power
+  // of two.
+  std::vector<FifoEntry> fifo_;
+  std::size_t fifo_head_ = 0;
+  std::size_t fifo_size_ = 0;
 };
 
 // A precomputed forwarding hop: schedules its payload as a typed event to

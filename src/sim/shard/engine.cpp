@@ -7,6 +7,7 @@
 #include <memory>
 #include <thread>
 
+#include "common/args.h"
 #include "exec/thread_pool.h"
 #include "sim/shard/fabric.h"
 #include "sim/shard/mpsc_queue.h"
@@ -219,6 +220,16 @@ class Shard final : public TransferSink {
 };
 
 }  // namespace
+
+SimTime span_us(const ArgParser& args, const char* name, double fallback) {
+  const double ns = args.get_double(name, fallback) * kMicrosecond;
+  if (!(ns >= 1.0 && ns < 0x1p63)) {
+    throw UsageError(std::string("--") + name +
+                     ": must be > 0, at least 0.001 (1 ns), and inside the "
+                     "simulated clock");
+  }
+  return static_cast<SimTime>(ns);
+}
 
 FabricResult run_fabric(const Topology& topo, const FabricOptions& options,
                         int shard_count) {

@@ -3,14 +3,15 @@
 // One Simulator shard per worker thread, each owning a topology
 // partition (ports + the sources homed at their ingress edge).  Time
 // advances in epochs of a fixed quantum Q; within an epoch every shard
-// runs its own Simulator -- local timers on the zero-alloc event heap,
-// the epoch's injected handoffs on its presorted FIFO lane -- and all
-// inter-entity handoffs are staged as TransferRecords.  Shards
-// synchronize at epoch boundaries with a sense-reversing barrier; no
-// null messages are exchanged, because the lookahead is structural:
-// every handoff travels at least one link, so a record staged during
-// epoch e delivers at or after the start of epoch e+1 and the barrier
-// alone makes the exchange safe (conservative PDES with lookahead Q).
+// runs its own Simulator -- pacing tokens on the zero-alloc event heap,
+// port departures on its delay FIFO, the epoch's injected handoffs on
+// its presorted lane -- and all inter-entity handoffs are staged as
+// TransferRecords.  Shards synchronize at epoch boundaries with a
+// sense-reversing barrier; no null messages are exchanged, because the
+// lookahead is structural: every handoff travels at least one link, so
+// a record staged during epoch e delivers at or after the start of epoch
+// e+1 and the barrier alone makes the exchange safe (conservative PDES
+// with lookahead Q).
 //
 // THE QUANTUM PIN IS THE DETERMINISM CONTRACT.  Q is pinned to the
 // topology's link_delay -- a shard-count-invariant quantity -- and NOT
@@ -21,8 +22,9 @@
 // (sorted by (deliver_at, src_gid, src_seq)), and therefore the FNV-1a
 // trajectory digest are bitwise-identical for every shard count,
 // including 1.  Injection appends each sorted record to the lane with
-// the next seq from the counter the shard's timers share, so the lane
-// and heap merge on (when, seq) into one order on every shard count.
+// the next seq from the counter the shard's timers share, so the heap,
+// the lane and the FIFO merge on (when, seq) into one order on every
+// shard count.
 // tests/sim/shard_determinism_test.cpp pins this.
 //
 // Cross-shard records travel over lock-free bounded MPSC inboxes (one
@@ -45,6 +47,10 @@
 #include "obs/monitor.h"
 #include "sim/rate_regulator.h"
 #include "sim/shard/topology.h"
+
+namespace bcn {
+class ArgParser;
+}
 
 namespace bcn::sim::shard {
 
@@ -104,6 +110,12 @@ struct FabricResult {
 
 // Largest --shards / BCN_SHARDS value the tools accept (six digits).
 inline constexpr int kMaxShards = 999'999;
+
+// The span flag --<name> in microseconds (`fallback` when absent) as
+// simulated time, for --duration-us and --sample-us.  Throws UsageError
+// naming the flag unless the span is at least 1 ns and inside the
+// simulated clock: a positive span under 1 ns truncates to none.
+SimTime span_us(const ArgParser& args, const char* name, double fallback);
 
 // Runs `topo` for options.duration on `shards` shards (clamped to >= 1).
 // shards == 1 runs inline on the calling thread; otherwise the engine

@@ -86,9 +86,8 @@ void FabricPort::start_service() {
     return;
   }
   serving_ = true;
-  depart_timer_ = sim_->arm(
-      depart_timer_, sim_->now() + service_time(queue_.front().size_bits),
-      this, EventKind::FrameDeparture, 0);
+  sim_->schedule_after(service_time(queue_.front().size_bits), this,
+                       EventKind::FrameDeparture);
 }
 
 void FabricPort::finish_service() {

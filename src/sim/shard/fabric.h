@@ -10,11 +10,15 @@
 // workload, so the injected order -- and, since each append takes the
 // next seq exactly as a schedule would, every (when, seq) tie-break
 // inside any Simulator -- is identical for every shard count, including
-// the degenerate single-shard run.  Injected events fire once with tag 0
-// and no handle; no handler here reads event.id for them.  Intra-entity
-// timers (service completions, pacing tokens) go straight into the
-// local Simulator's heap; they touch only their owner's state, so their
-// interleaving is irrelevant.
+// the degenerate single-shard run.  Intra-entity timers touch only their
+// owner's state, so their interleaving with other entities' events is
+// irrelevant.  A source's pacing token re-arms its slot in the local
+// Simulator's heap, since its gap follows the regulator's rate.  A
+// port's service completion goes through Simulator::schedule_after: due
+// one service time out, it appends to the shard's delay FIFO, unless a
+// slower port's departure already waits there with a later deadline, in
+// which case it takes the heap.  Injected events and departures fire
+// once with tag 0; no handler here reads event.id for them.
 //
 // Fabric ports implement the paper's baseline congestion point: drop-tail
 // FIFO, deterministic 1/pm arrival sampling, sigma per eq. (1), BCN of
@@ -78,7 +82,8 @@ struct FabricPortCounters {
 
 // A directional output port: FIFO drop-tail queue draining at the link
 // capacity, sampling + BCN per the paper's congestion point.  Receives
-// injected FrameArrival events and its own FrameDeparture timer.
+// injected FrameArrival events and its own fire-once FrameDeparture,
+// set through Simulator::schedule_after at each service start.
 class FabricPort final : public EventTarget {
  public:
   void init(Simulator* sim, TransferSink* sink, const Topology* topo,
@@ -121,7 +126,6 @@ class FabricPort final : public EventTarget {
   double service_bits_ = -1.0;
   SimTime service_gap_ = 0;
   bool serving_ = false;
-  EventId depart_timer_ = kInvalidEvent;
 
   std::uint64_t arrivals_since_sample_ = 0;
   double queue_at_last_sample_ = 0.0;

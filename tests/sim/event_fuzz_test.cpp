@@ -3,10 +3,14 @@
 // contract exactly: events fire in (when, seq) order, cancel removes a
 // pending event and no-ops on stale handles, reschedule re-enters the FIFO
 // order with a fresh sequence number, and deadlines clamp to >= now.  A
-// sorted lane append is, to the model, one more schedule: it takes the
-// next sequence number and is never cancelled or rescheduled.
+// sorted lane append and a schedule_after are, to the model, one more
+// schedule: each takes the next sequence number and is never cancelled or
+// rescheduled, whether the simulator keeps it in the lane, the delay FIFO
+// or the heap.
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -103,6 +107,22 @@ class FiringRecorder : public EventTarget {
   std::vector<std::uint32_t> fired_;
 };
 
+// A schedule_after event carries no payload and tag 0, so each one gets a
+// target of its own that logs its marker into the shared record.
+class MarkedTarget : public EventTarget {
+ public:
+  MarkedTarget(FiringRecorder& log, std::uint32_t marker)
+      : log_(log), marker_(marker) {}
+  void on_event(const SimEvent& event) override {
+    EXPECT_EQ(event.tag, 0u);
+    log_.fired().push_back(marker_);
+  }
+
+ private:
+  FiringRecorder& log_;
+  std::uint32_t marker_;
+};
+
 TEST(EventFuzzTest, RandomizedOpsMatchSortedVectorReference) {
   for (std::uint64_t seed : {1ull, 42ull, 0xdeadbeefull, 987654321ull}) {
     Simulator sim;
@@ -125,10 +145,32 @@ TEST(EventFuzzTest, RandomizedOpsMatchSortedVectorReference) {
     std::vector<std::size_t> model_ids;
     std::uint32_t marker = 0;
     SimTime lane_tail = 0;  // deadline of the last lane append
+    // schedule_after draws from a few delays, so a shorter one often
+    // follows a longer one and lands ahead of the delay FIFO's tail.
+    constexpr std::array<SimTime, 3> kDelays = {0, 40, 90};
+    std::deque<MarkedTarget> delayed;  // stable addresses
+    SimTime fifo_tail = 0;  // deadline of the last FIFO append
+    int fifo_appends = 0, heap_fallbacks = 0;
 
     for (int op = 0; op < 20'000; ++op) {
       const std::uint64_t roll = next() % 100;
-      if (roll < 50 || sim_ids.empty()) {
+      if (roll >= 40 && roll < 50) {
+        // Delayed: the FIFO takes it unless it is due before the FIFO's
+        // tail.  A drained FIFO's last deadline is at or before now(), so
+        // the last append's deadline predicts the choice either way.
+        const SimTime delay = kDelays[next() % kDelays.size()];
+        const SimTime when = sim.now() + delay;
+        if (when >= fifo_tail) {
+          fifo_tail = when;
+          ++fifo_appends;
+        } else {
+          ++heap_fallbacks;
+        }
+        sim.schedule_after(delay, &delayed.emplace_back(rec, marker),
+                           EventKind::FrameDeparture);
+        model.schedule(when, marker);
+        ++marker;
+      } else if (roll < 40 || sim_ids.empty()) {
         // Schedule: mostly near-future, sometimes deliberately in the past
         // (both sides clamp to now).
         const SimTime when =
@@ -184,6 +226,9 @@ TEST(EventFuzzTest, RandomizedOpsMatchSortedVectorReference) {
     EXPECT_EQ(model.live_count(), 0u);
     // Every slot back on the free list: no leaked pool entries.
     EXPECT_EQ(sim.pool_free(), sim.pool_slots());
+    // Both schedule_after paths ran.
+    EXPECT_GT(fifo_appends, 100) << "seed=" << seed;
+    EXPECT_GT(heap_fallbacks, 100) << "seed=" << seed;
   }
 }
 

@@ -1,6 +1,7 @@
 // The typed-event pool and indexed heap: handle lifecycle, in-place
 // cancel/reschedule, FIFO tie-breaking, slot recycling, the presorted
-// lane beside the heap, and the zero-allocation steady state.
+// lane and the delay FIFO beside the heap, and the zero-allocation
+// steady state.
 #include <stdexcept>
 #include <vector>
 
@@ -219,8 +220,10 @@ TEST(EventHeapTest, RandomizedOrderIsNondecreasingWithFifoTieBreak) {
   }
 }
 
-// The tentpole's allocation guarantee: once the pool is warm, scheduling
-// and dispatching typed events performs no heap allocation at all.
+// The allocation guarantee: once the pool is warm, scheduling and
+// dispatching typed events performs no heap allocation at all -- heap
+// timers, lane appends, and delayed events in a delay FIFO that never
+// drains.
 TEST(EventHeapTest, SteadyStateTypedEventsAllocateNothing) {
   Simulator sim;
   // A sink that only counts: the recording target's own vector growth must
@@ -238,33 +241,39 @@ TEST(EventHeapTest, SteadyStateTypedEventsAllocateNothing) {
   frame.size_bits = 12000.0;
   EventPayload payload;
   payload.frame = frame;
-  // Warm-up: grow the slab, the heap array, the free list, and the lane
-  // to their working-set sizes.
-  for (int i = 0; i < 64; ++i) {
-    sim.schedule_frame(sim.now() + 1 + i % 7, &rec, 0, frame);
-    sim.append_sorted(sim.now() + 1 + i / 8, &rec, EventKind::FrameArrival,
-                      payload);
-  }
-  sim.run_until(sim.now() + 100);
-  ASSERT_TRUE(sim.idle());
-
-  const bcn::testing::AllocationCounter counter;
-  for (int round = 0; round < 1000; ++round) {
+  // One round of the working set, 10 ns of simulated time.  The delayed
+  // pair is due 100 rounds out, so the FIFO always holds ~100 events:
+  // the longer delay appends to it, and the shorter one, due ahead of
+  // that tail, takes the heap.
+  const auto round = [&] {
     for (int i = 0; i < 32; ++i) {
       sim.schedule_frame(sim.now() + 1 + i % 7, &rec, 0, frame);
       sim.append_sorted(sim.now() + 1 + i / 4, &rec, EventKind::FrameArrival,
                         payload);
     }
-    EventId moved = sim.schedule_event(sim.now() + 9, &rec, EventKind::Tick, 1);
+    const EventId moved =
+        sim.schedule_event(sim.now() + 9, &rec, EventKind::Tick, 1);
     sim.reschedule(moved, sim.now() + 3);
-    EventId dropped = sim.schedule_event(sim.now() + 5, &rec, EventKind::Tick, 2);
+    const EventId dropped =
+        sim.schedule_event(sim.now() + 5, &rec, EventKind::Tick, 2);
     sim.cancel(dropped);
+    sim.schedule_after(1000, &rec, EventKind::FrameDeparture);
+    sim.schedule_after(995, &rec, EventKind::FrameDeparture);
     sim.run_until(sim.now() + 10);
-  }
+  };
+  // Warm-up: grow the slab, the heap array, the free list, the lane and
+  // the FIFO ring to their working-set sizes.
+  for (int i = 0; i < 200; ++i) round();
+  ASSERT_FALSE(sim.idle());
+
+  const bcn::testing::AllocationCounter counter;
+  for (int i = 0; i < 1000; ++i) round();
   const std::uint64_t allocs = counter.count();
-  EXPECT_TRUE(sim.idle());
   EXPECT_EQ(allocs, 0u);
-  EXPECT_EQ(rec.count(), 2u * 64u + 1000u * 65u);
+  EXPECT_FALSE(sim.idle());
+  sim.run_until(sim.now() + 1000);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(rec.count(), 1200u * 67u);
 }
 
 // The lane and the heap draw seqs from one counter, so a lane event ties
@@ -340,6 +349,101 @@ TEST(EventHeapTest, LaneAppendOutOfOrderThrows) {
   sim.append_sorted(300, &rec, EventKind::FrameArrival, payload);
   EXPECT_EQ(sim.run_until(1000), 3u);
   EXPECT_EQ(rec.entries().size(), 4u);
+}
+
+// The delay FIFO shares the seq counter too: delayed, scheduled and
+// appended events due at one instant fire in the order they were set.
+TEST(EventHeapTest, DelayFifoMergesWithHeapAndLaneInScheduleOrder) {
+  Simulator sim;
+  Recorder rec(sim);
+  EventPayload payload;
+  payload.frame = Frame{};
+  sim.schedule_after(10, &rec, EventKind::FrameDeparture);
+  sim.schedule_event(10, &rec, EventKind::Tick, 1);
+  sim.append_sorted(10, &rec, EventKind::FrameArrival, payload);
+  sim.schedule_after(10, &rec, EventKind::FrameDeparture);
+  sim.schedule_event(10, &rec, EventKind::Tick, 2);
+  sim.schedule_after(20, &rec, EventKind::FrameDeparture);
+  sim.append_sorted(15, &rec, EventKind::FrameArrival, payload);
+  sim.schedule_event(12, &rec, EventKind::Tick, 3);
+  EXPECT_EQ(sim.run_until(100), 8u);
+  EXPECT_EQ(sim.executed(), 8u);
+  const std::vector<EventKind> kinds = {
+      EventKind::FrameDeparture, EventKind::Tick,
+      EventKind::FrameArrival,   EventKind::FrameDeparture,
+      EventKind::Tick,           EventKind::Tick,
+      EventKind::FrameArrival,   EventKind::FrameDeparture};
+  const std::vector<SimTime> times = {10, 10, 10, 10, 10, 12, 15, 20};
+  ASSERT_EQ(rec.entries().size(), kinds.size());
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    EXPECT_EQ(rec.entries()[i].kind, kinds[i]) << i;
+    EXPECT_EQ(rec.entries()[i].at, times[i]) << i;
+  }
+  // A FIFO event fires once, with tag 0 and no handle, and takes no slot.
+  EXPECT_EQ(rec.last().tag, 0u);
+  EXPECT_EQ(rec.last().id, kInvalidEvent);
+  EXPECT_EQ(sim.pool_slots(), 3u);
+  EXPECT_TRUE(sim.idle());
+}
+
+// A delayed event counts as pending wherever it waits: next_event_time()
+// and idle() see it beyond `until`, and executed() counts it once fired.
+TEST(EventHeapTest, PendingDelayedEventKeepsTheSimulatorBusy) {
+  Simulator sim;
+  Recorder rec(sim);
+  sim.schedule_after(30, &rec, EventKind::FrameDeparture);
+  sim.schedule_after(500, &rec, EventKind::FrameDeparture);
+  sim.schedule_event(50, &rec, EventKind::Tick, 0);
+  EXPECT_EQ(sim.next_event_time(), 30);
+  EXPECT_EQ(sim.run_until(100), 2u);
+  // Only the FIFO holds an event now, beyond `until`.
+  EXPECT_EQ(sim.heap_size(), 0u);
+  EXPECT_FALSE(sim.idle());
+  EXPECT_EQ(sim.next_event_time(), 500);
+  EXPECT_EQ(sim.now(), 100);
+  EXPECT_EQ(sim.run_until(499), 0u);
+  EXPECT_FALSE(sim.idle());
+  EXPECT_EQ(sim.run_until(500), 1u);
+  EXPECT_EQ(sim.executed(), 3u);
+  EXPECT_EQ(rec.times(), (std::vector<SimTime>{30, 50, 500}));
+  EXPECT_TRUE(sim.idle());
+}
+
+// The ring wraps, and grows while wrapped, without reordering; a delay
+// due ahead of the FIFO's tail takes the heap and still fires in order.
+TEST(EventHeapTest, DelayFifoWrapsGrowsAndFallsBackInOrder) {
+  Simulator sim;
+  Recorder rec(sim);
+  for (SimTime t = 0; t < 12; ++t) {
+    sim.run_until(t);
+    sim.schedule_after(100, &rec, EventKind::FrameDeparture);
+  }
+  EXPECT_EQ(sim.run_until(105), 6u);  // the head moves off the ring's start
+  for (SimTime i = 0; i < 20; ++i) {
+    sim.schedule_after(7 + i, &rec, EventKind::FrameDeparture);  // 112 + i
+  }
+  sim.schedule_after(1, &rec, EventKind::FrameDeparture);  // 106: the heap
+  EXPECT_EQ(sim.pool_slots(), 1u);
+  EXPECT_EQ(sim.run_until(1000), 27u);
+  std::vector<SimTime> want;
+  for (SimTime t = 100; t <= 106; ++t) want.push_back(t);
+  for (SimTime t = 106; t < 132; ++t) want.push_back(t);
+  EXPECT_EQ(rec.times(), want);
+  EXPECT_TRUE(sim.idle());
+}
+
+// A negative delay is a caller bug: it throws and sets nothing.
+TEST(EventHeapTest, ScheduleAfterRejectsNegativeDelay) {
+  Simulator sim;
+  Recorder rec(sim);
+  sim.run_until(50);
+  EXPECT_THROW(sim.schedule_after(-1, &rec, EventKind::FrameDeparture),
+               std::invalid_argument);
+  EXPECT_TRUE(sim.idle());
+  sim.schedule_after(0, &rec, EventKind::FrameDeparture);
+  EXPECT_EQ(sim.next_event_time(), 50);
+  EXPECT_EQ(sim.run_until(50), 1u);
+  EXPECT_TRUE(sim.idle());
 }
 
 TEST(EventHeapTest, PastDeadlineClampsAndCounts) {

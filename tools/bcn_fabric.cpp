@@ -15,10 +15,10 @@
 // that).
 //
 // Exit codes: 0 ok, 2 usage error (unknown flag or malformed value, e.g.
-// a bad topology spec, shard count, non-positive --duration-us, or a
-// physics flag outside core::BcnParams::validate's range: --pm outside
-// (0, 1], a non-positive --q0/--w/--gi/--gd/--ru, a negative --rate), 3
-// when armed monitors recorded a violation.
+// a bad topology spec, shard count, a --duration-us or --sample-us under
+// 1 ns, or a physics flag outside core::BcnParams::validate's range:
+// --pm outside (0, 1], a non-positive --q0/--w/--gi/--gd/--ru, a
+// negative --rate), 3 when armed monitors recorded a violation.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -53,17 +53,6 @@ void usage() {
       "  --monitors s  arm per-shard runtime monitors; any violation in\n"
       "                the deterministic merge exits with code 3\n"
       "  --json file   write the shard-invariant artifact there");
-}
-
-// A positive span in microseconds as simulated time.
-sim::SimTime span_us(const ArgParser& args, const char* name,
-                     double fallback) {
-  const double us = args.get_double(name, fallback);
-  if (!(us > 0.0 && us * sim::kMicrosecond < 0x1p63)) {
-    throw UsageError(std::string("--") + name +
-                     ": must be > 0 and inside the simulated clock");
-  }
-  return static_cast<sim::SimTime>(us * sim::kMicrosecond);
 }
 
 // The physics flags hold to core::BcnParams::validate's rule for each
@@ -111,8 +100,8 @@ int run(const ArgParser& args) {
   if (!(options.initial_rate >= 0.0)) {
     throw UsageError("--rate: must be >= 0");
   }
-  options.duration = span_us(args, "duration-us", 500.0);
-  options.sample_interval = span_us(args, "sample-us", 50.0);
+  options.duration = sim::shard::span_us(args, "duration-us", 500.0);
+  options.sample_interval = sim::shard::span_us(args, "sample-us", 50.0);
   if (const auto spec = args.lookup("monitors")) {
     options.monitors =
         spec->parse(obs::parse_monitor_spec, obs::monitor_spec_usage());
