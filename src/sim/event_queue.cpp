@@ -297,6 +297,11 @@ void Simulator::fire_lane_head() {
 }
 
 std::size_t Simulator::run_until(SimTime until) {
+  // make_key would wrap a negative horizon to the largest key.
+  if (until < 0) {
+    throw std::invalid_argument("sim: run_until horizon " +
+                                std::to_string(until) + " ns is negative");
+  }
   // One span per drain batch: args carry the simulated horizon and the
   // number of events executed inside it.
   obs::TraceSpan span("sim.run_until", "until_ns",

@@ -111,7 +111,8 @@ class Simulator {
 
   // Runs until the queue drains or simulated time exceeds `until`.
   // Returns the number of events executed, lane and FIFO events
-  // included.  Advances now() to `until`.
+  // included.  Advances now() to `until`.  Throws std::invalid_argument
+  // on a negative `until`, before firing anything or moving now().
   std::size_t run_until(SimTime until);
 
   // True when no live events remain in the heap, the lane or the delay

@@ -446,6 +446,29 @@ TEST(EventHeapTest, ScheduleAfterRejectsNegativeDelay) {
   EXPECT_TRUE(sim.idle());
 }
 
+// A negative horizon is a caller bug too: it throws before firing
+// anything, so heap, lane and FIFO events stay pending and now() stays.
+TEST(EventHeapTest, RunUntilRejectsNegativeHorizon) {
+  Simulator sim;
+  Recorder rec(sim);
+  EventPayload payload;
+  payload.frame = Frame{};
+  sim.schedule_event(1000, &rec, EventKind::Tick, 0);
+  sim.append_sorted(3000, &rec, EventKind::FrameArrival, payload);
+  sim.schedule_after(5000, &rec, EventKind::FrameDeparture);
+  EXPECT_EQ(sim.run_until(100), 0u);
+  EXPECT_THROW(sim.run_until(-1), std::invalid_argument);
+  EXPECT_TRUE(rec.entries().empty());
+  EXPECT_EQ(sim.executed(), 0u);
+  EXPECT_EQ(sim.now(), 100);
+  EXPECT_EQ(sim.heap_size(), 1u);
+  EXPECT_FALSE(sim.idle());
+  EXPECT_EQ(sim.next_event_time(), 1000);
+  EXPECT_EQ(sim.run_until(5000), 3u);
+  EXPECT_EQ(rec.times(), (std::vector<SimTime>{1000, 3000, 5000}));
+  EXPECT_TRUE(sim.idle());
+}
+
 TEST(EventHeapTest, PastDeadlineClampsAndCounts) {
   Simulator sim;
   Recorder rec(sim);
