@@ -1,16 +1,57 @@
 #include "core/poincare.h"
 
 #include <cmath>
+#include <optional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/analytic_tracer.h"
+#include "digest.h"
 #include "test_params.h"
 
 namespace bcn::core {
 namespace {
 
 using namespace testing;
+
+// The raw bits of fig7_limit_cycle's return-map scans at every level and
+// of its limit-cycle searches at Nonlinear and Clipped, on the same plant
+// and options.
+TEST(PoincareTest, ReturnMapsMatchPinnedDigest) {
+  const BcnParams p = case1_params();
+  PoincareOptions popts;
+  popts.max_time = 0.05;
+  const std::vector<double> amplitudes = {1e9, 5e9, 2e10, 8e10, 2e11};
+  bcn::testing::Digest digest;
+  int returns = 0;
+  for (const auto level : {ModelLevel::Linearized, ModelLevel::Nonlinear,
+                           ModelLevel::Clipped}) {
+    const PoincareMap map(FluidModel(p, level), popts);
+    for (const std::optional<double>& r :
+         scan_contraction_ratios(map, amplitudes)) {
+      digest.add(r.has_value()).add(r.value_or(0.0));
+      returns += r ? 1 : 0;
+    }
+  }
+  CycleSearchOptions copts;
+  copts.poincare.max_time = 0.05;
+  copts.s_lo = 1e9;
+  copts.s_hi = 2e11;
+  copts.bracket_samples = 10;
+  for (const auto level : {ModelLevel::Nonlinear, ModelLevel::Clipped}) {
+    const std::optional<LimitCycle> cycle =
+        find_limit_cycle(FluidModel(p, level), copts);
+    const LimitCycle c = cycle.value_or(LimitCycle{});
+    digest.add(cycle.has_value())
+        .add(c.amplitude)
+        .add(c.period)
+        .add(c.max_x)
+        .add(c.min_x);
+  }
+  EXPECT_EQ(returns, 15);
+  EXPECT_EQ(digest.value(), 0xbcf9e228e5245738ull);
+}
 
 TEST(PoincareTest, SectionPointRoundTrip) {
   const FluidModel model(case1_params(), ModelLevel::Linearized);
