@@ -92,11 +92,9 @@ void BM_NaiveFixedStepBcnMillisecond(benchmark::State& state) {
   // count (the hybrid driver takes ~1e3 steps for this horizon).
   const core::BcnParams p = core::BcnParams::standard_draft();
   const core::FluidModel model(p, core::ModelLevel::Nonlinear);
-  const auto inc = model.increase_rhs();
-  const auto dec = model.decrease_rhs();
-  const double k = p.k();
-  const ode::Rhs switched = [&](double t, Vec2 z) {
-    return -(z.x + k * z.y) > 0.0 ? inc(t, z) : dec(t, z);
+  const core::BcnLaw& law = model.law();
+  const ode::Rhs switched = [&law](double t, Vec2 z) {
+    return law.rhs(law.mode_of(t, z), t, z);
   };
   ode::FixedStepOptions opts;
   opts.step = 1e-6;

@@ -3,33 +3,10 @@
 #include <utility>
 
 #include "common/args.h"
+#include "core/fluid_laws.h"
 #include "core/fluid_model.h"
 
 namespace bcn::core {
-
-ode::HybridSystem FluidMechanism::with_buffer_walls(ode::HybridSystem interior,
-                                                    ode::Rhs empty_wall,
-                                                    ode::Rhs full_wall) const {
-  const int empty_mode = static_cast<int>(interior.modes.size());
-  interior.modes.push_back(std::move(empty_wall));
-  interior.modes.push_back(std::move(full_wall));
-  const double lo = x_min();
-  const double hi = x_max();
-  // Wall capture uses a tiny position tolerance so states landed exactly on
-  // the wall by event localization are recognized as wall states.
-  const double wall_tol = 1e-9 * plant_.q0;
-  auto inside = std::move(interior.mode_of);
-  interior.mode_of = [lo, hi, wall_tol, empty_mode,
-                      inside = std::move(inside)](double t, Vec2 z) {
-    if (z.x <= lo + wall_tol && z.y <= 0.0) return empty_mode;
-    if (z.x >= hi - wall_tol && z.y >= 0.0) return empty_mode + 1;
-    return inside(t, z);
-  };
-  interior.guards.push_back([lo](double /*t*/, Vec2 z) { return z.x - lo; });
-  interior.guards.push_back([hi](double /*t*/, Vec2 z) { return z.x - hi; });
-  interior.guards.push_back([](double /*t*/, Vec2 z) { return z.y; });
-  return interior;
-}
 
 namespace {
 
@@ -48,61 +25,17 @@ namespace {
 //
 // The drive never vanishes at the origin, so QCN has no equilibrium: the
 // orbit settles into a sawtooth riding just inside the decrease region.
-class QcnFluidMechanism final : public FluidMechanism {
+class QcnFluidMechanism final : public LawFacet<QcnLaw> {
  public:
   QcnFluidMechanism(const BcnParams& plant, const QcnParams& qcn,
                     ModelLevel level)
-      : FluidMechanism(plant, level), qcn_(qcn) {}
+      : LawFacet(plant, level,
+                 QcnLaw(plant, qcn, level == ModelLevel::Linearized)) {}
 
   const char* name() const override { return "qcn"; }
 
-  double active_drive() const {
-    return plant_.num_sources * qcn_.active_increase / qcn_.increase_period;
-  }
-  double effective_gd() const { return qcn_.max_decrease / qcn_.fb_scale; }
-
-  double sigma(Vec2 z) const override {
-    return -(z.x + plant_.k() * z.y);
-  }
-
-  ode::HybridSystem hybrid_system() const override {
-    ode::HybridSystem system;
-    const double k = plant_.k();
-    const double ai = active_drive();
-    const double b = effective_gd();
-    const double cap = plant_.capacity;
-
-    system.modes.push_back(
-        [ai](double /*t*/, Vec2 z) -> Vec2 { return {z.y, ai}; });
-    if (level_ == ModelLevel::Linearized) {
-      const double bc = b * cap;
-      system.modes.push_back([ai, bc, k](double /*t*/, Vec2 z) -> Vec2 {
-        return {z.y, ai - bc * (z.x + k * z.y)};
-      });
-    } else {
-      system.modes.push_back([ai, b, k, cap](double /*t*/, Vec2 z) -> Vec2 {
-        return {z.y, ai - b * (z.y + cap) * (z.x + k * z.y)};
-      });
-    }
-    system.mode_of = [k](double /*t*/, Vec2 z) {
-      return -(z.x + k * z.y) > 0.0 ? kModeIncrease : kModeDecrease;
-    };
-    system.guards.push_back(
-        [k](double /*t*/, Vec2 z) { return z.x + k * z.y; });
-    if (level_ != ModelLevel::Clipped) return system;
-
-    // On a wall the sampled queue variation vanishes and sigma
-    // degenerates to -x.
-    return with_buffer_walls(
-        std::move(system),
-        [ai](double /*t*/, Vec2 /*z*/) -> Vec2 { return {0.0, ai}; },
-        [ai, b, cap](double /*t*/, Vec2 z) -> Vec2 {
-          return {0.0, ai - b * (z.y + cap) * z.x};
-        });
-  }
-
   std::vector<RegionLaw> region_laws() const override {
-    const double bc = effective_gd() * plant_.capacity;
+    const double bc = law_.effective_gd() * plant_.capacity;
     return {{"increase (constant drive)", 0.0, 0.0, false},
             {"decrease", plant_.k() * bc, bc, true}};
   }
@@ -112,9 +45,9 @@ class QcnFluidMechanism final : public FluidMechanism {
   double group_rate_deriv(double x, double y_group, double y_total,
                           double share) const override {
     const double s = -(x + plant_.k() * y_total);
-    const double ai = active_drive();
+    const double ai = law_.active_drive();
     if (s > 0.0) return ai;
-    return ai + effective_gd() * (y_group + share) * s;
+    return ai + law_.effective_gd() * (y_group + share) * s;
   }
 
   bool lane_law(ode::LaneLaw* out) const override {
@@ -122,8 +55,8 @@ class QcnFluidMechanism final : public FluidMechanism {
     ode::LaneLaw law;
     law.sx = 1.0;
     law.sy = plant_.k();
-    const double ai = active_drive();
-    const double b = effective_gd();
+    const double ai = law_.active_drive();
+    const double b = law_.effective_gd();
     law.drive[0] = ai;  // increase region: pure constant drive
     law.drive[1] = ai;
     // decrease: ai - b (y + C)(x + k y) = ai + (bC + b y) sigma
@@ -133,9 +66,6 @@ class QcnFluidMechanism final : public FluidMechanism {
     *out = law;
     return true;
   }
-
- private:
-  QcnParams qcn_;
 };
 
 // --- RCP --------------------------------------------------------------------
@@ -149,47 +79,15 @@ class QcnFluidMechanism final : public FluidMechanism {
 // gives lambda^2 + (alpha/d) lambda + beta/d^2, stable for any positive
 // gains (the Voice & Raina alpha = 0.4, beta = 0.226 defaults put it in
 // the well-damped spiral regime).
-class RcpFluidMechanism final : public FluidMechanism {
+class RcpFluidMechanism final : public LawFacet<RcpLaw> {
  public:
   RcpFluidMechanism(const BcnParams& plant, const RcpParams& rcp,
                     ModelLevel level)
-      : FluidMechanism(plant, level), rcp_(rcp) {}
+      : LawFacet(plant, level,
+                 RcpLaw(plant, rcp, level == ModelLevel::Linearized)),
+        rcp_(rcp) {}
 
   const char* name() const override { return "rcp"; }
-
-  double sigma(Vec2 z) const override {
-    return -rcp_.alpha * z.y - (rcp_.beta / rcp_.interval) * z.x;
-  }
-
-  ode::HybridSystem hybrid_system() const override {
-    ode::HybridSystem system;
-    const double alpha = rcp_.alpha;
-    const double bd = rcp_.beta / rcp_.interval;  // beta/d
-    const double d = rcp_.interval;
-    const double cap = plant_.capacity;
-
-    if (level_ == ModelLevel::Linearized) {
-      const double ad = alpha / d;
-      const double bdd = bd / d;  // beta/d^2
-      system.modes.push_back([ad, bdd](double /*t*/, Vec2 z) -> Vec2 {
-        return {z.y, -ad * z.y - bdd * z.x};
-      });
-    } else {
-      system.modes.push_back(
-          [alpha, bd, d, cap](double /*t*/, Vec2 z) -> Vec2 {
-            return {z.y,
-                    (z.y + cap) * (-alpha * z.y - bd * z.x) / (cap * d)};
-          });
-    }
-    system.mode_of = [](double /*t*/, Vec2 /*z*/) { return 0; };
-    if (level_ != ModelLevel::Clipped) return system;
-
-    // Walls: the queue pins, the rate law keeps integrating with x frozen.
-    const ode::Rhs wall = [alpha, bd, d, cap](double /*t*/, Vec2 z) -> Vec2 {
-      return {0.0, (z.y + cap) * (-alpha * z.y - bd * z.x) / (cap * d)};
-    };
-    return with_buffer_walls(std::move(system), wall, wall);
-  }
 
   std::vector<RegionLaw> region_laws() const override {
     const double d = rcp_.interval;

@@ -7,7 +7,6 @@
 #include "common/math.h"
 #include "exec/parallel_for.h"
 #include "obs/tracing.h"
-#include "ode/hybrid.h"
 
 namespace bcn::core {
 namespace {
@@ -52,7 +51,6 @@ std::optional<double> PoincareMap::map(double s) const {
   z.x += delta / norm;
   z.y += delta * k / norm;
 
-  const ode::HybridSystem system = model_.hybrid_system();
   const double chunk = estimate_cycle_time(model_.plant());
   double t = 0.0;
   bool seen_increase = false;
@@ -60,8 +58,8 @@ std::optional<double> PoincareMap::map(double s) const {
     ode::HybridOptions hopts;
     hopts.tol = options_.tol;
     const double t_end = std::min(options_.max_time, t + chunk);
-    const ode::HybridResult res =
-        ode::integrate_hybrid(system, t, z, t_end, hopts);
+    ode::RecordingSink res;
+    const ode::HybridStats stats = model_.integrate(t, z, t_end, hopts, res);
     for (const auto& sw : res.switches) {
       if (sw.to_mode == kModeIncrease) seen_increase = true;
       if (seen_increase && sw.from_mode == kModeIncrease &&
@@ -69,7 +67,7 @@ std::optional<double> PoincareMap::map(double s) const {
         return parameter_of(sw.z);
       }
     }
-    if (!res.completed || res.trajectory.empty()) return std::nullopt;
+    if (!stats.completed || res.trajectory.empty()) return std::nullopt;
     t = res.trajectory.back().t;
     z = res.trajectory.back().z;
     // Converged into the origin: no return.
@@ -161,8 +159,8 @@ std::optional<LimitCycle> find_limit_cycle(const FluidModel& model,
         z.y += 1e-9 * *fixed * k / norm;
         ode::HybridOptions hopts;
         hopts.tol = options.poincare.tol;
-        const ode::HybridResult res = ode::integrate_hybrid(
-            model.hybrid_system(), 0.0, z, options.poincare.max_time, hopts);
+        ode::RecordingSink res;
+        model.integrate(0.0, z, options.poincare.max_time, hopts, res);
         bool seen_increase = false;
         for (const auto& sw : res.switches) {
           if (sw.to_mode == kModeIncrease) seen_increase = true;

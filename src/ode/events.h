@@ -8,7 +8,6 @@
 #include "common/math.h"
 #include "obs/tracing.h"
 #include "ode/dopri5.h"
-#include "ode/system.h"
 
 namespace bcn::ode {
 
@@ -26,7 +25,7 @@ struct LocatedEvent {
 // endpoint signs, so a double crossing inside one step can be missed —
 // callers must keep steps below half the fastest oscillation period (the
 // hybrid driver enforces a max-step for this reason).  `g` is any
-// callable double(double t, Vec2 z), a Guard included.
+// callable double(double t, Vec2 z).
 template <class G>
 std::optional<LocatedEvent> locate_event(const G& g, const DenseOutput& dense,
                                          double ttol = 1e-12) {

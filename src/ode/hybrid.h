@@ -9,27 +9,19 @@
 // integration exactly at the crossing, which is what makes limit-cycle
 // amplitudes and transient extrema trustworthy.
 //
-// This header holds the std::function form of a switched system and the
-// result types; the driver's body is ode::run_hybrid (ode/hybrid_driver.h),
-// of which integrate_hybrid is one instantiation.
+// This header holds the options and result types; the driver's body is
+// ode::run_hybrid (ode/hybrid_driver.h), templated over a concrete
+// switched system.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <vector>
 
 #include "ode/dopri5.h"
-#include "ode/system.h"
 #include "ode/trajectory.h"
 
 namespace bcn::ode {
-
-// A multi-mode system.  `mode_of` must be consistent with the guards: the
-// active mode may change only where some guard crosses zero.
-struct HybridSystem {
-  std::vector<Rhs> modes;
-  std::function<int(double, Vec2)> mode_of;
-  std::vector<Guard> guards;
-};
 
 struct ModeSwitch {
   double t = 0.0;
@@ -82,9 +74,14 @@ struct HybridResult : HybridStats {
   std::vector<ModeSwitch> switches;
 };
 
-// Integrates the hybrid system over [t0, t1] from z0, recording every
-// sample and switch: ode::run_hybrid over the std::function modes.
-HybridResult integrate_hybrid(const HybridSystem& system, double t0, Vec2 z0,
-                              double t1, const HybridOptions& options = {});
+// A run_hybrid sink that keeps every sample and switch: HybridResult's
+// trajectory and switches.
+struct RecordingSink {
+  Trajectory trajectory;
+  std::vector<ModeSwitch> switches;
+
+  void sample(double t, Vec2 z) { trajectory.push_back(t, z); }
+  void mode_switch(const ModeSwitch& s) { switches.push_back(s); }
+};
 
 }  // namespace bcn::ode

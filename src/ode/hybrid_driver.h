@@ -1,20 +1,18 @@
 // The hybrid driver's one body, templated over the switched system and a
 // sample sink.
 //
-// ode::integrate_hybrid is its instantiation over a HybridSystem's
-// std::functions with a RecordingSink.  A concrete law (core::BcnLaw)
-// instantiates it directly, so the DOPRI5 stages, the guard and the mode
-// rule inline; a sink that folds what it needs (core::summarize_fluid)
-// keeps no trajectory.  Every instantiation performs the same arithmetic
-// in the same order, so the same law gives the same bits through either.
+// A concrete law (core/fluid_laws.h) instantiates it directly, so the
+// DOPRI5 stages, the guards and the mode rule inline; a sink that folds
+// what it needs (core::summarize_fluid) keeps no trajectory.  Every
+// instantiation performs the same arithmetic in the same order.
 //
 // A System provides
 //   Vec2 rhs(int mode, double t, Vec2 z) const;     // mode's vector field
 //   int mode_of(double t, Vec2 z) const;            // active mode at z
 //   std::size_t guard_count() const;
 //   double guard(std::size_t i, double t, Vec2 z) const;
-// with the HybridSystem contract: the mode changes only where a guard
-// crosses zero.  A Sink provides
+// where mode_of must be consistent with the guards: the active mode may
+// change only where some guard crosses zero.  A Sink provides
 //   void sample(double t, Vec2 z);          // every recorded point
 //   void mode_switch(const ModeSwitch& s);  // every mode change
 // Samples arrive in time order.  A step's mode switch arrives before that
@@ -23,12 +21,12 @@
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "common/log.h"
 #include "common/math.h"
@@ -38,38 +36,6 @@
 #include "ode/hybrid.h"
 
 namespace bcn::ode {
-
-// A HybridSystem's std::functions behind the System interface.
-class ErasedSystem {
- public:
-  explicit ErasedSystem(const HybridSystem& system) : system_(system) {
-    assert(!system.modes.empty());
-    assert(system.mode_of);
-  }
-
-  Vec2 rhs(int mode, double t, Vec2 z) const {
-    assert(mode >= 0 &&
-           static_cast<std::size_t>(mode) < system_.modes.size());
-    return system_.modes[static_cast<std::size_t>(mode)](t, z);
-  }
-  int mode_of(double t, Vec2 z) const { return system_.mode_of(t, z); }
-  std::size_t guard_count() const { return system_.guards.size(); }
-  double guard(std::size_t i, double t, Vec2 z) const {
-    return system_.guards[i](t, z);
-  }
-
- private:
-  const HybridSystem& system_;
-};
-
-// Keeps every sample and switch: HybridResult's trajectory and switches.
-struct RecordingSink {
-  Trajectory trajectory;
-  std::vector<ModeSwitch> switches;
-
-  void sample(double t, Vec2 z) { trajectory.push_back(t, z); }
-  void mode_switch(const ModeSwitch& s) { switches.push_back(s); }
-};
 
 // Integrates `system` over [t0, t1] from z0, handing the orbit to `sink`.
 template <class System, class Sink>
@@ -276,6 +242,16 @@ HybridStats run_hybrid(const System& system, double t0, Vec2 z0, double t1,
   call_span.arg("accepted", static_cast<double>(result.steps_accepted));
   call_span.arg("switches", static_cast<double>(switches));
   return result;
+}
+
+// Integrates `system` over [t0, t1] from z0, recording every sample and
+// switch.
+template <class System>
+HybridResult integrate_hybrid(const System& system, double t0, Vec2 z0,
+                              double t1, const HybridOptions& options = {}) {
+  RecordingSink sink;
+  const HybridStats stats = run_hybrid(system, t0, z0, t1, options, sink);
+  return {stats, std::move(sink.trajectory), std::move(sink.switches)};
 }
 
 }  // namespace bcn::ode

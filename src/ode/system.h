@@ -12,11 +12,8 @@
 
 namespace bcn::ode {
 
-// Right-hand side f(t, z) -> dz/dt of a planar ODE.
+// Right-hand side f(t, z) -> dz/dt of a planar ODE: the smooth drivers'
+// (ode/integrate.h) vector field.
 using Rhs = std::function<Vec2(double t, Vec2 z)>;
-
-// A scalar guard/event function g(t, z); events fire at sign changes of g
-// along the solution.
-using Guard = std::function<double(double t, Vec2 z)>;
 
 }  // namespace bcn::ode

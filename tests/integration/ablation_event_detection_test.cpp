@@ -17,12 +17,9 @@ namespace {
 // Naive reference: one discontinuous RHS fed to a fixed-step RK4.
 ode::Trajectory naive_fixed_step(const BcnParams& p, double duration,
                                  double step) {
-  const FluidModel model(p, ModelLevel::Linearized);
-  const auto inc = model.increase_rhs();
-  const auto dec = model.decrease_rhs();
-  const double k = p.k();
-  const ode::Rhs switched = [inc, dec, k](double t, Vec2 z) {
-    return -(z.x + k * z.y) > 0.0 ? inc(t, z) : dec(t, z);
+  const BcnLaw law = FluidModel(p, ModelLevel::Linearized).law();
+  const ode::Rhs switched = [law](double t, Vec2 z) {
+    return law.rhs(law.mode_of(t, z), t, z);
   };
   ode::FixedStepOptions opts;
   opts.stepper = ode::Stepper::Rk4;

@@ -2,9 +2,11 @@
 // hybrid driver must account for accepted/rejected DOPRI5 steps, the
 // smallest accepted dt, and the bisection effort spent localizing each
 // switching-surface crossing.
+#include <cstddef>
+
 #include <gtest/gtest.h>
 
-#include "ode/hybrid.h"
+#include "ode/hybrid_driver.h"
 #include "ode/integrate.h"
 
 namespace bcn::ode {
@@ -12,18 +14,25 @@ namespace {
 
 // The switched oscillator from hybrid_test: stiffness 1 for x > 0,
 // stiffness 4 for x < 0, guard x = 0.
-HybridSystem switched_oscillator() {
-  HybridSystem sys;
-  sys.modes.push_back([](double, Vec2 z) -> Vec2 { return {z.y, -z.x}; });
-  sys.modes.push_back(
-      [](double, Vec2 z) -> Vec2 { return {z.y, -4.0 * z.x}; });
-  sys.mode_of = [](double, Vec2 z) { return z.x > 0.0 ? 0 : 1; };
-  sys.guards.push_back([](double, Vec2 z) { return z.x; });
-  return sys;
-}
+struct SwitchedOscillator {
+  Vec2 rhs(int mode, double, Vec2 z) const {
+    return mode == 0 ? Vec2{z.y, -z.x} : Vec2{z.y, -4.0 * z.x};
+  }
+  int mode_of(double, Vec2 z) const { return z.x > 0.0 ? 0 : 1; }
+  static constexpr std::size_t guard_count() { return 1; }
+  double guard(std::size_t, double, Vec2 z) const { return z.x; }
+};
+
+// An unswitched oscillator behind a guard that never crosses.
+struct Unswitched {
+  Vec2 rhs(int, double, Vec2 z) const { return {z.y, -z.x}; }
+  int mode_of(double, Vec2) const { return 0; }
+  static constexpr std::size_t guard_count() { return 1; }
+  double guard(std::size_t, double, Vec2) const { return 1.0; }
+};
 
 TEST(StepStatsTest, HybridCountsStepsAndBisections) {
-  const auto sys = switched_oscillator();
+  const SwitchedOscillator sys{};
   HybridOptions opts;
   opts.tol = {1e-10, 1e-10};
   const auto res = integrate_hybrid(sys, 0.0, {1.0, 0.0}, 10.0, opts);
@@ -47,10 +56,7 @@ TEST(StepStatsTest, HybridCountsStepsAndBisections) {
 }
 
 TEST(StepStatsTest, NoSwitchingMeansNoBisectionEffort) {
-  HybridSystem sys;
-  sys.modes.push_back([](double, Vec2 z) -> Vec2 { return {z.y, -z.x}; });
-  sys.mode_of = [](double, Vec2) { return 0; };
-  sys.guards.push_back([](double, Vec2) { return 1.0; });  // never crosses
+  const Unswitched sys{};
   HybridOptions opts;
   opts.tol = {1e-9, 1e-9};
   const auto res = integrate_hybrid(sys, 0.0, {1.0, 0.0}, 5.0, opts);
@@ -62,7 +68,7 @@ TEST(StepStatsTest, NoSwitchingMeansNoBisectionEffort) {
 }
 
 TEST(StepStatsTest, TighterToleranceCostsMoreSteps) {
-  const auto sys = switched_oscillator();
+  const SwitchedOscillator sys{};
   HybridOptions loose;
   loose.tol = {1e-6, 1e-6};
   HybridOptions tight;

@@ -19,7 +19,7 @@ TEST(LocateEventTest, FindsZeroOfStateFunction) {
   // x(t) = cos(t) crosses zero at pi/2; integrate over [1.4, 1.8].
   const Vec2 z0{std::cos(1.4), -std::sin(1.4)};
   const auto dense = make_dense(kOscillator, 1.4, z0, 0.4);
-  const Guard g = [](double, Vec2 z) { return z.x; };
+  const auto g = [](double, Vec2 z) { return z.x; };
   const auto ev = locate_event(g, dense);
   ASSERT_TRUE(ev.has_value());
   // Localization accuracy is bounded by the 4th-order dense output over a
@@ -31,7 +31,7 @@ TEST(LocateEventTest, FindsZeroOfStateFunction) {
 TEST(LocateEventTest, NoCrossingReturnsNullopt) {
   const Vec2 z0{1.0, 0.0};
   const auto dense = make_dense(kOscillator, 0.0, z0, 0.3);
-  const Guard g = [](double, Vec2 z) { return z.x; };  // stays positive
+  const auto g = [](double, Vec2 z) { return z.x; };  // stays positive
   EXPECT_FALSE(locate_event(g, dense).has_value());
 }
 
@@ -40,7 +40,7 @@ TEST(LocateEventTest, GuardZeroAtStartIsNotReported) {
   // relies on this to leave a surface it just landed on).
   const Vec2 z0{0.0, -1.0};
   const auto dense = make_dense(kOscillator, 0.0, z0, 0.3);
-  const Guard g = [](double, Vec2 z) { return z.x; };
+  const auto g = [](double, Vec2 z) { return z.x; };
   EXPECT_FALSE(locate_event(g, dense).has_value());
 }
 
@@ -48,7 +48,7 @@ TEST(LocateEventTest, GuardZeroAtEndReported) {
   const Vec2 z0{std::cos(1.2), -std::sin(1.2)};
   const double h = 1.5707963267948966 - 1.2;
   const auto dense = make_dense(kOscillator, 1.2, z0, h);
-  const Guard g = [](double, Vec2 z) { return z.x; };
+  const auto g = [](double, Vec2 z) { return z.x; };
   const auto ev = locate_event(g, dense);
   // x at the endpoint is ~1e-17 -- either an exact-zero report or a
   // crossing located essentially at the endpoint is acceptable.
@@ -60,7 +60,7 @@ TEST(LocateEventTest, GuardZeroAtEndReported) {
 TEST(LocateEventTest, TimeDependentGuard) {
   const Rhs constant = [](double, Vec2) -> Vec2 { return {1.0, 0.0}; };
   const auto dense = make_dense(constant, 0.0, {0.0, 0.0}, 1.0);
-  const Guard g = [](double t, Vec2) { return t - 0.4; };
+  const auto g = [](double t, Vec2) { return t - 0.4; };
   const auto ev = locate_event(g, dense);
   ASSERT_TRUE(ev.has_value());
   EXPECT_NEAR(ev->t, 0.4, 1e-9);
@@ -73,7 +73,7 @@ TEST(LocateEventTest, ReturnsEarliestOfTwoCrossingsWhenBracketed) {
   // documented limitation; the hybrid driver caps step size).
   const Vec2 z0{1.0, 0.0};
   const auto dense = make_dense(kOscillator, 0.0, z0, 1.3);
-  const Guard g = [](double, Vec2 z) { return z.x - 0.5; };
+  const auto g = [](double, Vec2 z) { return z.x - 0.5; };
   const auto ev = locate_event(g, dense);
   ASSERT_TRUE(ev.has_value());
   EXPECT_NEAR(ev->t, std::acos(0.5), 5e-3);  // wide step -> coarse dense fit

@@ -1,9 +1,11 @@
 #include "ode/hybrid.h"
 
 #include <cmath>
+#include <cstddef>
 
 #include <gtest/gtest.h>
 
+#include "ode/hybrid_driver.h"
 #include "ode/integrate.h"
 
 namespace bcn::ode {
@@ -12,18 +14,38 @@ namespace {
 // A switched oscillator: stiffness 1 for x > 0, stiffness 4 for x < 0.
 // Solutions alternate half-periods pi (right) and pi/2 (left); amplitude in
 // velocity is conserved, amplitude in x halves on the left half-plane.
-HybridSystem switched_oscillator() {
-  HybridSystem sys;
-  sys.modes.push_back([](double, Vec2 z) -> Vec2 { return {z.y, -z.x}; });
-  sys.modes.push_back(
-      [](double, Vec2 z) -> Vec2 { return {z.y, -4.0 * z.x}; });
-  sys.mode_of = [](double, Vec2 z) { return z.x > 0.0 ? 0 : 1; };
-  sys.guards.push_back([](double, Vec2 z) { return z.x; });
-  return sys;
-}
+struct SwitchedOscillator {
+  Vec2 rhs(int mode, double, Vec2 z) const {
+    return mode == 0 ? Vec2{z.y, -z.x} : Vec2{z.y, -4.0 * z.x};
+  }
+  int mode_of(double, Vec2 z) const { return z.x > 0.0 ? 0 : 1; }
+  static constexpr std::size_t guard_count() { return 1; }
+  double guard(std::size_t, double, Vec2 z) const { return z.x; }
+};
+
+// One mode with field `f`, and a guard that never crosses.
+template <class F>
+struct OneMode {
+  F f;
+
+  Vec2 rhs(int, double t, Vec2 z) const { return f(t, z); }
+  int mode_of(double, Vec2) const { return 0; }
+  static constexpr std::size_t guard_count() { return 1; }
+  double guard(std::size_t, double, Vec2) const { return 1.0; }
+};
+
+// Mode 0: fall with constant velocity; mode 1 (wall at x <= 0): stay.
+struct FallOntoWall {
+  Vec2 rhs(int mode, double, Vec2) const {
+    return mode == 0 ? Vec2{-1.0, 0.0} : Vec2{0.0, 0.0};
+  }
+  int mode_of(double, Vec2 z) const { return z.x > 1e-12 ? 0 : 1; }
+  static constexpr std::size_t guard_count() { return 1; }
+  double guard(std::size_t, double, Vec2 z) const { return z.x; }
+};
 
 TEST(HybridTest, SwitchesAtTheSurface) {
-  const auto sys = switched_oscillator();
+  const SwitchedOscillator sys{};
   HybridOptions opts;
   opts.tol = {1e-10, 1e-10};
   // Start at x=1, v=0: half-period pi in mode 0, then crosses into mode 1.
@@ -41,7 +63,7 @@ TEST(HybridTest, SwitchesAtTheSurface) {
 TEST(HybridTest, VelocityAmplitudePreservedAcrossManySwitches) {
   // Both modes conserve their own energy; at the switching surface x = 0
   // the energy is y^2/2 in both, so |y| at every crossing equals 1.
-  const auto sys = switched_oscillator();
+  const SwitchedOscillator sys{};
   HybridOptions opts;
   opts.tol = {1e-11, 1e-11};
   const auto res = integrate_hybrid(sys, 0.0, {1.0, 0.0}, 20.0, opts);
@@ -53,18 +75,13 @@ TEST(HybridTest, VelocityAmplitudePreservedAcrossManySwitches) {
 }
 
 TEST(HybridTest, MatchesSmoothIntegratorWhenNoSwitching) {
-  HybridSystem sys;
-  sys.modes.push_back([](double, Vec2 z) -> Vec2 { return {z.y, -z.x}; });
-  sys.mode_of = [](double, Vec2) { return 0; };
-  // A guard that never crosses.
-  sys.guards.push_back([](double, Vec2) { return 1.0; });
+  const OneMode sys{[](double, Vec2 z) -> Vec2 { return {z.y, -z.x}; }};
   HybridOptions opts;
   opts.tol = {1e-10, 1e-10};
   const auto hybrid = integrate_hybrid(sys, 0.0, {1.0, 0.0}, 5.0, opts);
   AdaptiveOptions aopts;
   aopts.tol = {1e-10, 1e-10};
-  const auto smooth =
-      integrate_adaptive(sys.modes[0], 0.0, {1.0, 0.0}, 5.0, aopts);
+  const auto smooth = integrate_adaptive(sys.f, 0.0, {1.0, 0.0}, 5.0, aopts);
   ASSERT_TRUE(hybrid.completed);
   ASSERT_TRUE(smooth.completed);
   EXPECT_TRUE(hybrid.switches.empty());
@@ -73,7 +90,7 @@ TEST(HybridTest, MatchesSmoothIntegratorWhenNoSwitching) {
 }
 
 TEST(HybridTest, StopWhenFires) {
-  const auto sys = switched_oscillator();
+  const SwitchedOscillator sys{};
   HybridOptions opts;
   opts.stop_when = [](double t, Vec2) { return t > 1.0; };
   const auto res = integrate_hybrid(sys, 0.0, {1.0, 0.0}, 100.0, opts);
@@ -83,7 +100,7 @@ TEST(HybridTest, StopWhenFires) {
 }
 
 TEST(HybridTest, RecordIntervalResamplesUniformly) {
-  const auto sys = switched_oscillator();
+  const SwitchedOscillator sys{};
   HybridOptions opts;
   opts.record_interval = 0.1;
   const auto res = integrate_hybrid(sys, 0.0, {1.0, 0.0}, 1.0, opts);
@@ -94,20 +111,14 @@ TEST(HybridTest, RecordIntervalResamplesUniformly) {
 }
 
 TEST(HybridTest, DegenerateSpanCompletes) {
-  const auto sys = switched_oscillator();
+  const SwitchedOscillator sys{};
   const auto res = integrate_hybrid(sys, 1.0, {1.0, 0.0}, 1.0, {});
   EXPECT_TRUE(res.completed);
   EXPECT_EQ(res.trajectory.size(), 1u);
 }
 
 TEST(HybridTest, WallModeSaturation) {
-  // Mode 0: fall with constant velocity; mode 1 (wall at x<=0): stay.
-  HybridSystem sys;
-  sys.modes.push_back([](double, Vec2) -> Vec2 { return {-1.0, 0.0}; });
-  sys.modes.push_back([](double, Vec2) -> Vec2 { return {0.0, 0.0}; });
-  sys.mode_of = [](double, Vec2 z) { return z.x > 1e-12 ? 0 : 1; };
-  sys.guards.push_back([](double, Vec2 z) { return z.x; });
-  const auto res = integrate_hybrid(sys, 0.0, {1.0, 0.0}, 5.0, {});
+  const auto res = integrate_hybrid(FallOntoWall{}, 0.0, {1.0, 0.0}, 5.0, {});
   ASSERT_TRUE(res.completed);
   EXPECT_NEAR(res.trajectory.back().z.x, 0.0, 1e-6);
   ASSERT_EQ(res.switches.size(), 1u);
@@ -119,13 +130,10 @@ TEST(HybridTest, WallModeSaturation) {
 // pass DOPRI5's acceptance test (NaN comparisons are false, so
 // `error > 1` never rejects a poisoned step).
 TEST(HybridTest, NonfiniteStateAbortsWithDiagnostics) {
-  HybridSystem sys;
-  sys.modes.push_back([](double t, Vec2 z) -> Vec2 {
+  const OneMode sys{[](double t, Vec2 z) -> Vec2 {
     if (t > 1.0) return {std::nan(""), std::nan("")};
     return {z.y, -z.x};
-  });
-  sys.mode_of = [](double, Vec2) { return 0; };
-  sys.guards.push_back([](double, Vec2) { return 1.0; });
+  }};
   const auto res = integrate_hybrid(sys, 0.0, {1.0, 0.0}, 10.0, {});
   EXPECT_TRUE(res.nonfinite);
   EXPECT_FALSE(res.completed);
@@ -139,7 +147,7 @@ TEST(HybridTest, NonfiniteStateAbortsWithDiagnostics) {
 }
 
 TEST(HybridTest, NonfiniteInitialConditionAbortsImmediately) {
-  const auto sys = switched_oscillator();
+  const SwitchedOscillator sys{};
   const auto res =
       integrate_hybrid(sys, 0.0, {std::nan(""), 0.0}, 1.0, {});
   EXPECT_TRUE(res.nonfinite);
