@@ -99,9 +99,12 @@ NumericVerdict numeric_strong_stability(const FluidMechanism& facet,
   verdict.min_x = run.post_switch_min_x;
   verdict.converged = run.converged;
   verdict.nonfinite = run.nonfinite;
+  // A Clipped orbit that reaches a wall's capture band has hit the wall.
+  const double band =
+      facet.level() == ModelLevel::Clipped ? facet.wall_tol() : 0.0;
   verdict.strongly_stable = strongly_stable_orbit(
-      facet.x_min(), facet.x_max(), run.max_x, run.post_switch_min_x,
-      run.completed && !run.nonfinite);
+      facet.x_min() + band, facet.x_max() - band, run.max_x,
+      run.post_switch_min_x, run.completed && !run.nonfinite);
   return verdict;
 }
 
