@@ -32,8 +32,8 @@ bool render_facet_summary(const VerdictRequest& request,
   if (!mech) {
     report.has_fluid = false;
     report.text += strf(
-        "packet-only mechanism: no fluid facet to analyze; use "
-        "the packet benches (bcn_bench --mechanism %s).\n",
+        "packet-only mechanism: no fluid facet to analyze; run its "
+        "packet simulation with packet_vs_fluid --mechanism %s.\n",
         request.mechanism.c_str());
     return false;
   }

@@ -76,6 +76,9 @@ TEST(VerdictReport, PacketOnlyMechanismSaysSo) {
   EXPECT_FALSE(report.has_fluid);
   EXPECT_FALSE(report.closed_form);
   EXPECT_NE(report.text.find("packet-only"), std::string::npos);
+  // The hint names a bench that exists and runs fera.
+  EXPECT_NE(report.text.find("packet_vs_fluid --mechanism fera"),
+            std::string::npos);
 }
 
 }  // namespace
