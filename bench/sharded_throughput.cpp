@@ -7,7 +7,10 @@
 //      bottleneck, the paper's Fig. 1 plant) against the unsharded
 //      sim::Network running the same reference parameter set.  The
 //      sharded engine at --shards 1 pays for epoch bucketing + canonical
-//      staging order; parity says that tax is small.
+//      staging order; parity says that tax is small.  Each side runs once
+//      untimed, then kParityRuns times timed, the sides alternating; the
+//      artifact carries each side's median, min and max events/sec and
+//      the ratio of the medians.
 //
 //   2. Shard-count sweep on a generated fat-tree: events/sec at 1, 2, 4,
 //      8 shards, with the trajectory digest required to be
@@ -51,6 +54,7 @@ constexpr double kGd = 1.0 / 128.0;
 constexpr double kRu = 8e6;
 constexpr int kParityFlows = 50;
 constexpr sim::SimTime kParityDuration = 50 * sim::kMillisecond;
+constexpr int kParityRuns = 5;
 
 sim::shard::FabricOptions reference_options(double initial_rate,
                                             sim::SimTime duration) {
@@ -71,7 +75,75 @@ sim::shard::FabricOptions reference_options(double initial_rate,
 struct Timed {
   double seconds = 0.0;
   std::uint64_t events = 0;
+
+  double events_per_sec() const {
+    return seconds > 0.0 ? events / seconds : 0.0;
+  }
 };
+
+// The unsharded sim::Network on the parity plant.
+Timed time_unsharded() {
+  sim::NetworkConfig cfg;
+  cfg.params.num_sources = kParityFlows;
+  cfg.params.capacity = kCapacity;
+  cfg.params.q0 = kQ0;
+  cfg.params.buffer = kBuffer;
+  cfg.params.qsc = 28e6;
+  cfg.params.w = kW;
+  cfg.params.pm = kPm;
+  cfg.params.gi = kGi;
+  cfg.params.gd = kGd;
+  cfg.params.ru = kRu;
+  cfg.initial_rate = kCapacity / kParityFlows;
+  cfg.record_timelines = false;
+  cfg.record_events = false;
+  cfg.record_interval = sim::kMillisecond;
+  Timed timed;
+  const auto start = std::chrono::steady_clock::now();
+  sim::Network net(cfg);
+  net.run(kParityDuration);
+  timed.seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+  timed.events = net.simulator().executed();
+  return timed;
+}
+
+// The single-shard fabric on the same plant, as a star.
+Timed time_star(std::uint64_t seed) {
+  sim::shard::StarOptions opts;
+  opts.hosts = kParityFlows;
+  opts.capacity = kCapacity;
+  opts.buffer_bits = kBuffer;
+  auto topo = sim::shard::make_star(opts);
+  sim::shard::add_permutation_flows(topo, 1, seed);
+  const auto options =
+      reference_options(kCapacity / kParityFlows, kParityDuration);
+  Timed timed;
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = sim::shard::run_fabric(topo, options, 1);
+  timed.seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+  timed.events = result.events_executed;
+  return timed;
+}
+
+// One side's timed parity runs: the median run (by events/sec), and the
+// slowest and fastest rates.
+struct ParitySide {
+  Timed median;
+  double min_eps = 0.0;
+  double max_eps = 0.0;
+};
+
+ParitySide summarize(std::vector<Timed> runs) {
+  std::sort(runs.begin(), runs.end(), [](const Timed& a, const Timed& b) {
+    return a.events_per_sec() < b.events_per_sec();
+  });
+  return {runs[runs.size() / 2], runs.front().events_per_sec(),
+          runs.back().events_per_sec()};
+}
 
 int run(bench::RunContext& ctx) {
   const std::string spec =
@@ -94,72 +166,44 @@ int run(bench::RunContext& ctx) {
   json.add("hardware_threads", hw);
 
   // --- 1. single-shard parity vs the unsharded engine -------------------
-  Timed unsharded;
-  {
-    sim::NetworkConfig cfg;
-    cfg.params.num_sources = kParityFlows;
-    cfg.params.capacity = kCapacity;
-    cfg.params.q0 = kQ0;
-    cfg.params.buffer = kBuffer;
-    cfg.params.qsc = 28e6;
-    cfg.params.w = kW;
-    cfg.params.pm = kPm;
-    cfg.params.gi = kGi;
-    cfg.params.gd = kGd;
-    cfg.params.ru = kRu;
-    cfg.initial_rate = kCapacity / kParityFlows;
-    cfg.record_timelines = false;
-    cfg.record_events = false;
-    cfg.record_interval = sim::kMillisecond;
-    const auto start = std::chrono::steady_clock::now();
-    sim::Network net(cfg);
-    net.run(kParityDuration);
-    unsharded.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    unsharded.events = net.simulator().executed();
+  // A warm-up run per side, then alternating timed runs, so a slow
+  // stretch of a shared host lands on both sides.
+  time_unsharded();
+  time_star(ctx.seed);
+  std::vector<Timed> unsharded_runs, star_runs;
+  for (int i = 0; i < kParityRuns; ++i) {
+    unsharded_runs.push_back(time_unsharded());
+    star_runs.push_back(time_star(ctx.seed));
   }
-
-  Timed star;
-  {
-    sim::shard::StarOptions opts;
-    opts.hosts = kParityFlows;
-    opts.capacity = kCapacity;
-    opts.buffer_bits = kBuffer;
-    auto topo = sim::shard::make_star(opts);
-    sim::shard::add_permutation_flows(topo, 1, ctx.seed);
-    const auto options =
-        reference_options(kCapacity / kParityFlows, kParityDuration);
-    const auto start = std::chrono::steady_clock::now();
-    const auto result = sim::shard::run_fabric(topo, options, 1);
-    star.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    star.events = result.events_executed;
-  }
+  const ParitySide unsharded = summarize(unsharded_runs);
+  const ParitySide star = summarize(star_runs);
 
   // Same plant, but the two engines schedule different event mixes
   // (pacing tokens vs inter-frame timers), so parity is events/sec --
   // scheduler throughput -- not raw wall clock.
-  const double unsharded_eps =
-      unsharded.seconds > 0.0 ? unsharded.events / unsharded.seconds : 0.0;
-  const double star_eps = star.seconds > 0.0 ? star.events / star.seconds : 0.0;
+  const double unsharded_eps = unsharded.median.events_per_sec();
+  const double star_eps = star.median.events_per_sec();
   const double parity = unsharded_eps > 0.0 ? star_eps / unsharded_eps : 0.0;
   json.add("parity_unsharded_events",
-           static_cast<std::int64_t>(unsharded.events));
-  json.add("parity_unsharded_seconds", unsharded.seconds);
+           static_cast<std::int64_t>(unsharded.median.events));
+  json.add("parity_unsharded_seconds", unsharded.median.seconds);
   json.add("parity_unsharded_events_per_sec", unsharded_eps);
-  json.add("parity_sharded_events", static_cast<std::int64_t>(star.events));
-  json.add("parity_sharded_seconds", star.seconds);
+  json.add("parity_unsharded_events_per_sec_min", unsharded.min_eps);
+  json.add("parity_unsharded_events_per_sec_max", unsharded.max_eps);
+  json.add("parity_sharded_events",
+           static_cast<std::int64_t>(star.median.events));
+  json.add("parity_sharded_seconds", star.median.seconds);
   json.add("parity_sharded_events_per_sec", star_eps);
+  json.add("parity_sharded_events_per_sec_min", star.min_eps);
+  json.add("parity_sharded_events_per_sec_max", star.max_eps);
   json.add("parity_ratio", parity);
   std::printf(
-      "parity (star:%d, %.0f ms): unsharded %.3f Mev/s, single-shard "
-      "fabric %.3f Mev/s (ratio %.2f)\n",
-      kParityFlows, sim::to_seconds(kParityDuration) * 1e3,
-      unsharded_eps / 1e6, star_eps / 1e6, parity);
+      "parity (star:%d, %.0f ms, median of %d): unsharded %.3f Mev/s "
+      "(%.3f-%.3f), single-shard fabric %.3f Mev/s (%.3f-%.3f), "
+      "ratio %.2f\n",
+      kParityFlows, sim::to_seconds(kParityDuration) * 1e3, kParityRuns,
+      unsharded_eps / 1e6, unsharded.min_eps / 1e6, unsharded.max_eps / 1e6,
+      star_eps / 1e6, star.min_eps / 1e6, star.max_eps / 1e6, parity);
 
   // --- 2. shard-count sweep on a generated fabric ------------------------
   sim::shard::add_permutation_flows(topo, rounds, ctx.seed);
