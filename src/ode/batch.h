@@ -1,10 +1,10 @@
 // Structure-of-arrays batched integration of many *independent* planar
 // switched systems: the stability-map/sweep hot path.
 //
-// The scalar stack (dopri5.h / hybrid.h) integrates one trajectory at a
-// time through std::function right-hand sides — ideal for a single
-// high-accuracy run, wasteful for a map that integrates thousands of
-// short, mutually independent trajectories.  This driver instead steps N
+// The scalar stack (dopri5.h / hybrid_driver.h) integrates one trajectory
+// at a time on a facet's typed law (core/fluid_laws.h) — ideal for a
+// single high-accuracy run, wasteful for a map that integrates thousands
+// of short, mutually independent trajectories.  This driver instead steps N
 // lanes per fixed-size RK4 macro step over contiguous SoA arrays, and
 // after the first reset at a given capacity it allocates nothing.
 //

@@ -8,8 +8,9 @@
 //
 // The trial step, step-size controller and initial-step heuristic are
 // inline templates over the right-hand side, so the hybrid driver
-// (ode/hybrid_driver.h) inlines a concrete law's vector field into them;
-// the Dopri5 class runs the same bodies over a std::function.
+// (ode/hybrid_driver.h) inlines each fluid law's vector field
+// (core/fluid_laws.h) into them; the Dopri5 class runs the same bodies
+// over a std::function for the smooth drivers (ode/integrate.h).
 #pragma once
 
 #include <algorithm>
