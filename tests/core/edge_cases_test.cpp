@@ -109,7 +109,7 @@ TEST(EdgeCasesTest, WarmupDurationMatchesPaperFormula) {
   // The departure from the empty wall is the switch out of the wall mode.
   double t_departure = -1.0;
   for (const auto& sw : run.switches) {
-    if (sw.from_mode == kModeEmptyWall) {
+    if (sw.from_mode == BufferWalls<BcnLaw>::kEmptyWall) {
       t_departure = sw.t;
       break;
     }
