@@ -71,9 +71,10 @@ inline bool strongly_stable_orbit(double x_min, double x_max, double max_x,
 double verdict_horizon(const FluidMechanism& facet);
 
 // Definition 1 (strongly_stable_orbit) on the facet's orbit from its
-// analysis start, at the facet's own model level.  `duration` 0 selects
-// verdict_horizon(facet).  Facets with an equilibrium stop early once
-// |x|/q0 + |y|/C < 1e-8.
+// analysis start, at the facet's own model level; at Clipped, reaching
+// a wall's capture band (FluidMechanism::wall_tol) counts as reaching
+// the wall.  `duration` 0 selects verdict_horizon(facet).  Facets with an
+// equilibrium stop early once |x|/q0 + |y|/C < 1e-8.
 NumericVerdict numeric_strong_stability(const FluidMechanism& facet,
                                         double duration = 0.0,
                                         ode::Tolerances tol = {1e-9, 1e-9});
