@@ -17,9 +17,10 @@ struct LaneArrays {
   const double *sx, *sy, *dr0, *dr1, *ga0, *ga1, *gb0, *gb1;
   const double *ivx, *ivy, *stol;
   std::int64_t* reg;
-  const std::int64_t *swi, *crossed;
-  std::int64_t* steps;
-  double *maxx, *minx, *pmaxx, *pminx;
+  const std::int64_t* swi;
+  std::int64_t *crossed, *steps;
+  std::uint32_t* ncross;
+  double *maxx, *minx, *pmaxx, *pminx, *fct;
   double *xn, *yn, *s0, *s1, *h;
   std::uint8_t* flag;
 };
@@ -28,11 +29,11 @@ struct LaneArrays {
 
 namespace {
 
-// Lane arithmetic shared by the vector pass (V a GCC vector of doubles)
-// and the scalar crossing path (V = double), so both produce the same
-// bits from the same inputs.  Everything travels by reference: a helper
-// left out of line that took or returned a 32-byte vector by value
-// would change the ABI between AVX and non-AVX callers.
+// Lane arithmetic shared by the vector passes (V a GCC vector of
+// doubles) and the scalar bookkeeping (V = double), so every path
+// produces the same bits from the same inputs.  Everything travels by
+// reference: a helper left out of line that took or returned a 32-byte
+// vector by value would change the ABI between AVX and non-AVX callers.
 
 // sigma = -(sx x + sy y).
 template <typename V>
@@ -86,40 +87,33 @@ template <typename V, typename M>
 // Bisection iterations on the Hermite interpolant per crossing.
 constexpr int kMaxBisections = 48;
 
-// Root of the cubic Hermite interpolant of sigma over [0, 1] given end
-// values and end derivatives (d/du).  Bisection on the polynomial: the
-// caller guarantees a sign change between the endpoints.
-inline double hermite_root(double p0, double m0, double p1, double m1) {
-  const auto eval = [&](double u) {
-    const double u2 = u * u;
-    const double u3 = u2 * u;
-    return (2.0 * u3 - 3.0 * u2 + 1.0) * p0 + (u3 - 2.0 * u2 + u) * m0 +
-           (-2.0 * u3 + 3.0 * u2) * p1 + (u3 - u2) * m1;
-  };
-  double lo = 0.0, hi = 1.0;
-  double flo = p0;
-  for (int it = 0; it < kMaxBisections; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    const double fm = eval(mid);
-    if ((flo <= 0.0) == (fm <= 0.0)) {
-      lo = mid;
-      flo = fm;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
+// The cubic Hermite interpolant of sigma over [0, 1] at u, given end
+// values p0, p1 and end derivatives (d/du) m0, m1.
+template <typename V>
+[[gnu::always_inline]] inline void hermite(const V& u, const V& p0,
+                                           const V& m0, const V& p1,
+                                           const V& m1, V& out) {
+  const V u2 = u * u;
+  const V u3 = u2 * u;
+  out = (2.0 * u3 - 3.0 * u2 + 1.0) * p0 + (u3 - 2.0 * u2 + u) * m0 +
+        (-2.0 * u3 + 3.0 * u2) * p1 + (u3 - u2) * m1;
 }
 
-// Why the vector pass sends a lane to the scalar pass.
+// Why the fused pass flags a lane.
 constexpr std::int64_t kLive = 0;       // committed, still running
 constexpr std::int64_t kDone = 1;       // committed, reached t_end or stop
 constexpr std::int64_t kCrossing = 2;   // sigma changed sign: not committed
 constexpr std::int64_t kNonfinite = 3;  // candidate non-finite: not committed
 
 // Every kernel loads whole blocks of this many lanes or fewer, so lane
-// capacity rounds up to a multiple of it and no pass has a scalar tail.
+// capacity and the crossing list round up to a multiple of it and no
+// pass has a scalar tail.
 constexpr std::size_t kBlock = 4;
+
+// Vectors the crossing pass bisects together while that many crossing
+// lanes remain: the bisection is one dependent chain per vector, and
+// interleaving independent chains hides its latency.
+constexpr std::size_t kGroup = 4;
 
 // W-lane vector types: doubles, 64-bit masks, and the unaligned aliasing
 // forms the lane arrays are read and written through (as the x86
@@ -143,6 +137,12 @@ struct Lanes<2> {
     const C c = C(v);
     out = __builtin_shufflevector(c, c, 0, 8);
   }
+  // m ? a : b for a mask m, bit by bit: SSE2 has no 64-bit compare, and
+  // GCC branches per lane on a ?: whose mask combines two masks.
+  [[gnu::always_inline]] static void select(const I& m, const D& a,
+                                            const D& b, D& out) {
+    out = D((I(a) & m) | (I(b) & ~m));
+  }
 };
 
 template <>
@@ -158,6 +158,10 @@ struct Lanes<4> {
     using C = std::int8_t __attribute__((vector_size(32)));
     const C c = C(v);
     out = __builtin_shufflevector(c, c, 0, 8, 16, 24);
+  }
+  [[gnu::always_inline]] static void select(const I& m, const D& a,
+                                            const D& b, D& out) {
+    out = m ? a : b;
   }
 };
 
@@ -243,11 +247,134 @@ template <std::size_t W>
   }
 }
 
+// Localizes and commits the crossings of G vectors of W lanes, the lanes
+// idx[0, G W), with the vectors' bisections interleaved.  Sigma changed
+// sign across each lane's candidate step: bisect the first crossing on
+// the cubic Hermite interpolant of sigma, land the lane exactly there,
+// flip its region, and truncate the macro step.  The next step continues
+// under the new region's field *and step size* (the scalar hybrid
+// driver's restart-at-event policy), so a candidate end state is never
+// committed with a stale field, which matters once the two regions carry
+// very different dts.  A lane may repeat within one vector: every lane
+// is read before any is written, and a repeat stores the same bits.
+template <std::size_t W, std::size_t G>
+[[gnu::always_inline]] inline void commit_crossings(
+    const internal::LaneArrays& a, const std::uint32_t* idx) {
+  using L = Lanes<W>;
+  using D = typename L::D;
+  using I = typename L::I;
+  const D zero{};
+  D xa[G], ya[G], h[G], sx[G], sy[G], drive[G], g0[G], g1[G];
+  D p0[G], m0[G], p1[G], m1[G];
+  for (std::size_t g = 0; g < G; ++g) {
+    D xb, yb;
+    for (std::size_t k = 0; k < W; ++k) {
+      const std::uint32_t i = idx[g * W + k];
+      const bool r0 = a.reg[i] == 0;
+      xa[g][k] = a.x[i], ya[g][k] = a.y[i];
+      xb[k] = a.xn[i], yb[k] = a.yn[i];
+      h[g][k] = a.h[i], p0[g][k] = a.s0[i], p1[g][k] = a.s1[i];
+      sx[g][k] = a.sx[i], sy[g][k] = a.sy[i];
+      drive[g][k] = r0 ? a.dr0[i] : a.dr1[i];
+      g0[g][k] = r0 ? a.ga0[i] : a.ga1[i];
+      g1[g][k] = r0 ? a.gb0[i] : a.gb1[i];
+    }
+    // Hermite data for sigma over the step: sigma' = sigma(x', y').
+    D fa, fb, da, db;
+    field_y(xa[g], ya[g], sx[g], sy[g], drive[g], g0[g], g1[g], fa);
+    field_y(xb, yb, sx[g], sy[g], drive[g], g0[g], g1[g], fb);
+    sigma(ya[g], fa, sx[g], sy[g], da);
+    sigma(yb, fb, sx[g], sy[g], db);
+    m0[g] = da * h[g];
+    m1[g] = db * h[g];
+  }
+
+  // Bisection on the polynomial: the fused pass saw a sign change
+  // between the endpoints.
+  D lo[G], hi[G], flo[G];
+  for (std::size_t g = 0; g < G; ++g) {
+    lo[g] = zero, hi[g] = zero + 1.0, flo[g] = p0[g];
+  }
+  for (int it = 0; it < kMaxBisections; ++it) {
+    for (std::size_t g = 0; g < G; ++g) {
+      const D mid = 0.5 * (lo[g] + hi[g]);
+      D fm;
+      hermite(mid, p0[g], m0[g], p1[g], m1[g], fm);
+      // (flo <= 0) != (fm <= 0): the root is in [lo, mid].
+      const I left = (flo[g] <= 0.0) ^ (fm <= 0.0);
+      L::select(left, lo[g], mid, lo[g]);
+      L::select(left, flo[g], fm, flo[g]);
+      L::select(left, mid, hi[g], hi[g]);
+    }
+  }
+
+  for (std::size_t g = 0; g < G; ++g) {
+    D u = 0.5 * (lo[g] + hi[g]);
+    // std::clamp(u, 1e-6, 1.0): forward progress even if the
+    // interpolant pins the root onto the step's start.
+    u = u < 1e-6 ? zero + 1e-6 : u;
+    u = 1.0 < u ? zero + 1.0 : u;
+    const D hc = u * h[g];
+    D xc, yc;
+    rk4_step(xa[g], ya[g], hc, sx[g], sy[g], drive[g], g0[g], g1[g], xc, yc);
+
+    D t, fct, maxx, minx, pmaxx, pminx;
+    I crossed, steps, ncross;
+    for (std::size_t k = 0; k < W; ++k) {
+      const std::uint32_t i = idx[g * W + k];
+      t[k] = a.t[i], fct[k] = a.fct[i], crossed[k] = a.crossed[i];
+      maxx[k] = a.maxx[i], minx[k] = a.minx[i];
+      pmaxx[k] = a.pmaxx[i], pminx[k] = a.pminx[i];
+      steps[k] = a.steps[i], ncross[k] = a.ncross[i];
+    }
+    const D tn = t + hc;
+    // The crossing sample itself is post-switch (the scalar run gates on
+    // t >= first switch time inclusively).
+    fct = crossed != 0 ? fct : tn;
+    // std::max and std::min folds of the landed x.
+    maxx = maxx < xc ? xc : maxx;
+    minx = xc < minx ? xc : minx;
+    pmaxx = pmaxx < xc ? xc : pmaxx;
+    pminx = xc < pminx ? xc : pminx;
+    for (std::size_t k = 0; k < W; ++k) {
+      const std::uint32_t i = idx[g * W + k];
+      a.x[i] = xc[k], a.y[i] = yc[k], a.t[i] = tn[k];
+      a.crossed[i] = 1, a.fct[i] = fct[k];
+      // The landed sigma is an epsilon value of ambiguous sign; trust
+      // the side the candidate step was heading to.
+      a.reg[i] = p1[g][k] > 0.0 ? 0 : 1;
+      a.maxx[i] = maxx[k], a.minx[i] = minx[k];
+      a.pmaxx[i] = pmaxx[k], a.pminx[i] = pminx[k];
+      a.steps[i] = steps[k] + 1;
+      a.ncross[i] = static_cast<std::uint32_t>(ncross[k] + 1);
+    }
+  }
+}
+
+// The crossing pass over the n lanes idx[0, n), W lanes a vector: groups
+// of kGroup vectors while that many lanes remain, then single vectors.
+// The list is padded to a whole block by repeating its last lane.
+template <std::size_t W>
+[[gnu::always_inline]] inline void crossing_pass(
+    const internal::LaneArrays& a, const std::uint32_t* idx, std::size_t n) {
+  std::size_t k = 0;
+  for (; k + kGroup * W <= n; k += kGroup * W) {
+    commit_crossings<W, kGroup>(a, idx + k);
+  }
+  for (; k < n; k += W) commit_crossings<W, 1>(a, idx + k);
+}
+
 void fused_pass_baseline(const internal::LaneArrays& lanes, std::size_t m) {
   fused_pass<2>(lanes, m);
 }
 
-constexpr internal::BatchKernel kBaseline{"baseline", fused_pass_baseline};
+void crossing_pass_baseline(const internal::LaneArrays& lanes,
+                            const std::uint32_t* idx, std::size_t n) {
+  crossing_pass<2>(lanes, idx, n);
+}
+
+constexpr internal::BatchKernel kBaseline{
+    "baseline", fused_pass_baseline, crossing_pass_baseline, kGroup * 2};
 
 #if defined(__x86_64__)
 __attribute__((target("avx2"))) void fused_pass_avx2(
@@ -255,7 +382,14 @@ __attribute__((target("avx2"))) void fused_pass_avx2(
   fused_pass<4>(lanes, m);
 }
 
-constexpr internal::BatchKernel kAvx2{"avx2", fused_pass_avx2};
+__attribute__((target("avx2"))) void crossing_pass_avx2(
+    const internal::LaneArrays& lanes, const std::uint32_t* idx,
+    std::size_t n) {
+  crossing_pass<4>(lanes, idx, n);
+}
+
+constexpr internal::BatchKernel kAvx2{"avx2", fused_pass_avx2,
+                                      crossing_pass_avx2, kGroup * 4};
 
 bool cpu_has_avx2() {
   // A function-local static: a namespace-scope initializer could run
@@ -305,6 +439,7 @@ void BatchIntegrator::reset(const BatchLane* lanes, std::size_t n) {
   grow(ivx_), grow(ivy_), grow(stol_);
   grow(reg_), grow(swi_), grow(ids_);
   grow(xn_), grow(yn_), grow(s0_), grow(s1_), grow(hcur_), grow(flag_);
+  grow(cross_);
   grow(maxx_), grow(minx_), grow(pmaxx_), grow(pminx_), grow(fct_);
   grow(crossed_), grow(steps_), grow(ncross_);
   results_.assign(n, LaneResult{});
@@ -346,57 +481,6 @@ void BatchIntegrator::reset(const BatchLane* lanes, std::size_t n) {
     steps_[i] = 0;
     ncross_[i] = 0;
   }
-}
-
-void BatchIntegrator::commit_at_crossing(std::size_t i) {
-  // Sigma changed sign across the candidate step: localize the first
-  // crossing on the cubic Hermite interpolant of sigma, land the lane
-  // exactly there, flip the region, and truncate the macro step.  The
-  // next step continues under the new region's field *and step size* —
-  // the scalar hybrid driver's restart-at-event policy.  This keeps the
-  // candidate end state from ever being committed with a stale field,
-  // which matters once the two regions carry very different dts.
-  const double h = hcur_[i];
-  const double sx = sx_[i], sy = sy_[i];
-  const bool r0 = reg_[i] == 0;
-  const double drive = r0 ? dr0_[i] : dr1_[i];
-  const double g0 = r0 ? ga0_[i] : ga1_[i];
-  const double g1 = r0 ? gb0_[i] : gb1_[i];
-
-  const double xa = x_[i], ya = y_[i];
-  const double xb = xn_[i], yb = yn_[i];
-  // Hermite data for sigma over the step: sigma' = sigma(x', y').
-  double fa, fb, da, db;
-  field_y(xa, ya, sx, sy, drive, g0, g1, fa);
-  field_y(xb, yb, sx, sy, drive, g0, g1, fb);
-  sigma(ya, fa, sx, sy, da);
-  sigma(yb, fb, sx, sy, db);
-  double u = hermite_root(s0_[i], da * h, s1_[i], db * h);
-  // Guarantee forward progress even if the interpolant pins the root
-  // onto the step's start.
-  u = std::clamp(u, 1e-6, 1.0);
-  const double hc = u * h;
-  double xc, yc;
-  rk4_step(xa, ya, hc, sx, sy, drive, g0, g1, xc, yc);
-
-  x_[i] = xc;
-  y_[i] = yc;
-  t_[i] += hc;
-  if (!crossed_[i]) {
-    crossed_[i] = 1;
-    // The crossing sample itself is post-switch (the scalar run gates
-    // on t >= first switch time inclusively).
-    fct_[i] = t_[i];
-  }
-  ++ncross_[i];
-  // The landed sigma is an epsilon value of ambiguous sign; trust the
-  // side the candidate step was heading to.
-  reg_[i] = s1_[i] > 0.0 ? 0 : 1;
-  maxx_[i] = std::max(maxx_[i], xc);
-  minx_[i] = std::min(minx_[i], xc);
-  pmaxx_[i] = std::max(pmaxx_[i], xc);
-  pminx_[i] = std::min(pminx_[i], xc);
-  ++steps_[i];
 }
 
 void BatchIntegrator::retire_nonfinite(std::size_t i) {
@@ -446,26 +530,41 @@ std::size_t BatchIntegrator::step_all() {
   const std::size_t m = active_;
   if (m == 0) return 0;
 
-  kernel_->fused_pass(
-      {.x = x_.data(), .y = y_.data(), .t = t_.data(),
-       .tend = tend_.data(), .tstop = tstop_.data(),
-       .dt0 = dt0_.data(), .dt1 = dt1_.data(),
-       .sx = sx_.data(), .sy = sy_.data(),
-       .dr0 = dr0_.data(), .dr1 = dr1_.data(),
-       .ga0 = ga0_.data(), .ga1 = ga1_.data(),
-       .gb0 = gb0_.data(), .gb1 = gb1_.data(),
-       .ivx = ivx_.data(), .ivy = ivy_.data(), .stol = stol_.data(),
-       .reg = reg_.data(), .swi = swi_.data(), .crossed = crossed_.data(),
-       .steps = steps_.data(),
-       .maxx = maxx_.data(), .minx = minx_.data(),
-       .pmaxx = pmaxx_.data(), .pminx = pminx_.data(),
-       .xn = xn_.data(), .yn = yn_.data(), .s0 = s0_.data(),
-       .s1 = s1_.data(), .h = hcur_.data(), .flag = flag_.data()},
-      m);
+  const internal::LaneArrays lanes{
+      .x = x_.data(), .y = y_.data(), .t = t_.data(),
+      .tend = tend_.data(), .tstop = tstop_.data(),
+      .dt0 = dt0_.data(), .dt1 = dt1_.data(),
+      .sx = sx_.data(), .sy = sy_.data(),
+      .dr0 = dr0_.data(), .dr1 = dr1_.data(),
+      .ga0 = ga0_.data(), .ga1 = ga1_.data(),
+      .gb0 = gb0_.data(), .gb1 = gb1_.data(),
+      .ivx = ivx_.data(), .ivy = ivy_.data(), .stol = stol_.data(),
+      .reg = reg_.data(), .swi = swi_.data(),
+      .crossed = crossed_.data(), .steps = steps_.data(),
+      .ncross = ncross_.data(),
+      .maxx = maxx_.data(), .minx = minx_.data(),
+      .pmaxx = pmaxx_.data(), .pminx = pminx_.data(), .fct = fct_.data(),
+      .xn = xn_.data(), .yn = yn_.data(), .s0 = s0_.data(),
+      .s1 = s1_.data(), .h = hcur_.data(), .flag = flag_.data()};
+  kernel_->fused_pass(lanes, m);
 
-  // Scalar pass over the flagged lanes: crossing localization,
-  // retirement with swap-from-last compaction.  Results are keyed by
-  // original lane id, so the outcome is independent of retirement order.
+  // Gather the crossing lanes (branch-free: slot c is overwritten until
+  // a crossing lane claims it) and commit them all.  Each commit reads
+  // and writes only its own lane, so committing before the compaction
+  // below changes nothing.
+  std::size_t c = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    cross_[c] = static_cast<std::uint32_t>(i);
+    c += flag_[i] == kCrossing;
+  }
+  if (c > 0) {
+    for (std::size_t k = c; k % kBlock != 0; ++k) cross_[k] = cross_[c - 1];
+    kernel_->crossing_pass(lanes, cross_.data(), c);
+  }
+
+  // Scalar pass over the flagged lanes: retirement with swap-from-last
+  // compaction.  Results are keyed by original lane id, so the outcome
+  // is independent of retirement order.
   std::size_t i = 0;
   std::size_t n = m;
   while (i < n) {
@@ -482,7 +581,6 @@ std::size_t BatchIntegrator::step_all() {
       retire_nonfinite(i);
       retired = true;
     } else {
-      if (flag_[i] == kCrossing) commit_at_crossing(i);
       retired = retire_if_done(i);
     }
     if (!retired) {
@@ -500,11 +598,10 @@ std::size_t BatchIntegrator::step_all() {
       gb0_[i] = gb0_[n], gb1_[i] = gb1_[n];
       ivx_[i] = ivx_[n], ivy_[i] = ivy_[n], stol_[i] = stol_[n];
       reg_[i] = reg_[n], swi_[i] = swi_[n], ids_[i] = ids_[n];
-      // The swapped-in lane has not been through this pass yet; its
-      // vector-pass outputs must travel with it.
-      xn_[i] = xn_[n], yn_[i] = yn_[n];
-      s0_[i] = s0_[n], s1_[i] = s1_[n], hcur_[i] = hcur_[n];
-      flag_[i] = flag_[n];
+      // The swapped-in lane has not been through this pass yet; its flag
+      // and the candidate state a non-finite report prints must travel
+      // with it.
+      xn_[i] = xn_[n], yn_[i] = yn_[n], flag_[i] = flag_[n];
       maxx_[i] = maxx_[n], minx_[i] = minx_[n];
       pmaxx_[i] = pmaxx_[n], pminx_[i] = pminx_[n], fct_[i] = fct_[n];
       crossed_[i] = crossed_[n];

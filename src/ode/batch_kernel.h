@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "ode/batch.h"
@@ -18,6 +19,12 @@ struct BatchKernel {
   const char* name;  // "avx2" or "baseline"
   // The fused vector pass over the active lanes [0, m).
   void (*fused_pass)(const LaneArrays& lanes, std::size_t m);
+  // Localizes and commits the crossings of the lanes idx[0, n); the list
+  // is padded to a whole block by repeating its last lane.
+  void (*crossing_pass)(const LaneArrays& lanes, const std::uint32_t* idx,
+                        std::size_t n);
+  // The most crossing lanes the crossing pass bisects together.
+  std::size_t group_lanes;
 
   // Makes `integrator` step with this kernel from now on.
   void install(BatchIntegrator& integrator) const {

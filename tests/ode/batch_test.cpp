@@ -15,6 +15,7 @@
 
 #include "alloc_counter.h"
 #include "analysis/sweep.h"
+#include "common/rng.h"
 #include "core/batch_verdict.h"
 #include "digest.h"
 #include "ode/batch_kernel.h"
@@ -284,6 +285,22 @@ std::vector<BatchLane> pinned_lane_set() {
   return lanes;
 }
 
+// Folds every field of a lane result into `digest`.
+void add_result(bcn::testing::Digest& digest, const LaneResult& r) {
+  digest.add(r.max_x)
+      .add(r.min_x)
+      .add(r.crossed)
+      .add(r.first_crossing_t)
+      .add(r.post_switch_max_x)
+      .add(r.post_switch_min_x)
+      .add(r.completed)
+      .add(r.converged)
+      .add(r.nonfinite)
+      .add(r.nonfinite_t)
+      .add(r.steps)
+      .add(r.crossings);
+}
+
 std::uint64_t lane_digest(const std::vector<BatchLane>& lanes,
                           BatchIntegrator& batch) {
   // Consecutive batches of 1, 3, 5, 17 and 64 lanes, repeated: single
@@ -296,20 +313,7 @@ std::uint64_t lane_digest(const std::vector<BatchLane>& lanes,
         std::min(kSizes[k % std::size(kSizes)], lanes.size() - lo);
     batch.reset(lanes.data() + lo, n);
     batch.run_to_completion();
-    for (const LaneResult& r : batch.results()) {
-      digest.add(r.max_x)
-          .add(r.min_x)
-          .add(r.crossed)
-          .add(r.first_crossing_t)
-          .add(r.post_switch_max_x)
-          .add(r.post_switch_min_x)
-          .add(r.completed)
-          .add(r.converged)
-          .add(r.nonfinite)
-          .add(r.nonfinite_t)
-          .add(r.steps)
-          .add(r.crossings);
-    }
+    for (const LaneResult& r : batch.results()) add_result(digest, r);
     lo += n;
   }
   return digest.value();
@@ -327,6 +331,87 @@ TEST(BatchIntegratorTest, LaneResultsMatchPinnedDigest) {
     kernel->install(batch);
     EXPECT_EQ(lane_digest(lanes, batch), 0x82e90c46b82978c0ull)
         << kernel->name;
+  }
+}
+
+// A damped switched spiral, dy = -w (x + 0.1 y) on both sides of the
+// line sigma = -(x + 0.1 y), that crosses it about twice per 2 pi.  Lane
+// j perturbs its start, gains and step by parts in 1e6 from a seeded
+// stream, starts mirrored in the other region when j % 5 < 2, and adds a
+// small drive (j % 3 == 1) or a nonlinear gain term (j % 3 == 2), so a
+// family of such lanes crosses on the same macro steps with different
+// bits, and no two vectors of a group carry the same mix.  With
+// `at_line` the lane starts 1e-9 before the line, heading across it, so
+// its first root lies below the 1e-6 clamp.
+BatchLane spiral_lane(std::size_t j, bool at_line) {
+  bcn::Rng rng(1000 + j);
+  const auto jitter = [&] { return 1.0 + 1e-6 * rng.uniform(-1.0, 1.0); };
+  BatchLane lane;
+  lane.law.sx = 1.0;
+  lane.law.sy = 0.1;
+  lane.law.g0[0] = jitter();
+  lane.law.g0[1] = jitter();
+  if (j % 3 == 1) lane.law.drive[0] = lane.law.drive[1] = 1e-6 * jitter();
+  if (j % 3 == 2) lane.law.g1[1] = 1e-6 * jitter();
+  lane.law.switched = true;
+  const double side = j % 5 < 2 ? -1.0 : 1.0;
+  if (at_line) {
+    // sigma(x0, y0) = side 1e-9 while sigma falls (side 1) or rises.
+    lane.y0 = side;
+    lane.x0 = -lane.law.sy * lane.y0 - side * 1e-9 * jitter();
+  } else {
+    lane.x0 = -side * jitter();
+  }
+  lane.t_end = 30.0;
+  lane.dt[0] = lane.dt[1] = 0.05 * jitter();
+  return lane;
+}
+
+TEST(BatchIntegratorTest, CrossingGroupsMatchSingleLaneRuns) {
+  // Batches of k lanes that cross the line on the same steps, for every
+  // k up to two of the crossing pass's largest groups plus one: full
+  // groups, single vectors, and a padded last vector.  Every lane must
+  // reproduce its own one-lane run bit for bit.
+  for (const internal::BatchKernel* kernel : internal::host_batch_kernels()) {
+    const std::size_t most = 2 * kernel->group_lanes + 1;
+    for (const bool at_line : {false, true}) {
+      std::vector<BatchLane> lanes;
+      std::vector<std::uint64_t> alone;
+      BatchIntegrator single;
+      kernel->install(single);
+      for (std::size_t j = 0; j < most; ++j) {
+        lanes.push_back(spiral_lane(j, at_line));
+        single.reset(&lanes.back(), 1);
+        single.run_to_completion();
+        const LaneResult& r = single.results()[0];
+        bcn::testing::Digest digest;
+        add_result(digest, r);
+        alone.push_back(digest.value());
+        ASSERT_TRUE(r.completed);
+        ASSERT_GE(r.crossings, 8u);
+        if (at_line) {
+          // The clamped root: the first step stopped at 1e-6 of dt.
+          EXPECT_EQ(r.first_crossing_t, 1e-6 * lanes.back().dt[0]) << j;
+        }
+      }
+      BatchIntegrator batch;
+      kernel->install(batch);
+      for (std::size_t k = 1; k <= most; ++k) {
+        batch.reset(lanes.data(), k);
+        batch.run_to_completion();
+        for (std::size_t j = 0; j < k; ++j) {
+          const LaneResult& r = batch.results()[j];
+          bcn::testing::Digest digest;
+          add_result(digest, r);
+          EXPECT_EQ(digest.value(), alone[j])
+              << kernel->name << (at_line ? " at the line" : "") << ", " << k
+              << " lanes, lane " << j;
+          // The family crosses together: same step and crossing counts.
+          EXPECT_EQ(r.steps, batch.results()[0].steps) << j;
+          EXPECT_EQ(r.crossings, batch.results()[0].crossings) << j;
+        }
+      }
+    }
   }
 }
 
