@@ -187,27 +187,40 @@ const std::vector<ode::BatchLane>& e22_integrated_lanes() {
   return lanes;
 }
 
-// One vector pass of the batch integrator, registered per kernel this
-// CPU can run (BM_BatchLaneStep/baseline, BM_BatchLaneStep/avx2): on an
-// AVX2 host this is the only place the baseline pass is timed.
+// The batch integrator on E22's lanes, registered per kernel this CPU can
+// run: BM_BatchLaneStep/<kernel> steps them as one batch, and
+// BM_BatchLaneStep/<kernel>/slice16 in consecutive 16-lane batches, the
+// slices the map's two-thread waves run.  On an AVX2 host this is the
+// only place the baseline kernel is timed.
 void BM_BatchLaneStep(benchmark::State& state,
-                      const ode::internal::BatchKernel* kernel) {
+                      const ode::internal::BatchKernel* kernel,
+                      std::size_t slice) {
   const auto& lanes = e22_integrated_lanes();
+  const std::size_t n = lanes.size();
+  if (slice == 0) slice = n;
   ode::BatchIntegrator batch;
   kernel->install(batch);
+  double steps = 0.0, crossings = 0.0;
   for (auto _ : state) {
-    batch.reset(lanes);
-    batch.run_to_completion();
-    benchmark::DoNotOptimize(batch.results().data());
-    benchmark::ClobberMemory();
+    steps = crossings = 0.0;
+    for (std::size_t lo = 0; lo < n; lo += slice) {
+      batch.reset(lanes.data() + lo, std::min(slice, n - lo));
+      batch.run_to_completion();
+      benchmark::DoNotOptimize(batch.results().data());
+      benchmark::ClobberMemory();
+      for (const auto& r : batch.results()) {
+        steps += r.steps;
+        crossings += r.crossings;
+      }
+    }
   }
-  double steps = 0.0;
-  for (const auto& r : batch.results()) steps += r.steps;
-  // Seconds per lane-step, printed with an SI prefix (n for ns).
+  // Seconds per lane-step, printed with an SI prefix (n for ns), and the
+  // share of lane-steps that end on a localized crossing.
   state.counters["lane_step"] = benchmark::Counter(
       steps, benchmark::Counter::kIsIterationInvariantRate |
                  benchmark::Counter::kInvert);
-  state.SetLabel(std::to_string(lanes.size()) + " lanes of E22's map");
+  state.counters["crossings"] = crossings / steps;
+  state.SetLabel(std::to_string(n) + " lanes of E22's map");
 }
 
 // Serial vs parallel wall-clock on a fixed stability-map grid, written as
@@ -536,9 +549,10 @@ void emit_sim_throughput_json() {
 
 int main(int argc, char** argv) {
   for (const auto* kernel : ode::internal::host_batch_kernels()) {
-    benchmark::RegisterBenchmark(
-        (std::string("BM_BatchLaneStep/") + kernel->name).c_str(),
-        BM_BatchLaneStep, kernel);
+    const std::string name = std::string("BM_BatchLaneStep/") + kernel->name;
+    benchmark::RegisterBenchmark(name.c_str(), BM_BatchLaneStep, kernel, 0);
+    benchmark::RegisterBenchmark((name + "/slice16").c_str(),
+                                 BM_BatchLaneStep, kernel, 16);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
