@@ -294,6 +294,7 @@ StabilityMap compute_stability_map(const core::BcnParams& base,
   const MapMode mode = options.numeric_level == core::ModelLevel::Clipped
                            ? MapMode::Scalar
                            : options.mode;
+  map.mode = mode;
 
   obs::TraceSpan span("analysis.stability_map");
   span.arg("cells", static_cast<double>(gi_values.size() * gd_values.size()));

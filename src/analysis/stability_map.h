@@ -63,6 +63,8 @@ struct StabilityMap {
   std::vector<double> gi_values;
   std::vector<double> gd_values;
   std::vector<MapCell> cells;  // row-major: gi outer, gd inner
+  // The strategy that ran: the requested one, or Scalar at Clipped.
+  MapMode mode = MapMode::Scalar;
 
   // Aggregates.
   int theorem1_stable = 0;          // cells Theorem 1 declares stable

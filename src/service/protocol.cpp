@@ -317,7 +317,7 @@ ExecResult exec_stability_map(const Request& request,
   json.add("op", "stability_map");
   json.add("mechanism", t.mechanism);
   json.add("level", t.level);
-  json.add("mode", t.mode);
+  json.add("mode", analysis::to_string(map.mode));  // the mode that ran
   json.add("grid", t.grid);
   json.add("k", t.k);
   json.add("q0", t.q0);

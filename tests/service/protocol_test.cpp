@@ -231,6 +231,27 @@ TEST(Execute, StabilityMapGridShapeAndAggregates) {
   EXPECT_EQ(stable, body->number("numeric_stable").value());
 }
 
+TEST(Execute, StabilityMapEchoesTheModeThatRan) {
+  // Clipped maps always run the scalar path, whatever mode was asked for.
+  const auto clipped = execute(
+      must_parse("{\"op\":\"stability_map\",\"grid\":2,"
+                 "\"level\":\"clipped\",\"mode\":\"batch\"}"),
+      ServiceOptions{}, nullptr);
+  ASSERT_FALSE(clipped.error) << clipped.body;
+  const auto body = FlatJson::parse(clipped.body);
+  ASSERT_TRUE(body);
+  EXPECT_EQ(body->string_value("mode").value_or(""), "scalar");
+  EXPECT_EQ(body->number("refinement_waves").value(), 0.0);
+
+  const auto adaptive = execute(
+      must_parse("{\"op\":\"stability_map\",\"grid\":2,"
+                 "\"mode\":\"adaptive\"}"),
+      ServiceOptions{}, nullptr);
+  ASSERT_FALSE(adaptive.error) << adaptive.body;
+  EXPECT_EQ(FlatJson::parse(adaptive.body)->string_value("mode").value_or(""),
+            "adaptive");
+}
+
 TEST(Execute, SvgPlotReturnsRenderedDocument) {
   const auto result = execute(
       must_parse("{\"op\":\"svg_plot\",\"duration\":5e-4,\"width\":320,"
