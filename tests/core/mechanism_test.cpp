@@ -310,6 +310,66 @@ TEST(FluidFacetTest, RcpLaneLawMatchesTypedLaw) {
   expect_lane_law_matches_typed_law<RcpLaw>("rcp", 103);
 }
 
+// group_rate_deriv, the competition model's per-group dy/dt, writes each
+// law a third time.  One group carrying the whole aggregate
+// (y_group = y_total = y, share = C) must give the Nonlinear typed law's
+// dy/dt at seeded gains and states on both sides of sigma = 0, to within
+// 4 ulp of the summed terms of the Nonlinear lane law's expansion.
+template <class Law>
+void expect_group_rate_matches_typed_law(const char* name,
+                                         std::uint64_t seed) {
+  Rng rng(seed);
+  const MechanismInfo& info = *find_mechanism(name);
+  MechanismConfig base;
+  base.plant = slow_regime();
+  const auto [d1, d2] = info.default_gains(base);
+  const auto log_uniform = [&](double d) {
+    return d * std::pow(64.0, rng.uniform()) / 8.0;
+  };
+  for (int draw = 0; draw < 8; ++draw) {
+    MechanismConfig cfg = base;
+    info.set_gains(cfg, log_uniform(d1), log_uniform(d2));
+    const auto mech = make_fluid_mechanism(name, cfg, ModelLevel::Nonlinear);
+    const auto* facet = dynamic_cast<const LawFacet<Law>*>(mech.get());
+    ASSERT_NE(facet, nullptr) << name;
+    ode::LaneLaw lane;
+    ASSERT_TRUE(mech->lane_law(&lane)) << name;
+    const double cap = cfg.plant.capacity;
+    int sides[2] = {0, 0};
+    for (int i = 0; i < 64; ++i) {
+      const Vec2 z{rng.uniform(mech->x_min(), mech->x_max()),
+                   rng.uniform(-cap, cap)};
+      const double sigma = -(lane.sx * z.x + lane.sy * z.y);
+      ++sides[sigma > 0.0 ? 0 : 1];
+      const double group = mech->group_rate_deriv(z.x, z.y, z.y, cap);
+      const int mode = facet->law().mode_of(0.0, z);
+      const double typed = facet->law().rhs(mode, 0.0, z).y;
+      const int r = lane.switched && !(sigma > 0.0) ? 1 : 0;
+      const double scale = std::abs(lane.sx * z.x) + std::abs(lane.sy * z.y);
+      const double terms =
+          std::abs(lane.drive[r]) +
+          (std::abs(lane.g0[r]) + std::abs(lane.g1[r] * z.y)) * scale;
+      const double ulps = std::abs(group - typed) /
+                          (std::numeric_limits<double>::epsilon() * terms);
+      EXPECT_LE(ulps, 4.0) << name << " at (" << z.x << ", " << z.y << ")";
+    }
+    EXPECT_GT(sides[0], 0) << name;
+    EXPECT_GT(sides[1], 0) << name;
+  }
+}
+
+TEST(FluidFacetTest, BcnGroupRateMatchesTypedLaw) {
+  expect_group_rate_matches_typed_law<BcnLaw>("bcn", 201);
+}
+
+TEST(FluidFacetTest, QcnGroupRateMatchesTypedLaw) {
+  expect_group_rate_matches_typed_law<QcnLaw>("qcn", 202);
+}
+
+TEST(FluidFacetTest, RcpGroupRateMatchesTypedLaw) {
+  expect_group_rate_matches_typed_law<RcpLaw>("rcp", 203);
+}
+
 TEST(FluidFacetTest, GroupRateDerivSignsAtTheWalls) {
   MechanismConfig cfg;
   cfg.plant = slow_regime();
