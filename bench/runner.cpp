@@ -51,7 +51,8 @@ void print_usage(const char* prog) {
       "                adaptive (batched + quadtree boundary refinement)\n"
       "  --shards n    simulator shards for sharded-fabric experiments\n"
       "                (BCN_SHARDS env fallback; default 1, 0 = all\n"
-      "                hardware threads; results are shard-invariant)\n"
+      "                hardware threads; at most one shard per switch\n"
+      "                runs; results are shard-invariant)\n"
       "  --monitors s  arm runtime invariant monitors + the flight\n"
       "                recorder on packet-simulator experiments\n"
       "                (BCN_MONITORS env fallback); a violation dumps a\n"

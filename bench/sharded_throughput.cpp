@@ -259,9 +259,12 @@ int run(bench::RunContext& ctx) {
     json.add(key + "_digest",
              strf("%016llx",
                   static_cast<unsigned long long>(result.digest)));
+    // run_fabric runs at most one shard per switch.
+    const std::string ran =
+        result.shards == shards ? "" : strf(" (ran %d)", result.shards);
     std::printf(
-        "  shards=%d: %8.3f s, %7.3f Mev/s (%.2fx), digest %016llx%s\n",
-        shards, seconds, eps / 1e6, speedup,
+        "  shards=%d%s: %8.3f s, %7.3f Mev/s (%.2fx), digest %016llx%s\n",
+        shards, ran.c_str(), seconds, eps / 1e6, speedup,
         static_cast<unsigned long long>(result.digest),
         result.digest == reference_digest ? "" : "  << MISMATCH");
   }

@@ -53,18 +53,20 @@
 #     across reruns, and checks a bogus --monitors spec and a negative
 #     ring= are rejected with exit 2 and the grammar.
 #  9. Sharded-engine smoke: runs a small fat-tree through bcn_fabric at
-#     --shards 1 and --shards 4 and requires the shard-invariant JSON
-#     artifacts to be byte-identical (the cross-shard determinism
-#     contract, end-to-end), runs the E23 sharded_throughput bench on a
-#     small configuration (the bench itself exits 1 if the digest varies
-#     with the shard count), validates BENCH_sharded_throughput.json and
-#     self-diffs it with --require-same-keys at threshold 0, and checks
-#     --shards bogus, --duration-us -1, a --sample-us longer than
-#     --duration-us (either one given or by default) and
-#     --flows-per-host abc are rejected with exit 2.  (The MPSC-queue
-#     torture and the shard determinism tests already ran under TSan in
-#     gate 1 as part of bcn_sim_tests.)  Speedups are reported,
-#     deliberately not gated: they depend on the host's hardware threads.
+#     --shards 1, 3 (its four pods split 2/1/1) and 4 and requires the
+#     shard-invariant JSON artifacts to be byte-identical (the
+#     cross-shard determinism contract, end-to-end), checks that
+#     --shards 64 on star:4 (one switch) runs one shard, runs the E23
+#     sharded_throughput bench on a small configuration (the bench itself
+#     exits 1 if the digest varies with the shard count), validates
+#     BENCH_sharded_throughput.json and self-diffs it with
+#     --require-same-keys at threshold 0, and checks --shards bogus,
+#     --duration-us -1, a --sample-us longer than --duration-us (either
+#     one given or by default) and --flows-per-host abc are rejected with
+#     exit 2.  (ShardDeterminismTest and the seeded FabricFuzzTest
+#     already ran under TSan in gate 1 as part of bcn_sim_tests.)
+#     Speedups are reported, deliberately not gated: they depend on the
+#     host's hardware threads.
 # 10. Service smoke: starts bcn_serve on an ephemeral port, drives a
 #     scripted bcn_load session, replays every verdict answer through
 #     bcn_analyze with the echoed parameters and requires the `text`
@@ -534,10 +536,19 @@ FABRIC_ARGS=(--topology fat-tree:4 --flows-per-host 4 --duration-us 2000
              --rate 2e9 --monitors queue_bounds,finite)
 "$FABRIC_TOOL" "${FABRIC_ARGS[@]}" --shards 1 \
   --json "$SHARD_OUT/fabric_s1.json" > /dev/null
-"$FABRIC_TOOL" "${FABRIC_ARGS[@]}" --shards 4 \
-  --json "$SHARD_OUT/fabric_s4.json" > /dev/null
-cmp "$SHARD_OUT/fabric_s1.json" "$SHARD_OUT/fabric_s4.json" || {
-  echo "[check.sh] fabric artifact differs between --shards 1 and 4"; exit 1;
+for shards in 3 4; do
+  "$FABRIC_TOOL" "${FABRIC_ARGS[@]}" --shards "$shards" \
+    --json "$SHARD_OUT/fabric_s$shards.json" > /dev/null
+  cmp "$SHARD_OUT/fabric_s1.json" "$SHARD_OUT/fabric_s$shards.json" || {
+    echo "[check.sh] fabric artifact differs between --shards 1 and $shards"
+    exit 1
+  }
+done
+# At most one shard per switch runs, and the shards: line says so.
+STAR_OUT=$("$FABRIC_TOOL" --topology star:4 --shards 64)
+grep -q '^shards: 1 (' <<< "$STAR_OUT" || {
+  echo "[check.sh] star:4 at --shards 64 did not run one shard: $STAR_OUT"
+  exit 1
 }
 python3 - "$SHARD_OUT/fabric_s1.json" <<'PY'
 import json, sys

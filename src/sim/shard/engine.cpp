@@ -11,7 +11,6 @@
 #include "exec/thread_pool.h"
 #include "obs/tracing.h"
 #include "sim/shard/fabric.h"
-#include "sim/shard/mpsc_queue.h"
 
 namespace bcn::sim::shard {
 namespace {
@@ -33,15 +32,16 @@ std::uint64_t mix_double(std::uint64_t h, double v) {
   return mix_u64(h, bits);
 }
 
-// Sense-reversing epoch barrier.  `idle` runs in the wait loop so a
-// blocked shard keeps draining its inbox (bounded-queue liveness);
-// yield keeps the protocol usable when shards outnumber cores.
+// Sense-reversing epoch barrier.  What a shard writes before it arrives
+// happens before what any shard does after it leaves (acq_rel arrivals,
+// a release of `sense_` by the last), which is all the mailboxes need.
+// yield keeps it usable when shards outnumber cores; a std::barrier
+// (futex wait) measured slower on the 2-shard fabric.
 class EpochBarrier {
  public:
   explicit EpochBarrier(int parties) : parties_(parties) {}
 
-  template <typename Idle>
-  void arrive_and_wait(bool* sense, Idle&& idle) {
+  void arrive_and_wait(bool* sense) {
     const bool my = !*sense;
     *sense = my;
     if (count_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
@@ -49,7 +49,6 @@ class EpochBarrier {
       sense_.store(my, std::memory_order_release);
     } else {
       while (sense_.load(std::memory_order_acquire) != my) {
-        idle();
         std::this_thread::yield();
       }
     }
@@ -61,6 +60,8 @@ class EpochBarrier {
   std::atomic<bool> sense_{false};
 };
 
+class Shard;
+
 struct Shared {
   const Topology* topo = nullptr;
   const FabricOptions* options = nullptr;
@@ -71,7 +72,7 @@ struct Shared {
   std::uint32_t source_gid_base = 0;  // ports are [0, base), sources after
   std::vector<std::uint32_t> shard_of_gid;
   std::vector<EventTarget*> targets;  // by gid; read-only while running
-  std::vector<std::unique_ptr<MpscQueue<TransferRecord>>> inboxes;
+  std::vector<std::unique_ptr<Shard>> shards;  // each reads its peers' mail
   std::unique_ptr<EpochBarrier> barrier;
 };
 
@@ -90,6 +91,11 @@ class Shard final : public TransferSink {
   // canonical_order's scratch: Q + 1 counters and the bucket's order.
   std::vector<std::uint32_t> order_counts;
   std::vector<std::uint32_t> order;
+  // Cross-shard mail, outbox[parity * S + dst]: this shard appends to
+  // the boxes of the running epoch's parity, and shard dst empties its
+  // box at the top of the next epoch, across the barrier.
+  std::vector<std::vector<TransferRecord>> outbox;
+  std::size_t outbox_base = 0;  // parity * S of the running epoch
   bool sense = false;
   std::uint64_t staged = 0;
   std::uint64_t cross = 0;
@@ -106,13 +112,7 @@ class Shard final : public TransferSink {
       return;
     }
     ++cross;
-    MpscQueue<TransferRecord>& inbox = *shared->inboxes[dst];
-    while (!inbox.try_push(record)) {
-      // A full inbox means the peer is behind; make progress by freeing
-      // our own inbox so whoever is pushing at us can advance too.
-      drain_inbox();
-      std::this_thread::yield();
-    }
+    outbox[outbox_base + dst].push_back(record);
   }
 
   std::vector<TransferRecord>& bucket_of(SimTime deliver_at) {
@@ -125,11 +125,18 @@ class Shard final : public TransferSink {
     return buckets[slot];
   }
 
-  void drain_inbox() {
-    MpscQueue<TransferRecord>& inbox = *shared->inboxes[index];
-    TransferRecord record;
-    while (inbox.try_pop(record)) {
-      bucket_of(record.deliver_at).push_back(record);
+  // Moves the mail every shard sent this one during an epoch of `parity`
+  // into the epoch buckets; the barriers before and after order it
+  // against the senders.  canonical_order makes arrival order irrelevant.
+  void collect(std::uint64_t parity) {
+    const std::size_t box = parity * shared->shards.size() +
+                            static_cast<std::size_t>(index);
+    for (const std::unique_ptr<Shard>& peer : shared->shards) {
+      std::vector<TransferRecord>& mail = peer->outbox[box];
+      for (const TransferRecord& record : mail) {
+        bucket_of(record.deliver_at).push_back(record);
+      }
+      mail.clear();
     }
   }
 
@@ -200,21 +207,23 @@ class Shard final : public TransferSink {
   }
 
   // One shard.drain, shard.inject, sim.run_until and shard.barrier span
-  // per epoch on each worker.  The barrier span covers the drains its
-  // spin loop runs, so drain_inbox itself carries no span.
+  // per epoch on each worker.  shard.drain collects the previous epoch's
+  // mail; at epoch 0 there is none, but the span still counts the epoch.
   void run() {
+    const std::size_t S = shared->shards.size();
     for (std::uint64_t e = 0; e < shared->total_epochs; ++e) {
       {
         obs::TraceSpan span("shard.drain");
-        drain_inbox();
+        collect((e + 1) & 1);
       }
+      outbox_base = static_cast<std::size_t>(e & 1) * S;
       run_epoch(e);
       obs::TraceSpan span("shard.barrier");
-      shared->barrier->arrive_and_wait(&sense, [this] { drain_inbox(); });
+      shared->barrier->arrive_and_wait(&sense);
     }
   }
 
-  // Single-shard fast path: no inbox, no barrier, and empty epochs are
+  // Single-shard fast path: no mail, no barrier, and empty epochs are
   // skipped wholesale by peeking the next event deadline and the pending
   // buckets.  Skips are clamped to the next sample boundary, and nothing
   // observable happens in a skipped epoch, so the trajectory (and the
@@ -253,7 +262,8 @@ SimTime span_us(const ArgParser& args, const char* name, double fallback) {
 
 FabricResult run_fabric(const Topology& topo, const FabricOptions& options,
                         int shard_count) {
-  const int S = std::max(1, shard_count);
+  const Partition part = partition_topology(topo, shard_count);
+  const int S = part.shards;
   const auto P = static_cast<std::uint32_t>(topo.ports.size());
   const auto F = static_cast<std::uint32_t>(topo.flows.size());
 
@@ -268,7 +278,6 @@ FabricResult run_fabric(const Topology& topo, const FabricOptions& options,
   shared.total_samples = shared.total_epochs / shared.sample_every_epochs;
   shared.source_gid_base = P;
 
-  const Partition part = partition_topology(topo, S);
   shared.shard_of_gid.resize(P + F);
   for (std::uint32_t p = 0; p < P; ++p) {
     shared.shard_of_gid[p] = part.shard_of_port[p];
@@ -277,11 +286,6 @@ FabricResult run_fabric(const Topology& topo, const FabricOptions& options,
     shared.shard_of_gid[P + f] = part.shard_of_flow[f];
   }
   shared.targets.assign(P + F, nullptr);
-  shared.inboxes.reserve(static_cast<std::size_t>(S));
-  for (int s = 0; s < S; ++s) {
-    shared.inboxes.push_back(
-        std::make_unique<MpscQueue<TransferRecord>>(1 << 14));
-  }
   shared.barrier = std::make_unique<EpochBarrier>(S);
 
   const std::uint64_t sample_every_arrivals = std::max<std::uint64_t>(
@@ -289,7 +293,7 @@ FabricResult run_fabric(const Topology& topo, const FabricOptions& options,
   const std::uint32_t trace_gid = std::min(options.trace_port, P - 1);
 
   // --- build shards (single-threaded) ------------------------------------
-  std::vector<std::unique_ptr<Shard>> shards;
+  std::vector<std::unique_ptr<Shard>>& shards = shared.shards;
   shards.reserve(static_cast<std::size_t>(S));
   for (int s = 0; s < S; ++s) {
     shards.push_back(std::make_unique<Shard>());
@@ -299,6 +303,7 @@ FabricResult run_fabric(const Topology& topo, const FabricOptions& options,
     shard.ring = topo.max_route_length() + 3;
     shard.buckets.resize(shard.ring);
     shard.bucket_epoch.assign(shard.ring, 0);
+    shard.outbox.resize(2 * static_cast<std::size_t>(S));
     shard.queue_partial.assign(shared.total_samples, 0.0);
     for (std::uint32_t p = 0; p < P; ++p) {
       if (shared.shard_of_gid[p] == static_cast<std::uint32_t>(s)) {
@@ -382,11 +387,11 @@ FabricResult run_fabric(const Topology& topo, const FabricOptions& options,
   result.shards = S;
   result.epochs = shared.total_epochs;
 
-  // Handoffs staged during the last epoch may still wait in an inbox;
-  // the workers have joined, so this thread drains them into buckets and
+  // Mail sent during the last epoch still waits in its outbox; the
+  // workers have joined, so this thread collects it into buckets and
   // counts every frame still on its way to a port.
   for (const auto& shard : shards) {
-    shard->drain_inbox();
+    shard->collect((shared.total_epochs + 1) & 1);
     for (const std::vector<TransferRecord>& bucket : shard->buckets) {
       for (const TransferRecord& record : bucket) {
         if (record.kind == EventKind::FrameArrival) ++result.frames_in_flight;

@@ -30,16 +30,21 @@
 // every shard count.
 // tests/sim/shard_determinism_test.cpp pins this.
 //
-// Cross-shard records travel over lock-free bounded MPSC inboxes (one
-// per shard).  A producer facing a full inbox drains its *own* inbox
-// into staging buckets while it spins, and barrier waiters drain too,
-// so bounded queues cannot deadlock the epoch protocol.
+// Cross-shard records travel in mailboxes that the sender owns, one per
+// (epoch parity, destination shard).  During epoch e a shard appends
+// only to its boxes of parity e & 1, and at the top of epoch e+1 each
+// shard empties the boxes of that parity addressed to it into its epoch
+// buckets, while senders fill the other parity.  The barrier between
+// the two epochs orders both hand-overs, so the exchange adds no atomic
+// and no bound: a record staged in epoch e is not due before epoch e+1,
+// and arrival order is irrelevant because injection sorts every bucket
+// on a unique key.
 //
 // Observability is per-shard and merged deterministically after the
 // join.  A traced multi-shard run records, per worker and epoch, the
-// spans shard.drain (the top-of-epoch inbox drain), shard.inject (with
-// its record count), sim.run_until and shard.barrier (the wait, with the
-// drains it runs).  Counters sum; queue-occupancy series add exactly
+// spans shard.drain (the top-of-epoch mailbox collection, empty at epoch
+// 0), shard.inject (with its record count), sim.run_until and
+// shard.barrier (the wait).  Counters sum; queue-occupancy series add exactly
 // (queue bits are integer-valued doubles -- multiples of the frame size
 // -- far below 2^53, so addition order cannot perturb them); per-flow
 // rates are read in gid order single-threaded.  Each shard owns a
@@ -101,7 +106,7 @@ struct FabricResult {
   double bits_delivered = 0.0;
   // Where the frames not yet delivered or dropped are at the horizon:
   // queued at a port (the one in service included), or staged for their
-  // next hop in an epoch bucket or an inbox.  Frames are conserved:
+  // next hop in an epoch bucket or a mailbox.  Frames are conserved:
   // frames_sent == frames_delivered + frames_dropped + frames_queued +
   // frames_in_flight.  Both are shard-invariant, but they stay out of the
   // digest and bcn_fabric's artifact, so the pinned values hold.
@@ -111,7 +116,7 @@ struct FabricResult {
   // boundary (partition-dependent; excluded from digest and artifacts).
   std::uint64_t staged_records = 0;
   std::uint64_t cross_shard_records = 0;
-  int shards = 1;
+  int shards = 1;  // the shards that ran: at most one per switch
 
   std::vector<double> trace_queue;  // trace-port occupancy per sample
   std::vector<double> total_queue;  // fabric-wide occupancy per sample
@@ -132,9 +137,11 @@ inline constexpr int kMaxShards = 999'999;
 // simulated clock: a positive span under 1 ns truncates to none.
 SimTime span_us(const ArgParser& args, const char* name, double fallback);
 
-// Runs `topo` for options.duration on `shards` shards (clamped to >= 1).
-// shards == 1 runs inline on the calling thread; otherwise the engine
-// spins up a ThreadPool of exactly `shards` pinned workers.
+// Runs `topo` for options.duration on `shards` shards, clamped to [1,
+// switches] as partition_topology clamps them; FabricResult::shards
+// reports the count that ran.  One shard runs inline on the calling
+// thread; otherwise the engine spins up a ThreadPool of one pinned
+// worker per shard.
 FabricResult run_fabric(const Topology& topo, const FabricOptions& options,
                         int shards);
 

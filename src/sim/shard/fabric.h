@@ -84,8 +84,8 @@ void canonical_order(const std::vector<TransferRecord>& records,
                      std::vector<std::uint32_t>* order);
 
 // Where entities stage their outgoing handoffs; implemented by the
-// engine's Shard (engine.cpp), which routes to a local epoch bucket or a
-// cross-shard MPSC inbox.
+// engine's Shard (engine.cpp), which routes to a local epoch bucket or to
+// its own mailbox for the destination shard.
 class TransferSink {
  public:
   virtual void stage(const TransferRecord& record) = 0;

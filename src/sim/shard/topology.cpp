@@ -391,6 +391,10 @@ bool parse_topology_spec(const std::string& spec, Topology* out,
 Partition partition_topology(const Topology& topo, int shards) {
   Partition part;
   part.shards = std::max(1, shards);
+  // A shard beyond one per switch would own no port and no flow.
+  if (static_cast<std::size_t>(part.shards) > topo.switches.size()) {
+    part.shards = std::max(1, static_cast<int>(topo.switches.size()));
+  }
   const auto n = static_cast<std::uint32_t>(part.shards);
   part.shard_of_switch.resize(topo.switches.size());
   for (std::size_t i = 0; i < topo.switches.size(); ++i) {

@@ -160,8 +160,9 @@ struct Partition {
 
 // Edge-cut by pod/leaf: pod p -> shard p % shards, cores/spines
 // round-robin by switch id, flows follow their ingress edge switch.
-// `shards` is clamped to >= 1; counts above the pod count simply leave
-// some shards sparse (determinism does not depend on balance).
+// `shards` is clamped to [1, switches]: a shard beyond one per switch
+// would own nothing.  Counts above the pod count still leave some shards
+// sparse (determinism does not depend on balance).
 Partition partition_topology(const Topology& topo, int shards);
 
 }  // namespace bcn::sim::shard

@@ -169,9 +169,17 @@ TEST(TopologyTest, PartitionCoversEverythingAndKeepsPodsIntact) {
   }
   // One shard: no route segment crosses anything.
   EXPECT_EQ(partition_topology(topo, 1).cut_edges, 0u);
-  // Clamped to >= 1 on nonsense counts.
+  // Clamped to >= 1 on nonsense counts, and to one shard per switch.
   EXPECT_EQ(partition_topology(topo, 0).shards, 1);
   EXPECT_EQ(partition_topology(topo, -3).shards, 1);
+  EXPECT_EQ(partition_topology(topo, 20).shards, 20);
+  EXPECT_EQ(partition_topology(topo, 64).shards, 20);
+  Topology star;
+  ASSERT_TRUE(parse_topology_spec("star:4", &star, &error));
+  add_permutation_flows(star, 1, 0);
+  const Partition lone = partition_topology(star, 64);
+  EXPECT_EQ(lone.shards, 1);
+  EXPECT_EQ(lone.cut_edges, 0u);
 }
 
 }  // namespace

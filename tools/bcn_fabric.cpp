@@ -45,8 +45,9 @@ void usage() {
       "                  [--seed n] [--help]\n"
       "  --topology s  fat-tree:K | leaf-spine:SPINESxLEAVESxHOSTS | star:N\n"
       "  --shards n    simulator shards (BCN_SHARDS env fallback; default\n"
-      "                1, 0 = all hardware threads).  The digest and the\n"
-      "                JSON artifact are identical for every shard count.\n"
+      "                1, 0 = all hardware threads), at most one per\n"
+      "                switch.  The digest and the JSON artifact are\n"
+      "                identical for every shard count.\n"
       "  --flows-per-host n  seeded permutation traffic rounds (default 2)\n"
       "  --duration-us x     simulated horizon in microseconds (default 500)\n"
       "  --sample-us x       queue-series sampling cadence (default 50,\n"
@@ -134,7 +135,7 @@ int run(const ArgParser& args) {
   std::printf("fabric: %s — %zu switches, %zu ports, %zu hosts, %zu flows\n",
               topo.name.c_str(), topo.switches.size(), topo.ports.size(),
               topo.num_hosts, topo.flows.size());
-  std::printf("shards: %d (%zu cut route segments)\n", shards,
+  std::printf("shards: %d (%zu cut route segments)\n", part.shards,
               part.cut_edges);
 
   const auto start = std::chrono::steady_clock::now();
