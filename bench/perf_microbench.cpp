@@ -161,9 +161,16 @@ void BM_StabilityMapCell(benchmark::State& state) {
 BENCHMARK(BM_StabilityMapCell);
 
 // The lanes E22's plant integrates in the Adaptive 97x97 map (the repo
-// benchmark's map workload), built at run time.
-const std::vector<ode::BatchLane>& e22_integrated_lanes() {
-  static const std::vector<ode::BatchLane> lanes = [] {
+// benchmark's map workload), built at run time in cell order, and the
+// slice sizes batch_numeric_verdicts cuts the map's waves into on two
+// workers.
+struct E22Lanes {
+  std::vector<ode::BatchLane> lanes;
+  std::vector<std::size_t> per_worker;
+};
+
+const E22Lanes& e22_integrated_lanes() {
+  static const E22Lanes e22 = [] {
     core::BcnParams base = core::BcnParams::standard_draft();
     base.buffer = 12e6;
     base.qsc = 11e6;
@@ -173,38 +180,46 @@ const std::vector<ode::BatchLane>& e22_integrated_lanes() {
     const auto map = analysis::compute_stability_map(
         base, analysis::logspace(0.125, 32.0, 97),
         analysis::logspace(1.0 / 1024.0, 0.5, 97), opts);
-    std::vector<ode::BatchLane> out;
+    E22Lanes out;
     for (const auto& cell : map.cells) {
       if (!cell.integrated) continue;
       core::BcnParams p = base;
       p.gi = cell.gi;
       p.gd = cell.gd;
-      out.push_back(core::make_batch_lane(
+      out.lanes.push_back(core::make_batch_lane(
           core::make_bcn_verdict_lane(p, opts.numeric_level)));
+    }
+    for (const std::size_t wave : map.wave_cells) {
+      const std::size_t slice = core::batch_slice_lanes(wave, 2);
+      for (std::size_t lo = 0; lo < wave; lo += slice) {
+        out.per_worker.push_back(std::min(slice, wave - lo));
+      }
     }
     return out;
   }();
-  return lanes;
+  return e22;
 }
 
 // The batch integrator on E22's lanes, registered per kernel this CPU can
 // run: BM_BatchLaneStep/<kernel> steps them as one batch, and
-// BM_BatchLaneStep/<kernel>/slice16 in consecutive 16-lane batches, the
-// slices the map's two-thread waves run.  On an AVX2 host this is the
-// only place the baseline kernel is timed.
+// BM_BatchLaneStep/<kernel>/per_worker in consecutive batches of the
+// sizes the map's two workers step (85, 84, 89, 88, 184, 183, 367 and
+// 367 lanes).  On an AVX2 host this is the only place the baseline
+// kernel is timed.
 void BM_BatchLaneStep(benchmark::State& state,
                       const ode::internal::BatchKernel* kernel,
-                      std::size_t slice) {
-  const auto& lanes = e22_integrated_lanes();
-  const std::size_t n = lanes.size();
-  if (slice == 0) slice = n;
+                      bool per_worker) {
+  const E22Lanes& e22 = e22_integrated_lanes();
+  const std::vector<std::size_t> one_batch{e22.lanes.size()};
+  const auto& slices = per_worker ? e22.per_worker : one_batch;
   ode::BatchIntegrator batch;
   kernel->install(batch);
   double steps = 0.0, crossings = 0.0;
   for (auto _ : state) {
     steps = crossings = 0.0;
-    for (std::size_t lo = 0; lo < n; lo += slice) {
-      batch.reset(lanes.data() + lo, std::min(slice, n - lo));
+    std::size_t lo = 0;
+    for (const std::size_t n : slices) {
+      batch.reset(e22.lanes.data() + lo, n);
       batch.run_to_completion();
       benchmark::DoNotOptimize(batch.results().data());
       benchmark::ClobberMemory();
@@ -212,6 +227,7 @@ void BM_BatchLaneStep(benchmark::State& state,
         steps += r.steps;
         crossings += r.crossings;
       }
+      lo += n;
     }
   }
   // Seconds per lane-step, printed with an SI prefix (n for ns), and the
@@ -220,7 +236,7 @@ void BM_BatchLaneStep(benchmark::State& state,
       steps, benchmark::Counter::kIsIterationInvariantRate |
                  benchmark::Counter::kInvert);
   state.counters["crossings"] = crossings / steps;
-  state.SetLabel(std::to_string(n) + " lanes of E22's map");
+  state.SetLabel(std::to_string(e22.lanes.size()) + " lanes of E22's map");
 }
 
 // Serial vs parallel wall-clock on a fixed stability-map grid, written as
@@ -550,9 +566,10 @@ void emit_sim_throughput_json() {
 int main(int argc, char** argv) {
   for (const auto* kernel : ode::internal::host_batch_kernels()) {
     const std::string name = std::string("BM_BatchLaneStep/") + kernel->name;
-    benchmark::RegisterBenchmark(name.c_str(), BM_BatchLaneStep, kernel, 0);
-    benchmark::RegisterBenchmark((name + "/slice16").c_str(),
-                                 BM_BatchLaneStep, kernel, 16);
+    benchmark::RegisterBenchmark(name.c_str(), BM_BatchLaneStep, kernel,
+                                 false);
+    benchmark::RegisterBenchmark((name + "/per_worker").c_str(),
+                                 BM_BatchLaneStep, kernel, true);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

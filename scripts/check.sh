@@ -17,9 +17,13 @@
 #     checks the profile.* gauges landed in the RUN json, and runs
 #     bcn_bench_diff self-vs-self (a zero-delta diff must exit 0); a
 #     malformed --threshold is rejected with exit 2.
-#  4. Sim throughput: runs the perf_microbench artifact emitters and
-#     validates BENCH_sim_throughput.json (all scenario keys present,
-#     self-diff at threshold 0 exits 0).
+#  4. Sim throughput and batch lanes: runs the perf_microbench artifact
+#     emitters and validates BENCH_sim_throughput.json (all scenario keys
+#     present, self-diff at threshold 0 exits 0); in the same run it
+#     times BM_BatchLaneStep briefly on every batch kernel the host can
+#     run, as one batch and per worker, and requires a positive
+#     lane_step and the pinned crossings share 0.0195886 on each (lane
+#     bits do not depend on the kernel or the slice shape).
 #  5. Fault smoke: runs the feedback-loss bench with a nonzero drop rate
 #     (the docs/FAULTS.md recipe), asserts fault.* counters land in the
 #     RUN json, requires two invocations of the same plan to produce
@@ -235,15 +239,40 @@ expect_usage_error "^--threshold: '0.01x' is not a finite decimal number" \
 
 echo "[check.sh] trace artifact smoke clean ($TRACE_JSON)"
 
-# --- sim-throughput smoke -------------------------------------------------
+# --- sim-throughput and batch-lane smoke ----------------------------------
 # The event-core dispatch-rate artifact: every scenario key must be
 # emitted with a positive events/sec, and the artifact must survive a
 # zero-threshold self-diff (i.e. bcn_bench_diff can parse and compare it).
+# The same run steps E22's batch lanes on every kernel this CPU can run,
+# in both slice shapes: each must run (a positive time per lane-step)
+# and cross exactly as often as every other, since no lane's bits depend
+# on the kernel or the slicing.
 cmake --build "$SMOKE_BUILD_DIR" -j --target perf_microbench
 
 TPUT_OUT=$(scratch_dir tput)
+LANE_JSON="$TPUT_OUT/batch_lane_step.json"
 BCN_BENCH_OUT="$TPUT_OUT" "$SMOKE_BUILD_DIR"/bench/perf_microbench \
-  --benchmark_filter=NONE > /dev/null
+  --benchmark_filter=BM_BatchLaneStep --benchmark_min_time=0.01 \
+  --benchmark_out="$LANE_JSON" --benchmark_out_format=json > /dev/null
+
+python3 - "$LANE_JSON" <<'PY'
+import json, sys
+runs = json.load(open(sys.argv[1]))["benchmarks"]
+names = {r["name"] for r in runs}
+kernels = sorted({name.split("/")[1] for name in names})
+assert "baseline" in kernels, f"no baseline kernel among {kernels}"
+for kernel in kernels:
+    for shape in ("", "/per_worker"):
+        name = f"BM_BatchLaneStep/{kernel}{shape}"
+        assert name in names, f"{name} did not run"
+for r in runs:
+    assert r["lane_step"] > 0, f"{r['name']}: lane_step {r['lane_step']!r}"
+    share = f"{r['crossings']:.6g}"
+    assert share == "0.0195886", f"{r['name']}: crossings share {share}"
+steps = ", ".join(f"{r['name'][len('BM_BatchLaneStep/'):]}="
+                  f"{r['lane_step'] * 1e9:.1f}ns" for r in runs)
+print(f"[check.sh] batch lanes: {steps}, crossings share 0.0195886")
+PY
 
 TPUT_JSON="$TPUT_OUT/BENCH_sim_throughput.json"
 [[ -f "$TPUT_JSON" ]] || { echo "[check.sh] missing $TPUT_JSON"; exit 1; }

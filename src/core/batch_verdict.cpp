@@ -5,6 +5,7 @@
 
 #include "core/fluid_model.h"
 #include "exec/parallel_for.h"
+#include "exec/thread_pool.h"
 
 namespace bcn::core {
 namespace {
@@ -82,6 +83,20 @@ ode::BatchLane make_batch_lane(const VerdictLane& lane,
   return b;
 }
 
+std::size_t batch_slice_lanes(std::size_t n, int threads) {
+  // One contiguous slice per worker, min(ceil(n / workers), 512) lanes:
+  // each worker steps its share through one integrator, so a map makes
+  // as few step_all calls, each with a fixed cost beside its per-lane
+  // work, as its waves allow (E22's two-worker map: 8 slices and about
+  // 8 200 calls, where 16-lane slices made 92 and 93 900).  The cap
+  // bounds an integrator's scratch, since a Batch-mode map is one wave of
+  // every cell.
+  constexpr std::size_t kMaxSliceLanes = 512;
+  const auto workers = static_cast<std::size_t>(exec::resolve_threads(threads));
+  return std::max<std::size_t>(
+      1, std::min((n + workers - 1) / workers, kMaxSliceLanes));
+}
+
 std::vector<NumericVerdict> batch_numeric_verdicts(
     const std::vector<VerdictLane>& lanes,
     const BatchVerdictOptions& options) {
@@ -89,24 +104,22 @@ std::vector<NumericVerdict> batch_numeric_verdicts(
   std::vector<NumericVerdict> out(n);
   if (n == 0) return out;
 
-  std::vector<ode::BatchLane> batch(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    batch[i] = make_batch_lane(lanes[i], options);
-  }
-
-  // Contiguous slices keep each worker's integrator hot; results land by
-  // lane index, so slicing is invisible to the output.
-  const std::size_t slice = options.threads == 1
-                                ? n
-                                : std::clamp<std::size_t>(n / 64, 16, 512);
+  // Each worker builds only its own slice's integrator lanes.  Results
+  // land by lane index, so slicing is invisible to the output.
+  const std::size_t slice = batch_slice_lanes(n, options.threads);
   const std::size_t n_slices = (n + slice - 1) / slice;
   exec::parallel_for(
       n_slices,
       [&](std::size_t s) {
         const std::size_t lo = s * slice;
         const std::size_t hi = std::min(n, lo + slice);
+        std::vector<ode::BatchLane> batch;
+        batch.reserve(hi - lo);
+        for (std::size_t i = lo; i < hi; ++i) {
+          batch.push_back(make_batch_lane(lanes[i], options));
+        }
         ode::BatchIntegrator integrator;
-        integrator.reset(batch.data() + lo, hi - lo);
+        integrator.reset(batch);
         integrator.run_to_completion();
         const auto& results = integrator.results();
         for (std::size_t i = lo; i < hi; ++i) {

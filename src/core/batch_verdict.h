@@ -17,6 +17,7 @@
 // to the scalar path for it.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -71,11 +72,15 @@ VerdictLane make_bcn_verdict_lane(const BcnParams& params, ModelLevel level,
 ode::BatchLane make_batch_lane(const VerdictLane& lane,
                                const BatchVerdictOptions& options = {});
 
+// Lanes per slice when batch_numeric_verdicts runs n lanes on `threads`
+// (exec convention: 0 = hardware): one slice per worker, at most 512.
+std::size_t batch_slice_lanes(std::size_t n, int threads);
+
 // Runs every lane to completion and scores it; slot i is lane i's
-// verdict.  Lanes are integrated in contiguous slices, each through its
-// own BatchIntegrator, and slices are distributed over the exec layer —
-// lanes are fully independent, so the result is bitwise identical at
-// any thread count.
+// verdict.  Lanes are integrated in contiguous slices of
+// batch_slice_lanes, each through its own BatchIntegrator — lanes are
+// fully independent, so the result is bitwise identical at any thread
+// count.
 std::vector<NumericVerdict> batch_numeric_verdicts(
     const std::vector<VerdictLane>& lanes,
     const BatchVerdictOptions& options = {});

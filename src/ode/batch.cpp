@@ -99,7 +99,7 @@ template <typename V>
         (-2.0 * u3 + 3.0 * u2) * p1 + (u3 - u2) * m1;
 }
 
-// Why the fused pass flags a lane.
+// Why the commit pass flags a lane.
 constexpr std::int64_t kLive = 0;       // committed, still running
 constexpr std::int64_t kDone = 1;       // committed, reached t_end or stop
 constexpr std::int64_t kCrossing = 2;   // sigma changed sign: not committed
@@ -143,6 +143,10 @@ struct Lanes<2> {
                                             const D& b, D& out) {
     out = D((I(a) & m) | (I(b) & ~m));
   }
+  [[gnu::always_inline]] static void select(const I& m, const I& a,
+                                            const I& b, I& out) {
+    out = (a & m) | (b & ~m);
+  }
 };
 
 template <>
@@ -163,6 +167,10 @@ struct Lanes<4> {
                                             const D& b, D& out) {
     out = m ? a : b;
   }
+  [[gnu::always_inline]] static void select(const I& m, const I& a,
+                                            const I& b, I& out) {
+    out = m ? a : b;
+  }
 };
 
 // The W lanes at `p` as one vector V (a *U type above).
@@ -172,11 +180,58 @@ template <typename V, typename T>
   return *reinterpret_cast<Q*>(p);
 }
 
-// The fused pass, W lanes at a time (see batch.h).  Lanes past m in the
-// last block are pad: computed and stored, never read.
+// Stores m ? a : b to the W lanes at p.
+template <typename L>
+[[gnu::always_inline]] inline void store_select(const typename L::I& m,
+                                                const typename L::D& a,
+                                                const typename L::D& b,
+                                                double* p) {
+  typename L::D v;
+  L::select(m, a, b, v);
+  lanes_at<typename L::DU>(p) = v;
+}
+
+// The candidate pass, W lanes at a time (see batch.h): each lane's
+// region field and step h = min(dt, t_end - t), and the RK4 step from
+// (x, y) into (xn, yn).  Lanes past m in the last block are pad:
+// computed and stored, never read.
 template <std::size_t W>
-[[gnu::always_inline]] inline void fused_pass(
+[[gnu::always_inline]] inline void candidate_pass(
     const internal::LaneArrays& a, std::size_t m) {
+  using L = Lanes<W>;
+  using D = typename L::D;
+  using I = typename L::I;
+  using DU = typename L::DU;
+  using IU = typename L::IU;
+  for (std::size_t i = 0; i < m; i += W) {
+    const D x = lanes_at<DU>(a.x + i), y = lanes_at<DU>(a.y + i);
+    const I r0 = lanes_at<IU>(a.reg + i) == 0;
+    const D dt0 = lanes_at<DU>(a.dt0 + i), dt1 = lanes_at<DU>(a.dt1 + i);
+    const D dr0 = lanes_at<DU>(a.dr0 + i), dr1 = lanes_at<DU>(a.dr1 + i);
+    const D ga0 = lanes_at<DU>(a.ga0 + i), ga1 = lanes_at<DU>(a.ga1 + i);
+    const D gb0 = lanes_at<DU>(a.gb0 + i), gb1 = lanes_at<DU>(a.gb1 + i);
+    D dt, drive, g0, g1, h;
+    L::select(r0, dt0, dt1, dt);
+    L::select(r0, dr0, dr1, drive);
+    L::select(r0, ga0, ga1, g0);
+    L::select(r0, gb0, gb1, g1);
+    const D rest = lanes_at<DU>(a.tend + i) - lanes_at<DU>(a.t + i);
+    L::select(rest < dt, rest, dt, h);  // std::min(dt, rest)
+    const D sx = lanes_at<DU>(a.sx + i), sy = lanes_at<DU>(a.sy + i);
+    D xn, yn;
+    rk4_step(x, y, h, sx, sy, drive, g0, g1, xn, yn);
+    lanes_at<DU>(a.xn + i) = xn;
+    lanes_at<DU>(a.yn + i) = yn;
+    lanes_at<DU>(a.h + i) = h;
+  }
+}
+
+// The commit pass on the W lanes at i: sigma at both ends of the
+// candidate step, the commit of every lane that neither crosses nor
+// goes non-finite, and the flags, which it also leaves in `flag`.
+template <std::size_t W>
+[[gnu::always_inline]] inline void commit_block(
+    const internal::LaneArrays& a, std::size_t i, typename Lanes<W>::I& flag) {
   using L = Lanes<W>;
   using D = typename L::D;
   using I = typename L::I;
@@ -186,65 +241,74 @@ template <std::size_t W>
   constexpr double kMax = std::numeric_limits<double>::max();
   const I zero{};
   const I one = zero + 1;
-  for (std::size_t i = 0; i < m; i += W) {
-    const D x = lanes_at<DU>(a.x + i), y = lanes_at<DU>(a.y + i);
-    const D t = lanes_at<DU>(a.t + i);
-    const I reg = lanes_at<IU>(a.reg + i);
-    const I r0 = reg == 0;
-    const I swi = lanes_at<IU>(a.swi + i) != 0;
-    const D dt = r0 ? lanes_at<DU>(a.dt0 + i) : lanes_at<DU>(a.dt1 + i);
-    const D rest = lanes_at<DU>(a.tend + i) - t;
-    const D h = rest < dt ? rest : dt;  // std::min(dt, rest)
-    const D sx = lanes_at<DU>(a.sx + i), sy = lanes_at<DU>(a.sy + i);
-    const D drive = r0 ? lanes_at<DU>(a.dr0 + i) : lanes_at<DU>(a.dr1 + i);
-    const D g0 = r0 ? lanes_at<DU>(a.ga0 + i) : lanes_at<DU>(a.ga1 + i);
-    const D g1 = r0 ? lanes_at<DU>(a.gb0 + i) : lanes_at<DU>(a.gb1 + i);
-    D xn, yn, s0, s1;
-    rk4_step(x, y, h, sx, sy, drive, g0, g1, xn, yn);
-    sigma(x, y, sx, sy, s0);
-    sigma(xn, yn, sx, sy, s1);
+  const D x = lanes_at<DU>(a.x + i), y = lanes_at<DU>(a.y + i);
+  const D xn = lanes_at<DU>(a.xn + i), yn = lanes_at<DU>(a.yn + i);
+  const D sx = lanes_at<DU>(a.sx + i), sy = lanes_at<DU>(a.sy + i);
+  const I swi = lanes_at<IU>(a.swi + i) != 0;
+  D s0, s1;
+  sigma(x, y, sx, sy, s0);
+  sigma(xn, yn, sx, sy, s1);
 
-    // |v| by clearing the sign bit, as std::abs does.
-    const D axn = D(I(xn) & kAbs), ayn = D(I(yn) & kAbs);
-    const I finite = (axn <= kMax) & (ayn <= kMax);
-    const I crossing = finite & swi & ((s0 <= 0.0) ^ (s1 <= 0.0));
-    const I plain = finite & ~crossing;
+  // |v| by clearing the sign bit, as std::abs does.
+  const D axn = D(I(xn) & kAbs), ayn = D(I(yn) & kAbs);
+  const I finite = (axn <= kMax) & (ayn <= kMax);
+  const I crossing = finite & swi & ((s0 <= 0.0) ^ (s1 <= 0.0));
+  const I plain = finite & ~crossing;
 
-    // Commit the plain lanes: state, region (the scalar driver's mode_of
-    // safety net: a no-op unless sigma landed exactly on 0), extrema
-    // fold, step count.
-    const D tn = t + h;
-    lanes_at<DU>(a.x + i) = plain ? xn : x;
-    lanes_at<DU>(a.y + i) = plain ? yn : y;
-    lanes_at<DU>(a.t + i) = plain ? tn : t;
-    lanes_at<IU>(a.reg + i) =
-        (plain & swi) ? ((s1 > 0.0) ? zero : one) : reg;
-    const D maxx = lanes_at<DU>(a.maxx + i), minx = lanes_at<DU>(a.minx + i);
-    lanes_at<DU>(a.maxx + i) = (plain & (maxx < xn)) ? xn : maxx;
-    lanes_at<DU>(a.minx + i) = (plain & (xn < minx)) ? xn : minx;
-    const I post = plain & (lanes_at<IU>(a.crossed + i) != 0);
-    const D pmaxx = lanes_at<DU>(a.pmaxx + i);
-    const D pminx = lanes_at<DU>(a.pminx + i);
-    lanes_at<DU>(a.pmaxx + i) = (post & (pmaxx < xn)) ? xn : pmaxx;
-    lanes_at<DU>(a.pminx + i) = (post & (xn < pminx)) ? xn : pminx;
-    lanes_at<IU>(a.steps + i) += plain & one;
+  // Commit the plain lanes: state, region (the scalar driver's mode_of
+  // safety net: a no-op unless sigma landed exactly on 0), extrema
+  // fold, step count.
+  const D t = lanes_at<DU>(a.t + i);
+  const D tn = t + lanes_at<DU>(a.h + i);
+  store_select<L>(plain, xn, x, a.x + i);
+  store_select<L>(plain, yn, y, a.y + i);
+  store_select<L>(plain, tn, t, a.t + i);
+  I reg;
+  L::select(s1 > 0.0, zero, one, reg);
+  L::select(plain & swi, reg, I(lanes_at<IU>(a.reg + i)), reg);
+  lanes_at<IU>(a.reg + i) = reg;
+  const D maxx = lanes_at<DU>(a.maxx + i), minx = lanes_at<DU>(a.minx + i);
+  store_select<L>(plain & (maxx < xn), xn, maxx, a.maxx + i);
+  store_select<L>(plain & (xn < minx), xn, minx, a.minx + i);
+  const I post = plain & (lanes_at<IU>(a.crossed + i) != 0);
+  const D pmaxx = lanes_at<DU>(a.pmaxx + i);
+  const D pminx = lanes_at<DU>(a.pminx + i);
+  store_select<L>(post & (pmaxx < xn), xn, pmaxx, a.pmaxx + i);
+  store_select<L>(post & (xn < pminx), xn, pminx, a.pminx + i);
+  lanes_at<IU>(a.steps + i) += plain & one;
 
-    // Both retirement tests on the committed state.
-    const D ivx = lanes_at<DU>(a.ivx + i), ivy = lanes_at<DU>(a.ivy + i);
-    const D stol = lanes_at<DU>(a.stol + i);
-    I stop;
-    converged(axn, ayn, ivx, ivy, stol, stop);
-    const I done = plain & (stop | (tn >= lanes_at<DU>(a.tstop + i)));
+  // Both retirement tests on the committed state.
+  const D ivx = lanes_at<DU>(a.ivx + i), ivy = lanes_at<DU>(a.ivy + i);
+  const D stol = lanes_at<DU>(a.stol + i);
+  I stop;
+  converged(axn, ayn, ivx, ivy, stol, stop);
+  const I done = plain & (stop | (tn >= lanes_at<DU>(a.tstop + i)));
 
-    lanes_at<DU>(a.xn + i) = xn;
-    lanes_at<DU>(a.yn + i) = yn;
-    lanes_at<DU>(a.s0 + i) = s0;
-    lanes_at<DU>(a.s1 + i) = s1;
-    lanes_at<DU>(a.h + i) = h;
-    const I flag = (done & kDone) | (crossing & kCrossing) |
-                   (~finite & kNonfinite);
-    L::low_bytes(flag, lanes_at<typename L::BU>(a.flag + i));
+  lanes_at<DU>(a.s0 + i) = s0;
+  lanes_at<DU>(a.s1 + i) = s1;
+  flag = (done & kDone) | (crossing & kCrossing) | (~finite & kNonfinite);
+  L::low_bytes(flag, lanes_at<typename L::BU>(a.flag + i));
+}
+
+// The commit pass, W lanes at a time (see batch.h).  Returns whether it
+// flagged any of the lanes [0, m); pad lanes past m in the last block
+// are computed and stored but never read or counted.
+template <std::size_t W>
+[[gnu::always_inline]] inline bool commit_pass(const internal::LaneArrays& a,
+                                               std::size_t m) {
+  typename Lanes<W>::I flag, any{};
+  std::size_t i = 0;
+  for (; i + W <= m; i += W) {
+    commit_block<W>(a, i, flag);
+    any |= flag;
   }
+  if (i < m) {
+    commit_block<W>(a, i, flag);
+    for (std::size_t k = 0; k < m - i; ++k) any[k] |= flag[k];
+  }
+  bool flagged = false;
+  for (std::size_t k = 0; k < W; ++k) flagged |= any[k] != 0;
+  return flagged;
 }
 
 // Localizes and commits the crossings of G vectors of W lanes, the lanes
@@ -289,7 +353,7 @@ template <std::size_t W, std::size_t G>
     m1[g] = db * h[g];
   }
 
-  // Bisection on the polynomial: the fused pass saw a sign change
+  // Bisection on the polynomial: the commit pass saw a sign change
   // between the endpoints.
   D lo[G], hi[G], flo[G];
   for (std::size_t g = 0; g < G; ++g) {
@@ -364,8 +428,13 @@ template <std::size_t W>
   for (; k < n; k += W) commit_crossings<W, 1>(a, idx + k);
 }
 
-void fused_pass_baseline(const internal::LaneArrays& lanes, std::size_t m) {
-  fused_pass<2>(lanes, m);
+void candidate_pass_baseline(const internal::LaneArrays& lanes,
+                             std::size_t m) {
+  candidate_pass<2>(lanes, m);
+}
+
+bool commit_pass_baseline(const internal::LaneArrays& lanes, std::size_t m) {
+  return commit_pass<2>(lanes, m);
 }
 
 void crossing_pass_baseline(const internal::LaneArrays& lanes,
@@ -374,12 +443,18 @@ void crossing_pass_baseline(const internal::LaneArrays& lanes,
 }
 
 constexpr internal::BatchKernel kBaseline{
-    "baseline", fused_pass_baseline, crossing_pass_baseline, kGroup * 2};
+    "baseline", candidate_pass_baseline, commit_pass_baseline,
+    crossing_pass_baseline, kGroup * 2};
 
 #if defined(__x86_64__)
-__attribute__((target("avx2"))) void fused_pass_avx2(
+__attribute__((target("avx2"))) void candidate_pass_avx2(
     const internal::LaneArrays& lanes, std::size_t m) {
-  fused_pass<4>(lanes, m);
+  candidate_pass<4>(lanes, m);
+}
+
+__attribute__((target("avx2"))) bool commit_pass_avx2(
+    const internal::LaneArrays& lanes, std::size_t m) {
+  return commit_pass<4>(lanes, m);
 }
 
 __attribute__((target("avx2"))) void crossing_pass_avx2(
@@ -388,8 +463,9 @@ __attribute__((target("avx2"))) void crossing_pass_avx2(
   crossing_pass<4>(lanes, idx, n);
 }
 
-constexpr internal::BatchKernel kAvx2{"avx2", fused_pass_avx2,
-                                      crossing_pass_avx2, kGroup * 4};
+constexpr internal::BatchKernel kAvx2{"avx2", candidate_pass_avx2,
+                                      commit_pass_avx2, crossing_pass_avx2,
+                                      kGroup * 4};
 
 bool cpu_has_avx2() {
   // A function-local static: a namespace-scope initializer could run
@@ -546,7 +622,9 @@ std::size_t BatchIntegrator::step_all() {
       .pmaxx = pmaxx_.data(), .pminx = pminx_.data(), .fct = fct_.data(),
       .xn = xn_.data(), .yn = yn_.data(), .s0 = s0_.data(),
       .s1 = s1_.data(), .h = hcur_.data(), .flag = flag_.data()};
-  kernel_->fused_pass(lanes, m);
+  kernel_->candidate_pass(lanes, m);
+  // A step that flags no lane has committed every lane and retires none.
+  if (!kernel_->commit_pass(lanes, m)) return m;
 
   // Gather the crossing lanes (branch-free: slot c is overwritten until
   // a crossing lane claims it) and commit them all.  Each commit reads

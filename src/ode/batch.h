@@ -8,19 +8,23 @@
 // lanes per fixed-size RK4 macro step over contiguous SoA arrays, and
 // after the first reset at a given capacity it allocates nothing.
 //
-// Each step_all() runs three passes.  The fused vector pass takes the
-// RK4 step, sigma at both ends and, for every lane that neither crosses
-// the switching line nor goes non-finite, the commit, the extrema fold
-// and both retirement tests; it flags the rest.  The crossing pass then
-// localizes and commits every lane flagged crossing, several vectors at
-// a time (below).  Last, a scalar pass over the flagged lanes retires
-// non-finite and finished lanes and compacts.  Each vector pass is
-// compiled twice from one template: four lanes wide under AVX2, chosen
-// once from the CPU, and two lanes wide (baseline SSE2 on x86-64) for
-// every other host.  Neither build may use FMA: contracting a
-// multiply-add rounds once instead of twice, and the AVX2 kernel must
-// reproduce the scalar RK4 bit for bit, so its target is exactly
-// "avx2" (AVX-512 implies FMA).
+// Each step_all() runs two vector passes over the active lanes.  The
+// candidate pass selects each lane's region field and step size and
+// takes the RK4 step into a candidate end state.  The commit pass takes
+// sigma at both ends and, for every lane that neither crosses the
+// switching line nor goes non-finite, the commit, the extrema fold and
+// both retirement tests; it flags the rest and reports whether it
+// flagged any.  Most steps flag no lane, and step_all returns there.
+// On the others the crossing pass localizes and commits every lane
+// flagged crossing, several vectors at a time (below), and a scalar scan
+// of the flags retires non-finite and finished lanes and compacts.
+// Each vector pass is compiled twice from one template: four lanes wide
+// under AVX2, chosen once from the CPU, and two lanes wide (baseline
+// SSE2 on x86-64) for every other host, where every mask select is
+// bitwise (SSE2 has no 64-bit compare, and GCC would branch per lane).
+// Neither build may use FMA: contracting a multiply-add rounds once
+// instead of twice, and the AVX2 kernel must reproduce the scalar RK4
+// bit for bit, so its target is exactly "avx2" (AVX-512 implies FMA).
 //
 // Lane dynamics are restricted to the affine switched family
 //
@@ -50,9 +54,12 @@
 // remain, then one vector at a time; its lane list is padded to a whole
 // 4-lane block by repeating the last crossing lane.  Every lane runs the
 // same operations as it would alone, so its bits never depend on which
-// lanes cross beside it.  Lanes of one map wave start together and cross
-// together: a 16-lane slice of E22's map sends about 16 lanes per
-// crossing pass, one full AVX2 group.
+// lanes cross beside it.  Lanes of one map wave start together at
+// (-q0, 0), and each lane's step is sized from its own rates, so a
+// wave's lanes cross on the same steps: on E22's map 2.1 % of step_all
+// calls flag any lane, and a crossing pass on a two-worker slice takes
+// about 180 lanes.  core::batch_numeric_verdicts gives each worker one
+// slice of a wave, at most 512 lanes.
 #pragma once
 
 #include <cstddef>
@@ -172,7 +179,7 @@ class BatchIntegrator {
   std::vector<double> ivx_, ivy_, stol_;
   std::vector<std::int64_t> reg_, swi_;
   std::vector<std::uint32_t> ids_;
-  // Fused-pass outputs: candidate step ends, sigma at both ends, the
+  // Vector-pass outputs: candidate step ends, sigma at both ends, the
   // step taken, and the flag that sends a lane to the later passes.
   std::vector<double> xn_, yn_, s0_, s1_, hcur_;
   std::vector<std::uint8_t> flag_;

@@ -17,8 +17,10 @@ struct LaneArrays;
 
 struct BatchKernel {
   const char* name;  // "avx2" or "baseline"
-  // The fused vector pass over the active lanes [0, m).
-  void (*fused_pass)(const LaneArrays& lanes, std::size_t m);
+  // The candidate pass over the active lanes [0, m).
+  void (*candidate_pass)(const LaneArrays& lanes, std::size_t m);
+  // The commit pass over the active lanes [0, m); true if it flagged any.
+  bool (*commit_pass)(const LaneArrays& lanes, std::size_t m);
   // Localizes and commits the crossings of the lanes idx[0, n); the list
   // is padded to a whole block by repeating its last lane.
   void (*crossing_pass)(const LaneArrays& lanes, const std::uint32_t* idx,

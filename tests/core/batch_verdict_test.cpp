@@ -93,25 +93,40 @@ TEST(BatchVerdictTest, ClippedLevelHasNoLane) {
 }
 
 TEST(BatchVerdictTest, ThreadCountIsInvisible) {
-  const auto gis = analysis::logspace(0.25, 16.0, 9);
-  const auto gds = analysis::logspace(1.0 / 512.0, 0.25, 9);
-  std::vector<VerdictLane> lanes;
+  // A 33x33 grid: 1 089 lanes, more than two 512-lane slices and not a
+  // multiple of four.  Its prefixes give fewer lanes than workers and
+  // slices that end inside a vector block.
+  const auto gis = analysis::logspace(0.25, 16.0, 33);
+  const auto gds = analysis::logspace(1.0 / 512.0, 0.25, 33);
+  std::vector<VerdictLane> grid;
   for (const double gi : gis) {
     for (const double gd : gds) {
       BcnParams p = BcnParams::standard_draft();
       p.gi = gi;
       p.gd = gd;
-      lanes.push_back(make_bcn_verdict_lane(p, ModelLevel::Nonlinear));
+      grid.push_back(make_bcn_verdict_lane(p, ModelLevel::Nonlinear));
     }
   }
-  const auto serial = batch_numeric_verdicts(lanes, {.threads = 1});
-  const auto parallel = batch_numeric_verdicts(lanes, {.threads = 4});
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    // Bitwise, not approximate: slicing must not change lane arithmetic.
-    EXPECT_EQ(serial[i].max_x, parallel[i].max_x) << i;
-    EXPECT_EQ(serial[i].min_x, parallel[i].min_x) << i;
-    EXPECT_EQ(serial[i].strongly_stable, parallel[i].strongly_stable) << i;
+  for (const std::size_t n : {1, 2, 5, 83, 1089}) {
+    const std::vector<VerdictLane> lanes(grid.begin(), grid.begin() + n);
+    const auto serial = batch_numeric_verdicts(lanes, {.threads = 1});
+    for (const int threads : {2, 3, 4, 8}) {
+      SCOPED_TRACE(::testing::Message()
+                   << n << " lanes, " << threads << " threads");
+      const auto parallel =
+          batch_numeric_verdicts(lanes, {.threads = threads});
+      ASSERT_EQ(serial.size(), parallel.size());
+      for (std::size_t i = 0; i < n; ++i) {
+        // Bitwise, not approximate: slicing must not change lane
+        // arithmetic.
+        EXPECT_EQ(serial[i].max_x, parallel[i].max_x) << i;
+        EXPECT_EQ(serial[i].min_x, parallel[i].min_x) << i;
+        EXPECT_EQ(serial[i].strongly_stable, parallel[i].strongly_stable)
+            << i;
+        EXPECT_EQ(serial[i].converged, parallel[i].converged) << i;
+        EXPECT_EQ(serial[i].nonfinite, parallel[i].nonfinite) << i;
+      }
+    }
   }
 }
 
