@@ -231,10 +231,10 @@ TEST(StabilityMapTest, ClippedLevelFallsBackToScalar) {
 
 // The raw bits of the repo benchmark's map: E22's plant on its 97x97
 // (Gi, Gd) grid in Adaptive mode on two threads, at both interior levels.
-// Its 16-lane slices cross the switching line in groups that the lane
-// digest's small batches (tests/ode/batch_test.cpp) rarely fill, so a
-// change to how the batch integrator localizes a group of crossings
-// moves this digest.
+// Its per-worker slices of 84-367 lanes cross the switching line about
+// 180 lanes at a time, in full groups that the lane digest's small
+// batches (tests/ode/batch_test.cpp) rarely fill, so a change to how the
+// batch integrator localizes a group of crossings moves this digest.
 TEST(StabilityMapTest, E22MapsMatchPinnedDigest) {
   core::BcnParams base = core::BcnParams::standard_draft();
   base.buffer = 12e6;
