@@ -15,7 +15,6 @@
 #include "analysis/sweep.h"
 #include "bench_util.h"
 #include "common/json.h"
-#include "core/analytic_tracer.h"
 #include "ode/batch.h"
 #include "runner.h"
 
@@ -78,18 +77,14 @@ int run(bench::RunContext& ctx) {
   const double adaptive_fraction =
       static_cast<double>(maps[2].integrated_cells) /
       static_cast<double>(cells);
-  // Every mode's closed-form half stops each cell's trace at its first
-  // proven contraction.  The largest round count is an exact,
-  // host-independent guard against a return to full-length traces.
+  // Every mode's closed-form half stops each cell's walk at its first
+  // proven contraction.  The most rounds any cell of the Adaptive map
+  // stitched is an exact, host-independent guard against a return to
+  // full-length traces.
   int closed_form_rounds_max = 0;
-  for (const double cell_gi : gi) {
-    for (const double cell_gd : gd) {
-      core::BcnParams p = base;
-      p.gi = cell_gi;
-      p.gd = cell_gd;
-      closed_form_rounds_max = std::max(
-          closed_form_rounds_max, core::AnalyticTracer(p).extrema().rounds);
-    }
+  for (const analysis::MapCell& cell : maps[2].cells) {
+    closed_form_rounds_max =
+        std::max(closed_form_rounds_max, cell.report.closed_form_rounds);
   }
   const double batch_speedup =
       seconds[1] > 0.0 ? seconds[0] / seconds[1] : 0.0;

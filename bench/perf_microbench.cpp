@@ -126,7 +126,7 @@ void BM_ClosedFormReport(benchmark::State& state) {
     const auto report = core::analyze_stability(p);
     benchmark::DoNotOptimize(report.predicted_max_x);
   }
-  state.SetLabel("closed-form half of one (Gi, Gd) map cell");
+  state.SetLabel("closed-form report of one plant");
 }
 BENCHMARK(BM_ClosedFormReport);
 

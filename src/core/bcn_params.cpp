@@ -1,6 +1,7 @@
 #include "core/bcn_params.h"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "common/format.h"
 
@@ -34,6 +35,13 @@ std::vector<std::string> BcnParams::validate() const {
   require(ru > 0.0, "Ru must be positive");
   require(init_rate >= 0.0, "initial rate must be non-negative");
   return issues;
+}
+
+void BcnParams::require_valid() const {
+  // A real check, not an assert: registry callers hand caller configs
+  // straight to the models, and NDEBUG builds drop asserts.
+  const std::vector<std::string> violations = validate();
+  if (!violations.empty()) throw std::invalid_argument(violations.front());
 }
 
 std::string BcnParams::describe() const {

@@ -60,6 +60,8 @@ struct BcnParams {
   // meaningful (positive gains, q0 < qsc <= B, pm in (0, 1], ...).
   std::vector<std::string> validate() const;
   bool is_valid() const { return validate().empty(); }
+  // Throws std::invalid_argument carrying the first validate() message.
+  void require_valid() const;
 
   std::string describe() const;
 

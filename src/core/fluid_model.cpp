@@ -1,17 +1,11 @@
 #include "core/fluid_model.h"
 
-#include <stdexcept>
-#include <string>
-
 namespace bcn::core {
 
 FluidModel::FluidModel(BcnParams params, ModelLevel level, bool draft)
     : LawFacet(params, level, BcnLaw(params, level == ModelLevel::Linearized)),
       draft_(draft) {
-  // A real check, not an assert: registry callers hand caller configs
-  // straight to this constructor, and NDEBUG builds drop asserts.
-  const std::vector<std::string> violations = plant_.validate();
-  if (!violations.empty()) throw std::invalid_argument(violations.front());
+  plant_.require_valid();
 }
 
 std::vector<RegionLaw> FluidModel::region_laws() const {

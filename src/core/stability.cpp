@@ -38,12 +38,16 @@ std::string StabilityReport::summary() const {
 }
 
 StabilityReport analyze_stability(const BcnParams& params) {
+  return analyze_stability(params, AnalyticTracer(params).extrema());
+}
+
+StabilityReport analyze_stability(const BcnParams& params,
+                                  const AnalyticExtrema& extrema) {
   StabilityReport report;
   report.classification = classify_case(params);
-
-  const AnalyticExtrema extrema = AnalyticTracer(params).extrema();
   report.predicted_max_x = extrema.max_x;
   report.predicted_min_x = extrema.min_x;
+  report.closed_form_rounds = extrema.rounds;
 
   const double x_hi = params.buffer - params.q0;
   const double x_lo = -params.q0;

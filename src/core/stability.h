@@ -22,6 +22,9 @@ struct StabilityReport {
   // offset coordinates: overshoot above q0 is max_x, undershoot is min_x.
   double predicted_max_x = 0.0;
   double predicted_min_x = 0.0;
+  // Rounds the walk stitched before those extrema were final
+  // (AnalyticExtrema::rounds).
+  int closed_form_rounds = 0;
 
   // Case-based verdict per Propositions 2-4: do the transient extrema fit
   // inside (-q0, B - q0)?
@@ -40,7 +43,12 @@ struct StabilityReport {
   std::string summary() const;
 };
 
+// Throws std::invalid_argument on an invalid plant.
 StabilityReport analyze_stability(const BcnParams& params);
+// The same report from the plant's closed-form extrema, for callers that
+// walk them from shared pieces (AnalyticTracer::first_round()).
+StabilityReport analyze_stability(const BcnParams& params,
+                                  const AnalyticExtrema& extrema);
 
 // Numeric ground truth: integrates a fluid facet from (-q0, 0) and checks
 // the orbit stays strictly inside the buffer strip for all t > 0.
