@@ -330,18 +330,21 @@ template <std::size_t W, std::size_t G>
   const D zero{};
   D xa[G], ya[G], h[G], sx[G], sy[G], drive[G], g0[G], g1[G];
   D p0[G], m0[G], p1[G], m1[G];
+  // Each lane's region (0 or 1) indexes its coefficient arrays: a load,
+  // where a per-lane ?: on the region would branch.
+  const double* const drs[2] = {a.dr0, a.dr1};
+  const double* const gas[2] = {a.ga0, a.ga1};
+  const double* const gbs[2] = {a.gb0, a.gb1};
   for (std::size_t g = 0; g < G; ++g) {
     D xb, yb;
     for (std::size_t k = 0; k < W; ++k) {
       const std::uint32_t i = idx[g * W + k];
-      const bool r0 = a.reg[i] == 0;
+      const std::int64_t r = a.reg[i];
       xa[g][k] = a.x[i], ya[g][k] = a.y[i];
       xb[k] = a.xn[i], yb[k] = a.yn[i];
       h[g][k] = a.h[i], p0[g][k] = a.s0[i], p1[g][k] = a.s1[i];
       sx[g][k] = a.sx[i], sy[g][k] = a.sy[i];
-      drive[g][k] = r0 ? a.dr0[i] : a.dr1[i];
-      g0[g][k] = r0 ? a.ga0[i] : a.ga1[i];
-      g1[g][k] = r0 ? a.gb0[i] : a.gb1[i];
+      drive[g][k] = drs[r][i], g0[g][k] = gas[r][i], g1[g][k] = gbs[r][i];
     }
     // Hermite data for sigma over the step: sigma' = sigma(x', y').
     D fa, fb, da, db;
@@ -394,7 +397,7 @@ template <std::size_t W, std::size_t G>
     const D tn = t + hc;
     // The crossing sample itself is post-switch (the scalar run gates on
     // t >= first switch time inclusively).
-    fct = crossed != 0 ? fct : tn;
+    L::select(crossed != 0, fct, tn, fct);
     // std::max and std::min folds of the landed x.
     maxx = maxx < xc ? xc : maxx;
     minx = xc < minx ? xc : minx;
