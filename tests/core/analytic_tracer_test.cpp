@@ -211,6 +211,43 @@ TEST(AnalyticTracerTest, ExtremaMatchFullTraceBitwise) {
   EXPECT_EQ(mismatches, 0) << "of " << plants.size() << " plants";
 }
 
+// A (Gi, Gd) map walks round 0 once per Gi row and finishes each cell
+// through its column's decrease flow; every cell must still read its own
+// tracer's extrema() to the bit, in every paper case.
+TEST(AnalyticTracerTest, ResumedExtremaMatchOwnTracerBitwise) {
+  Rng rng(27);
+  int per_case[5] = {0, 0, 0, 0, 0};
+  int mismatches = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const BcnParams row = random_plant(rng);
+    BcnParams column = row;
+    column.gi = log_uniform(rng, 1e-3, 1e3);
+    column.gd = log_uniform(rng, 1e-4, 1e4);
+    BcnParams cell = row;
+    cell.gd = column.gd;
+    ++per_case[static_cast<int>(classify_case(cell).paper_case)];
+    const AnalyticTracer row_tracer(row);
+    const AnalyticExtrema resumed =
+        row_tracer.extrema(row_tracer.first_round(), AnalyticTracer(column));
+    const AnalyticExtrema own = AnalyticTracer(cell).extrema();
+    if (same_bits(resumed.max_x, own.max_x) &&
+        same_bits(resumed.min_x, own.min_x) && resumed.rounds == own.rounds) {
+      continue;
+    }
+    if (++mismatches == 1) {
+      ADD_FAILURE() << "max_x " << resumed.max_x << " vs " << own.max_x
+                    << ", min_x " << resumed.min_x << " vs " << own.min_x
+                    << ", rounds " << resumed.rounds << " vs " << own.rounds
+                    << " at " << cell.describe();
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  for (const PaperCase c : {PaperCase::Case1, PaperCase::Case2,
+                            PaperCase::Case3, PaperCase::Case4}) {
+    EXPECT_GE(per_case[static_cast<int>(c)], 1000) << to_string(c);
+  }
+}
+
 TEST(AnalyticTracerTest, ExtremaStopAfterOneReturn) {
   const std::vector<BcnParams> grid = e22_grid(97);
   const std::size_t last = grid.size() - 1;
