@@ -4,8 +4,14 @@
 // structured summary fields.
 #include "analysis/report.h"
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "../support/digest.h"
+#include "analysis/sweep.h"
 #include "core/mechanism.h"
 #include "core/stability.h"
 
@@ -79,6 +85,65 @@ TEST(VerdictReport, PacketOnlyMechanismSaysSo) {
   // The hint names a bench that exists and runs fera.
   EXPECT_NE(report.text.find("packet_vs_fluid --mechanism fera"),
             std::string::npos);
+}
+
+// Every byte of the report text and every structured field, on 9x9
+// grids log-spaced 1/8x..8x around a center (as the generic stability map
+// sweeps a mechanism's gains), on E22's plant (the draft with a 12 Mbit
+// buffer), which gives verdicts of both kinds.  bcn and bcn-draft sweep
+// their gain axes gi and gd.  A request carries no qcn or rcp gains, so
+// those two sweep plant axes their laws read: the setpoint q0, and the
+// source count (qcn's drive) or the capacity (rcp's).  No center is a power of
+// two: a dyadic gain multiplies exactly and would hide a re-associated
+// product.
+TEST(VerdictReport, MechanismGridReportsMatchPinnedDigest) {
+  core::BcnParams base = core::BcnParams::standard_draft();
+  base.buffer = 12e6;
+  base.qsc = 11e6;
+  struct Axis {
+    double core::BcnParams::*field;
+    double center;
+  };
+  const Axis gi{&core::BcnParams::gi, 3.7};
+  const Axis gd{&core::BcnParams::gd, 0.011};
+  const Axis q0{&core::BcnParams::q0, 1.3e6};
+  const std::vector<std::tuple<const char*, Axis, Axis>> runs = {
+      {"bcn", gi, gd},
+      {"bcn-draft", gi, gd},
+      {"qcn", {&core::BcnParams::num_sources, 50.0}, q0},
+      {"rcp", {&core::BcnParams::capacity, 10e9}, q0}};
+  bcn::testing::Digest digest;
+  std::vector<int> stable;  // Linearized, Nonlinear per mechanism
+  for (const auto& [name, first, second] : runs) {
+    int count[2] = {0, 0};
+    for (const double g1 : logspace(first.center / 8, first.center * 8, 9)) {
+      for (const double g2 :
+           logspace(second.center / 8, second.center * 8, 9)) {
+        VerdictRequest request;
+        request.mechanism = name;
+        request.params = base;
+        request.params.*first.field = g1;
+        request.params.*second.field = g2;
+        ASSERT_TRUE(request.params.is_valid()) << request.params.describe();
+        const VerdictReport r = render_verdict_report(request);
+        for (const char c : r.text) digest.add(c);
+        digest.add(r.nonfinite).add(r.has_fluid);
+        digest.add(r.stable_linearized).add(r.stable_nonlinear);
+        digest.add(r.peak_q_linearized).add(r.dip_q_linearized);
+        digest.add(r.peak_q_nonlinear).add(r.dip_q_nonlinear);
+        digest.add(r.closed_form).add(r.proposition);
+        digest.add(r.proposition_satisfied).add(r.theorem1_satisfied);
+        digest.add(r.theorem1_required_buffer);
+        for (const char c : r.paper_case) digest.add(c);
+        for (const char c : r.monitor_error) digest.add(c);
+        count[0] += r.stable_linearized;
+        count[1] += r.stable_nonlinear;
+      }
+    }
+    stable.insert(stable.end(), {count[0], count[1]});
+  }
+  EXPECT_EQ(stable, (std::vector<int>{45, 71, 45, 71, 79, 80, 72, 79}));
+  EXPECT_EQ(digest.value(), 0x2c889c190a2afaa4ull);
 }
 
 }  // namespace
