@@ -160,6 +160,30 @@ void BM_StabilityMapCell(benchmark::State& state) {
 }
 BENCHMARK(BM_StabilityMapCell);
 
+// The two verdicts of one report (E22's plant, Linearized and Nonlinear):
+// /0 as two own calls, one orbit after the other, and /1 as one paired
+// call, whose two orbits step together.
+void BM_ReportVerdictPair(benchmark::State& state) {
+  core::BcnParams base = core::BcnParams::standard_draft();
+  base.buffer = 12e6;
+  base.qsc = 11e6;
+  const core::FluidModel lin(base, core::ModelLevel::Linearized);
+  const core::FluidModel non(base, core::ModelLevel::Nonlinear);
+  const bool paired = state.range(0) == 1;
+  for (auto _ : state) {
+    if (paired) {
+      const auto v = core::numeric_strong_stability_pair(lin, non);
+      benchmark::DoNotOptimize(v[1].max_x);
+    } else {
+      const auto v0 = core::numeric_strong_stability(lin);
+      const auto v1 = core::numeric_strong_stability(non);
+      benchmark::DoNotOptimize(v1.max_x + v0.max_x);
+    }
+  }
+  state.SetLabel(paired ? "paired" : "own calls");
+}
+BENCHMARK(BM_ReportVerdictPair)->Arg(0)->Arg(1);
+
 // The lanes E22's plant integrates in the Adaptive 97x97 map (the repo
 // benchmark's map workload), built at run time in cell order, and the
 // slice sizes batch_numeric_verdicts cuts the map's waves into on two

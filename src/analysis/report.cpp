@@ -50,38 +50,39 @@ bool render_facet_summary(const VerdictRequest& request,
 }
 
 // Numeric Definition-1 verdicts of the facet at the Linearized and
-// Nonlinear levels.  The closed-form mechanisms integrate the automatic
-// horizon under eq.-labelled lines; the others request.duration.  False
-// when the finite monitor stopped the report.
+// Nonlinear levels, whose orbits step together.  The closed-form
+// mechanisms integrate the automatic horizon under eq.-labelled lines;
+// the others request.duration.  False when the finite monitor stopped
+// the report.
 bool render_numeric_verdicts(const VerdictRequest& request, bool closed_form,
                              VerdictReport& report) {
   core::MechanismConfig mcfg;
   mcfg.plant = request.params;
   const double duration = closed_form ? 0.0 : request.duration;
   const double q0 = request.params.q0;
-  for (const auto& [level, closed_form_name, facet_name] :
-       {std::tuple{core::ModelLevel::Linearized, "linearized (eq.9) ",
-                   "linearized"},
-        std::tuple{core::ModelLevel::Nonlinear, "nonlinear  (eq.8) ",
-                   "nonlinear "}}) {
+  const auto verdicts = core::numeric_strong_stability_pair(
+      *core::make_fluid_mechanism(request.mechanism, mcfg,
+                                  core::ModelLevel::Linearized),
+      *core::make_fluid_mechanism(request.mechanism, mcfg,
+                                  core::ModelLevel::Nonlinear),
+      duration);
+  for (const auto& [verdict, closed_form_name, facet_name, stable, peak,
+                    dip] :
+       {std::tuple{verdicts[0], "linearized (eq.9) ", "linearized",
+                   &report.stable_linearized, &report.peak_q_linearized,
+                   &report.dip_q_linearized},
+        std::tuple{verdicts[1], "nonlinear  (eq.8) ", "nonlinear ",
+                   &report.stable_nonlinear, &report.peak_q_nonlinear,
+                   &report.dip_q_nonlinear}}) {
     const char* name = closed_form ? closed_form_name : facet_name;
-    const auto verdict = core::numeric_strong_stability(
-        *core::make_fluid_mechanism(request.mechanism, mcfg, level),
-        duration);
     report.nonfinite = report.nonfinite || verdict.nonfinite;
     if (request.finite_monitor && verdict.nonfinite) {
       report.monitor_error = finite_monitor_message(name);
       return false;
     }
-    if (level == core::ModelLevel::Linearized) {
-      report.stable_linearized = verdict.strongly_stable;
-      report.peak_q_linearized = verdict.max_x + q0;
-      report.dip_q_linearized = verdict.min_x + q0;
-    } else {
-      report.stable_nonlinear = verdict.strongly_stable;
-      report.peak_q_nonlinear = verdict.max_x + q0;
-      report.dip_q_nonlinear = verdict.min_x + q0;
-    }
+    *stable = verdict.strongly_stable;
+    *peak = verdict.max_x + q0;
+    *dip = verdict.min_x + q0;
     report.text += strf("numeric %s: %-22s peak q = %.6g, dip q = %.6g\n",
                         name,
                         verdict.strongly_stable ? "strongly stable"

@@ -13,7 +13,9 @@
 // moves low bits.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <stdexcept>
 
 #include "common/math.h"
 #include "core/bcn_params.h"
@@ -224,6 +226,19 @@ class LawFacet : public FluidMechanism {
                              const ode::HybridOptions& options,
                              ExtremaFold& sink) const override {
     return run(t0, z0, t1, options, sink);
+  }
+  std::array<ode::HybridStats, 2> integrate_pair(
+      const FluidMechanism& peer,
+      const std::array<ode::HybridLane<ExtremaFold>, 2>& lanes)
+      const override {
+    const auto* other = dynamic_cast<const LawFacet*>(&peer);
+    if (other == nullptr || level_ == ModelLevel::Clipped ||
+        other->level_ == ModelLevel::Clipped) {
+      throw std::invalid_argument(
+          "integrate_pair: needs two interior-level facets of one law");
+    }
+    return ode::run_hybrid_pair<Law, ExtremaFold>({&law_, &other->law_},
+                                                  lanes);
   }
 
  protected:

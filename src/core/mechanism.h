@@ -20,6 +20,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -171,6 +172,13 @@ class FluidMechanism {
   virtual ode::HybridStats integrate(double t0, Vec2 z0, double t1,
                                      const ode::HybridOptions& options,
                                      ExtremaFold& sink) const = 0;
+  // Integrates this facet from lanes[0] and `peer` from lanes[1] together
+  // (ode::run_hybrid_pair), each as its own integrate call would.  Both
+  // must be facets of one law at interior levels (Linearized or
+  // Nonlinear); otherwise throws std::invalid_argument.
+  virtual std::array<ode::HybridStats, 2> integrate_pair(
+      const FluidMechanism& peer,
+      const std::array<ode::HybridLane<ExtremaFold>, 2>& lanes) const = 0;
 
   // Linearized characteristic polynomials per region.
   virtual std::vector<RegionLaw> region_laws() const = 0;

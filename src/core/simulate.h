@@ -6,6 +6,7 @@
 // driver (ode/hybrid_driver.h).
 #pragma once
 
+#include <array>
 #include <optional>
 
 #include "core/fluid_model.h"
@@ -69,5 +70,15 @@ FluidRun simulate_fluid(const FluidMechanism& facet,
 // allocations do not grow with the duration.  The numeric verdict's path.
 FluidRun summarize_fluid(const FluidMechanism& facet,
                          const FluidRunOptions& options = {});
+
+// summarize_fluid of two facets of one law at interior levels (the
+// Linearized and Nonlinear facets of one mechanism), a under options[0]
+// and b under options[1], stepped together
+// (FluidMechanism::integrate_pair): each run bit for bit its own
+// summarize_fluid call's, at about the cost of the longer one.  Throws
+// std::invalid_argument when the facets cannot pair.
+std::array<FluidRun, 2> summarize_fluid_pair(
+    const FluidMechanism& a, const FluidMechanism& b,
+    const std::array<FluidRunOptions, 2>& options);
 
 }  // namespace bcn::core

@@ -89,15 +89,20 @@ double verdict_horizon(const FluidMechanism& facet) {
   return 10.0 * sum;
 }
 
-NumericVerdict numeric_strong_stability(const FluidMechanism& facet,
-                                        double duration,
-                                        ode::Tolerances tol) {
+namespace {
+
+// The options of a verdict's run of the facet.
+FluidRunOptions verdict_run_options(const FluidMechanism& facet,
+                                    double duration, ode::Tolerances tol) {
   FluidRunOptions ropts;
   ropts.duration = duration > 0.0 ? duration : verdict_horizon(facet);
   ropts.tol = tol;
   ropts.convergence_tol = 1e-8;
-  const FluidRun run = summarize_fluid(facet, ropts);
+  return ropts;
+}
 
+// Definition 1 on the facet's run.
+NumericVerdict verdict_of(const FluidMechanism& facet, const FluidRun& run) {
   NumericVerdict verdict;
   verdict.max_x = run.max_x;
   verdict.min_x = run.post_switch_min_x;
@@ -110,6 +115,25 @@ NumericVerdict numeric_strong_stability(const FluidMechanism& facet,
       facet.x_min() + band, facet.x_max() - band, run.max_x,
       run.post_switch_min_x, run.completed && !run.nonfinite);
   return verdict;
+}
+
+}  // namespace
+
+NumericVerdict numeric_strong_stability(const FluidMechanism& facet,
+                                        double duration,
+                                        ode::Tolerances tol) {
+  return verdict_of(facet, summarize_fluid(facet, verdict_run_options(
+                                                      facet, duration, tol)));
+}
+
+std::array<NumericVerdict, 2> numeric_strong_stability_pair(
+    const FluidMechanism& a, const FluidMechanism& b, double duration,
+    ode::Tolerances tol) {
+  const auto runs = summarize_fluid_pair(
+      a, b,
+      {verdict_run_options(a, duration, tol),
+       verdict_run_options(b, duration, tol)});
+  return {verdict_of(a, runs[0]), verdict_of(b, runs[1])};
 }
 
 NumericVerdict numeric_strong_stability(const BcnParams& params,

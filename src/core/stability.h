@@ -3,6 +3,7 @@
 // which judges any fluid facet (core/mechanism.h) the same way.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string>
 
@@ -86,6 +87,15 @@ double verdict_horizon(const FluidMechanism& facet);
 NumericVerdict numeric_strong_stability(const FluidMechanism& facet,
                                         double duration = 0.0,
                                         ode::Tolerances tol = {1e-9, 1e-9});
+
+// numeric_strong_stability of a and of b, two facets of one law at
+// interior levels (a mechanism's Linearized and Nonlinear facets), with
+// both orbits stepped together (summarize_fluid_pair): each verdict is
+// bit for bit its own call's, for about the time of the longer one.
+// Throws std::invalid_argument when the facets cannot pair.
+std::array<NumericVerdict, 2> numeric_strong_stability_pair(
+    const FluidMechanism& a, const FluidMechanism& b, double duration = 0.0,
+    ode::Tolerances tol = {1e-9, 1e-9});
 
 // The BCN entry point: the verdict of FluidModel(params, options.level).
 struct NumericVerdictOptions {

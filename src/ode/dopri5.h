@@ -11,26 +11,95 @@
 // (ode/hybrid_driver.h) inlines each fluid law's vector field
 // (core/fluid_laws.h) into them; the Dopri5 class runs the same bodies
 // over a std::function for the smooth drivers (ode/integrate.h).
+//
+// The trial step is also a template over its lane values: one orbit's
+// doubles, or two orbits' packed side by side in a 2-wide vector
+// (LanePair), which the paired hybrid driver steps in lockstep.  Both
+// run the same tableau in the same operation order, so each lane of a
+// packed step carries the bits of its own scalar step.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "ode/system.h"
 
 namespace bcn::ode {
 
-// One accepted-or-rejected trial step of DOPRI5.
-struct Dopri5Step {
-  Vec2 z_new;           // 5th-order solution at t + h
-  Vec2 k_last;          // f(t + h, z_new): FSAL stage, reusable as next k1
-  double error = 0.0;   // scaled error-norm estimate (<= 1 means acceptable)
+// Two orbits' values side by side: a GCC vector of two doubles, which
+// SSE2 (baseline x86-64) holds in one register.
+using LanePair = double __attribute__((vector_size(16)));
+
+// Two orbits' planar states, lane i holding orbit i: the packed Vec2.
+struct Vec2Pair {
+  LanePair x;
+  LanePair y;
+
+  friend Vec2Pair operator+(Vec2Pair a, Vec2Pair b) {
+    return {a.x + b.x, a.y + b.y};
+  }
+  friend Vec2Pair operator-(Vec2Pair a, Vec2Pair b) {
+    return {a.x - b.x, a.y - b.y};
+  }
+  friend Vec2Pair operator*(LanePair s, Vec2Pair v) {
+    return {s * v.x, s * v.y};
+  }
+  friend Vec2Pair operator*(double s, Vec2Pair v) {
+    return {s * v.x, s * v.y};
+  }
+
+  static Vec2Pair of(Vec2 a, Vec2 b) {
+    return {LanePair{a.x, b.x}, LanePair{a.y, b.y}};
+  }
+  Vec2 lane(int i) const { return {x[i], y[i]}; }
+};
+
+// The scalar functions the trial step's error norm needs, lane by lane:
+// std::abs, std::max (NaN rule included) and std::sqrt.
+inline double lane_abs(double v) { return std::abs(v); }
+inline double lane_max(double a, double b) { return std::max(a, b); }
+inline double lane_sqrt(double v) { return std::sqrt(v); }
+inline LanePair lane_abs(LanePair v) {
+  using Bits = std::int64_t __attribute__((vector_size(16)));
+  return LanePair(Bits(v) & INT64_MAX);  // clears the sign bit, as std::abs
+}
+// std::max(a, b) is (a < b) ? b : a, which keeps a when either is NaN.
+inline LanePair lane_max(LanePair a, LanePair b) { return a < b ? b : a; }
+inline LanePair lane_sqrt(LanePair v) {
+  return LanePair{std::sqrt(v[0]), std::sqrt(v[1])};
+}
+
+// One accepted-or-rejected trial step of DOPRI5, over state S and lane
+// values V.
+template <class S, class V>
+struct Dopri5Trial {
+  S z_new;            // 5th-order solution at t + h
+  S k_last;           // f(t + h, z_new): FSAL stage, reusable as next k1
+  V error{};          // scaled error-norm estimate (<= 1 means acceptable)
   // Dense-output coefficients for this step (valid only if the step is
   // accepted); see DenseOutput.
-  std::array<Vec2, 5> rcont;
+  std::array<S, 5> rcont;
 };
+
+// One orbit's trial step.
+using Dopri5Step = Dopri5Trial<Vec2, double>;
+// Two orbits' trial steps, packed.
+using Dopri5StepPair = Dopri5Trial<Vec2Pair, LanePair>;
+
+// Lane i of a packed trial step: the step its orbit alone would take.
+inline Dopri5Step lane_step(const Dopri5StepPair& pair, int i) {
+  Dopri5Step out;
+  out.z_new = pair.z_new.lane(i);
+  out.k_last = pair.k_last.lane(i);
+  out.error = pair.error[i];
+  for (std::size_t j = 0; j < out.rcont.size(); ++j) {
+    out.rcont[j] = pair.rcont[j].lane(i);
+  }
+  return out;
+}
 
 // Continuous extension of one accepted DOPRI5 step over [t0, t0 + h].
 class DenseOutput {
@@ -97,41 +166,42 @@ inline constexpr double d7 = 69997945.0 / 29380423.0;
 
 }  // namespace dopri5_tableau
 
-// Performs one trial step of size h from (t, z) of z' = f(t, z).  `k1`
-// must be f(t, z) (f(t, z) itself for the first step, then the previous
-// step's k_last thanks to FSAL).
-template <class F>
-Dopri5Step dopri5_trial_step(const F& f, const Tolerances& tol, double t,
-                             Vec2 z, Vec2 k1, double h) {
+// Performs one trial step of size h from (t, z) of z' = f(t, z), with
+// error weights abs_tol + rel_tol |z|: one orbit's for S = Vec2 and
+// V = double, two orbits' for Vec2Pair and LanePair.  `k1` must be
+// f(t, z) (f(t, z) itself for the first step, then the previous step's
+// k_last thanks to FSAL).
+template <class F, class S, class V>
+Dopri5Trial<S, V> dopri5_trial(const F& f, V abs_tol, V rel_tol, V t, S z,
+                               S k1, V h) {
   using namespace dopri5_tableau;
-  const Vec2 k2 = f(t + c2 * h, z + h * (a21 * k1));
-  const Vec2 k3 = f(t + c3 * h, z + h * (a31 * k1 + a32 * k2));
-  const Vec2 k4 = f(t + c4 * h, z + h * (a41 * k1 + a42 * k2 + a43 * k3));
-  const Vec2 k5 =
+  const S k2 = f(t + c2 * h, z + h * (a21 * k1));
+  const S k3 = f(t + c3 * h, z + h * (a31 * k1 + a32 * k2));
+  const S k4 = f(t + c4 * h, z + h * (a41 * k1 + a42 * k2 + a43 * k3));
+  const S k5 =
       f(t + c5 * h, z + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4));
-  const Vec2 k6 = f(
+  const S k6 = f(
       t + h, z + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5));
-  const Vec2 z_new =
+  const S z_new =
       z + h * (a71 * k1 + a73 * k3 + a74 * k4 + a75 * k5 + a76 * k6);
-  const Vec2 k7 = f(t + h, z_new);
+  const S k7 = f(t + h, z_new);
 
-  const Vec2 err = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 +
-                        e7 * k7);
-  const auto scaled = [&](double e, double a, double b) {
-    const double sk =
-        tol.abs_tol + tol.rel_tol * std::max(std::abs(a), std::abs(b));
+  const S err = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 +
+                     e7 * k7);
+  const auto scaled = [&](V e, V a, V b) {
+    const V sk = abs_tol + rel_tol * lane_max(lane_abs(a), lane_abs(b));
     return e / sk;
   };
-  const double ex = scaled(err.x, z.x, z_new.x);
-  const double ey = scaled(err.y, z.y, z_new.y);
+  const V ex = scaled(err.x, z.x, z_new.x);
+  const V ey = scaled(err.y, z.y, z_new.y);
 
-  Dopri5Step out;
+  Dopri5Trial<S, V> out;
   out.z_new = z_new;
   out.k_last = k7;
-  out.error = std::sqrt((ex * ex + ey * ey) / 2.0);
+  out.error = lane_sqrt((ex * ex + ey * ey) / 2.0);
 
-  const Vec2 dy = z_new - z;
-  const Vec2 bspl = h * k1 - dy;
+  const S dy = z_new - z;
+  const S bspl = h * k1 - dy;
   out.rcont[0] = z;
   out.rcont[1] = dy;
   out.rcont[2] = bspl;
@@ -139,6 +209,13 @@ Dopri5Step dopri5_trial_step(const F& f, const Tolerances& tol, double t,
   out.rcont[4] =
       h * (d1 * k1 + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * k7);
   return out;
+}
+
+// One orbit's trial step under `tol`.
+template <class F>
+Dopri5Step dopri5_trial_step(const F& f, const Tolerances& tol, double t,
+                             Vec2 z, Vec2 k1, double h) {
+  return dopri5_trial(f, tol.abs_tol, tol.rel_tol, t, z, k1, h);
 }
 
 // Step-size controller: next step size after a step with `error` (the

@@ -10,8 +10,8 @@
 // amplitudes and transient extrema trustworthy.
 //
 // This header holds the options and result types; the driver's body is
-// ode::run_hybrid (ode/hybrid_driver.h), templated over a concrete
-// switched system.
+// ode::HybridOrbit (ode/hybrid_driver.h), templated over a concrete
+// switched system, which ode::run_hybrid and ode::run_hybrid_pair run.
 #pragma once
 
 #include <cstddef>
@@ -67,6 +67,17 @@ struct HybridStats {
   // non-finite states silently propagate into verdicts.
   bool nonfinite = false;
   double nonfinite_t = 0.0;
+};
+
+// One orbit of ode::run_hybrid_pair: run_hybrid's arguments besides
+// the system.
+template <class Sink>
+struct HybridLane {
+  double t0 = 0.0;
+  Vec2 z0;
+  double t1 = 0.0;
+  const HybridOptions* options = nullptr;
+  Sink* sink = nullptr;
 };
 
 struct HybridResult : HybridStats {

@@ -300,6 +300,135 @@ bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
+// A paired verdict must be its own call's, field for field, bit for bit.
+void expect_same_verdict(const NumericVerdict& paired,
+                         const NumericVerdict& own, const std::string& where) {
+  EXPECT_TRUE(same_bits(paired.max_x, own.max_x)) << where;
+  EXPECT_TRUE(same_bits(paired.min_x, own.min_x)) << where;
+  EXPECT_EQ(paired.strongly_stable, own.strongly_stable) << where;
+  EXPECT_EQ(paired.converged, own.converged) << where;
+  EXPECT_EQ(paired.nonfinite, own.nonfinite) << where;
+}
+
+// So must every field of a paired run, step counts included.
+void expect_same_run(const FluidRun& paired, const FluidRun& own,
+                     const std::string& where) {
+  for (const auto& [a, b] :
+       {std::pair{paired.max_x, own.max_x}, {paired.min_x, own.min_x},
+        {paired.max_y, own.max_y}, {paired.min_y, own.min_y},
+        {paired.post_switch_max_x, own.post_switch_max_x},
+        {paired.post_switch_min_x, own.post_switch_min_x},
+        {paired.min_step, own.min_step},
+        {paired.nonfinite_t, own.nonfinite_t}}) {
+    EXPECT_TRUE(same_bits(a, b)) << where;
+  }
+  EXPECT_EQ(paired.completed, own.completed) << where;
+  EXPECT_EQ(paired.converged, own.converged) << where;
+  EXPECT_EQ(paired.nonfinite, own.nonfinite) << where;
+  EXPECT_EQ(paired.steps_accepted, own.steps_accepted) << where;
+  EXPECT_EQ(paired.steps_rejected, own.steps_rejected) << where;
+  EXPECT_EQ(paired.event_bisections, own.event_bisections) << where;
+}
+
+// The report's paired verdicts on E22's 33x33 grid, the plants of
+// E22GridVerdictsMatchPinnedDigest: the Linearized and Nonlinear orbits
+// of each plant stepped together must read as their own calls.
+TEST(StabilityTest, PairedVerdictsMatchOwnCallsOnE22Grid) {
+  BcnParams base = BcnParams::standard_draft();
+  base.buffer = 12e6;
+  base.qsc = 11e6;
+  for (const double gi : analysis::logspace(0.125, 32.0, 33)) {
+    for (const double gd : analysis::logspace(1.0 / 1024.0, 0.5, 33)) {
+      BcnParams p = base;
+      p.gi = gi;
+      p.gd = gd;
+      const FluidModel lin(p, ModelLevel::Linearized);
+      const FluidModel non(p, ModelLevel::Nonlinear);
+      const auto paired = numeric_strong_stability_pair(lin, non);
+      expect_same_verdict(paired[0], numeric_strong_stability(lin),
+                          "lin " + p.describe());
+      expect_same_verdict(paired[1], numeric_strong_stability(non),
+                          "non " + p.describe());
+    }
+  }
+}
+
+// qcn and rcp over the gain grids of MechanismGridVerdictsMatchPinnedDigest,
+// where the two orbits of a pair often end at different steps: one
+// converges early, or takes more steps, and the other runs on alone.
+TEST(StabilityTest, PairedVerdictsMatchOwnCallsOnMechanismGrids) {
+  MechanismConfig base;
+  base.plant = BcnParams::standard_draft();
+  base.plant.buffer = 3e6;
+  base.plant.qsc = 2.8e6;
+  int uneven = 0;
+  int converged = 0;
+  for (const char* name : {"qcn", "rcp"}) {
+    const MechanismInfo& info = *find_mechanism(name);
+    const auto [d1, d2] = info.default_gains(base);
+    for (const double a : analysis::logspace(d1 / 8.0, d1 * 8.0, 9)) {
+      for (const double b : analysis::logspace(d2 / 8.0, d2 * 8.0, 9)) {
+        MechanismConfig cfg = base;
+        info.set_gains(cfg, a, b);
+        const auto lin =
+            make_fluid_mechanism(name, cfg, ModelLevel::Linearized);
+        const auto non =
+            make_fluid_mechanism(name, cfg, ModelLevel::Nonlinear);
+        const std::string where = std::string(name) + " " +
+                                  std::to_string(a) + " " + std::to_string(b);
+        const auto paired = numeric_strong_stability_pair(*lin, *non);
+        expect_same_verdict(paired[0], numeric_strong_stability(*lin),
+                            "lin " + where);
+        expect_same_verdict(paired[1], numeric_strong_stability(*non),
+                            "non " + where);
+
+        FluidRunOptions opts;
+        opts.duration = verdict_horizon(*lin);
+        opts.convergence_tol = 1e-8;
+        const auto runs = summarize_fluid_pair(*lin, *non, {opts, opts});
+        const FluidRun own[2] = {summarize_fluid(*lin, opts),
+                                 summarize_fluid(*non, opts)};
+        expect_same_run(runs[0], own[0], "lin " + where);
+        expect_same_run(runs[1], own[1], "non " + where);
+        uneven += own[0].steps_accepted + own[0].steps_rejected !=
+                  own[1].steps_accepted + own[1].steps_rejected;
+        converged += own[0].converged + own[1].converged;
+      }
+    }
+  }
+  EXPECT_GT(uneven, 100);
+  EXPECT_GT(converged, 50);
+}
+
+// Pairing is for two facets of one law at interior levels.
+TEST(StabilityTest, PairingNeedsOneLawAtInteriorLevels) {
+  const BcnParams p = case1_params();
+  const FluidModel lin(p, ModelLevel::Linearized);
+  const FluidModel clip(p, ModelLevel::Clipped);
+  const auto qcn = make_fluid_mechanism("qcn", {}, ModelLevel::Nonlinear);
+  EXPECT_THROW(numeric_strong_stability_pair(lin, clip), std::invalid_argument);
+  EXPECT_THROW(numeric_strong_stability_pair(lin, *qcn), std::invalid_argument);
+  EXPECT_NO_THROW(numeric_strong_stability_pair(lin, lin));
+}
+
+// A paired verdict folds both orbits' extrema as it steps, so a ten times
+// longer horizon must not cost a single extra allocation either.
+TEST(StabilityTest, PairedVerdictAllocationsDoNotGrowWithHorizon) {
+  const BcnParams p = case1_params();
+  const FluidModel lin(p, ModelLevel::Linearized);
+  const FluidModel non(p, ModelLevel::Nonlinear);
+  std::uint64_t counts[2] = {0, 0};
+  const double durations[2] = {0.01, 0.1};
+  for (int i = 0; i < 2; ++i) {
+    const bcn::testing::AllocationCounter counter;
+    const auto v = numeric_strong_stability_pair(lin, non, durations[i]);
+    counts[i] = counter.count();
+    EXPECT_FALSE(v[0].converged);  // both runs step to their horizon
+    EXPECT_FALSE(v[1].converged);
+  }
+  EXPECT_EQ(counts[0], counts[1]);
+}
+
 // The verdict folds max x, the first switch time and the post-switch
 // min x as the driver steps; simulate_fluid at the same duration and
 // convergence stop records the orbit and reads them afterwards.  They

@@ -1,12 +1,15 @@
 // Randomized robustness sweeps: across broad random parameter sets the
 // whole analysis stack must stay finite (no NaN/inf), self-consistent,
 // and never crash -- integrators, tracer, classifier, verdicts, Poincare.
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "core/analytic_tracer.h"
+#include "core/fluid_model.h"
 #include "core/poincare.h"
 #include "core/simulate.h"
 #include "core/stability.h"
@@ -86,6 +89,34 @@ TEST_P(FuzzSweep, NumericIntegrationStaysFinite) {
       // universal ordering is against the start wall.
       EXPECT_GE(verdict.max_x, -p.q0 * (1.0 + 1e-9)) << p.describe();
       EXPECT_GE(verdict.min_x, -p.buffer * 100.0) << p.describe();
+    }
+  }
+  EXPECT_GE(ran, 5);
+}
+
+// The plants NumericIntegrationStaysFinite draws, whose wild gains give
+// rejected steps and tiny steps: the report's paired Linearized and
+// Nonlinear verdicts must be their own calls', bit for bit.
+TEST_P(FuzzSweep, PairedVerdictsMatchOwnCalls) {
+  Rng rng(GetParam().seed ^ 0xf00d);
+  int ran = 0;
+  for (int i = 0; i < GetParam().trials && ran < 10; ++i) {
+    const BcnParams p = wild_params(rng);
+    if (!p.is_valid()) continue;
+    ++ran;
+    const FluidModel lin(p, ModelLevel::Linearized);
+    const FluidModel non(p, ModelLevel::Nonlinear);
+    const auto paired = numeric_strong_stability_pair(lin, non);
+    const NumericVerdict own[2] = {numeric_strong_stability(lin),
+                                   numeric_strong_stability(non)};
+    for (int l = 0; l < 2; ++l) {
+      const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+      EXPECT_EQ(bits(paired[l].max_x), bits(own[l].max_x)) << p.describe();
+      EXPECT_EQ(bits(paired[l].min_x), bits(own[l].min_x)) << p.describe();
+      EXPECT_EQ(paired[l].strongly_stable, own[l].strongly_stable)
+          << p.describe();
+      EXPECT_EQ(paired[l].converged, own[l].converged) << p.describe();
+      EXPECT_EQ(paired[l].nonfinite, own[l].nonfinite) << p.describe();
     }
   }
   EXPECT_GE(ran, 5);

@@ -1,7 +1,9 @@
 #include "ode/hybrid.h"
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -143,6 +145,103 @@ TEST(HybridTest, NonfiniteStateAbortsWithDiagnostics) {
   for (const auto& s : res.trajectory.samples()) {
     EXPECT_TRUE(std::isfinite(s.z.x) && std::isfinite(s.z.y))
         << "at t=" << s.t;
+  }
+}
+
+// An oscillator whose field turns NaN past t = `at`.
+struct BlowsUpAfter {
+  double at;
+
+  Vec2 rhs(int, double t, Vec2 z) const {
+    if (t > at) return {std::nan(""), std::nan("")};
+    return {z.y, -z.x};
+  }
+  int mode_of(double, Vec2) const { return 0; }
+  static constexpr std::size_t guard_count() { return 0; }
+  double guard(std::size_t, double, Vec2) const { return 0.0; }
+};
+
+void expect_same_bits(double a, double b) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b));
+}
+
+// A paired orbit must hand its sink what its own run does, and end with
+// its own run's statistics, bit for bit.
+void expect_same_orbit(const HybridStats& stats, const RecordingSink& sink,
+                       const HybridResult& own) {
+  EXPECT_EQ(stats.completed, own.completed);
+  EXPECT_EQ(stats.stopped_early, own.stopped_early);
+  EXPECT_EQ(stats.steps_accepted, own.steps_accepted);
+  EXPECT_EQ(stats.steps_rejected, own.steps_rejected);
+  EXPECT_EQ(stats.event_bisection_iterations, own.event_bisection_iterations);
+  EXPECT_EQ(stats.nonfinite, own.nonfinite);
+  expect_same_bits(stats.min_accepted_step, own.min_accepted_step);
+  expect_same_bits(stats.nonfinite_t, own.nonfinite_t);
+  ASSERT_EQ(sink.trajectory.size(), own.trajectory.size());
+  for (std::size_t i = 0; i < own.trajectory.size(); ++i) {
+    const auto& a = sink.trajectory.samples()[i];
+    const auto& b = own.trajectory.samples()[i];
+    expect_same_bits(a.t, b.t);
+    expect_same_bits(a.z.x, b.z.x);
+    expect_same_bits(a.z.y, b.z.y);
+  }
+  ASSERT_EQ(sink.switches.size(), own.switches.size());
+  for (std::size_t i = 0; i < own.switches.size(); ++i) {
+    expect_same_bits(sink.switches[i].t, own.switches[i].t);
+    EXPECT_EQ(sink.switches[i].to_mode, own.switches[i].to_mode);
+  }
+}
+
+// One lane of a pair turns non-finite and stops; the other runs on to its
+// horizon, and each reads as its own run.
+TEST(HybridPairTest, NonfiniteLaneStopsWhileTheOtherRunsOn) {
+  const BlowsUpAfter bad{1.0};
+  const BlowsUpAfter good{1e300};
+  const HybridOptions opts;
+  RecordingSink sinks[2];
+  const auto stats = run_hybrid_pair<BlowsUpAfter, RecordingSink>(
+      {&bad, &good}, {HybridLane<RecordingSink>{0.0, {1.0, 0.0}, 10.0, &opts,
+                                                &sinks[0]},
+                      {0.0, {1.0, 0.0}, 10.0, &opts, &sinks[1]}});
+  EXPECT_TRUE(stats[0].nonfinite);
+  EXPECT_FALSE(stats[0].completed);
+  EXPECT_FALSE(stats[1].nonfinite);
+  EXPECT_TRUE(stats[1].completed);
+  EXPECT_GT(stats[1].steps_accepted, 2 * stats[0].steps_accepted);
+  expect_same_orbit(stats[0], sinks[0],
+                    integrate_hybrid(bad, 0.0, {1.0, 0.0}, 10.0, opts));
+  expect_same_orbit(stats[1], sinks[1],
+                    integrate_hybrid(good, 0.0, {1.0, 0.0}, 10.0, opts));
+}
+
+// Two switched orbits with their own starts, horizons and options (one
+// records on a grid, one stops early) end at different steps, and each
+// reads as its own run, whichever lane it takes.
+TEST(HybridPairTest, LanesMatchTheirOwnRuns) {
+  const SwitchedOscillator sys{};
+  HybridOptions gridded;
+  gridded.record_interval = 0.05;
+  HybridOptions stopping;
+  stopping.tol = {1e-11, 1e-10};
+  stopping.stop_when = [](double t, Vec2) { return t > 6.0; };
+  const HybridLane<RecordingSink> lanes[2] = {
+      {0.0, {1.0, 0.0}, 12.0, &gridded, nullptr},
+      {0.5, {-0.3, 2.0}, 7.0, &stopping, nullptr}};
+  for (const int first : {0, 1}) {
+    RecordingSink sinks[2];
+    HybridLane<RecordingSink> a = lanes[first];
+    HybridLane<RecordingSink> b = lanes[1 - first];
+    a.sink = &sinks[0];
+    b.sink = &sinks[1];
+    const auto stats = run_hybrid_pair<SwitchedOscillator, RecordingSink>(
+        {&sys, &sys}, {a, b});
+    for (int i = 0; i < 2; ++i) {
+      const HybridLane<RecordingSink>& lane = i == 0 ? a : b;
+      const auto own =
+          integrate_hybrid(sys, lane.t0, lane.z0, lane.t1, *lane.options);
+      EXPECT_GT(own.switches.size(), 2u);
+      expect_same_orbit(stats[i], sinks[i], own);
+    }
   }
 }
 
