@@ -2,11 +2,6 @@
 
 #include <algorithm>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "common/format.h"
 #include "obs/tracing.h"
 
@@ -29,28 +24,11 @@ int hardware_threads() {
 
 int current_worker_index() { return t_worker_index; }
 
-namespace {
-
-void maybe_pin(std::thread& worker, int index) {
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<std::size_t>(index % hardware_threads()), &set);
-  pthread_setaffinity_np(worker.native_handle(), sizeof(set), &set);
-#else
-  (void)worker;
-  (void)index;
-#endif
-}
-
-}  // namespace
-
-ThreadPool::ThreadPool(int threads, bool pin_to_core) {
+ThreadPool::ThreadPool(int threads) {
   const int n = resolve_threads(threads);
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
-    if (pin_to_core) maybe_pin(workers_.back(), i);
   }
 }
 

@@ -29,12 +29,8 @@ int current_worker_index();
 
 class ThreadPool {
  public:
-  // Starts `threads` workers (resolved via resolve_threads).  With
-  // `pin_to_core`, worker i is pinned to core i % hardware_threads() so
-  // long-lived per-worker state (e.g. one simulator shard per worker)
-  // keeps a stable cache affinity; a hint only -- unsupported platforms
-  // ignore it.
-  explicit ThreadPool(int threads, bool pin_to_core = false);
+  // Starts `threads` workers (resolved via resolve_threads).
+  explicit ThreadPool(int threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;

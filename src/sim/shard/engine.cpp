@@ -374,7 +374,7 @@ FabricResult run_fabric(const Topology& topo, const FabricOptions& options,
   if (S == 1) {
     shards[0]->run_single();
   } else {
-    exec::ThreadPool pool(S, /*pin_to_core=*/true);
+    exec::ThreadPool pool(S);
     for (int s = 0; s < S; ++s) {
       Shard* shard = shards[static_cast<std::size_t>(s)].get();
       pool.submit([shard] { shard->run(); });
