@@ -1,20 +1,34 @@
 #include "service/verdict_cache.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
 
 namespace bcn::service {
 
+namespace {
+
+// Writes the characters "%.12g" prints for v into buf and returns their
+// end.  std::to_chars at general precision 12 is specified to print what
+// printf prints in the C locale, without parsing a format.
+char* print_12g(double v, char (&buf)[32]) {
+  return std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                       12)
+      .ptr;
+}
+
+}  // namespace
+
 double quantize(double v) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return std::strtod(buf, nullptr);
+  const char* end = print_12g(v, buf);
+  // Both from_chars and strtod round to nearest.
+  double out = 0.0;
+  std::from_chars(buf, end, out);
+  return out;
 }
 
 std::string quantize_key(double v) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
+  return std::string(buf, print_12g(v, buf));
 }
 
 VerdictCache::VerdictCache(const Config& config,

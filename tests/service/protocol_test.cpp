@@ -109,6 +109,31 @@ TEST(CacheKey, QuantizationMergesEquivalentRequests) {
   EXPECT_EQ(cache_key(with_id), cache_key(bare));
 }
 
+// A key's text is what "%.12g" prints for each quantized value: fixed
+// notation up to 12 digits, the exponent form past them, no trailing
+// zeros.
+TEST(CacheKey, KeysSpellEachValueAsPercentTwelveG) {
+  EXPECT_EQ(cache_key(must_parse("{\"op\":\"verdict\"}")),
+            "verdict|bcn|1600000000|0.0078125|2e-08|2500000|5000000");
+  EXPECT_EQ(cache_key(must_parse(
+                "{\"op\":\"verdict\",\"mechanism\":\"rcp\","
+                "\"a\":1234567890.123456,\"b\":0.00123456789012345,"
+                "\"k\":3.3e-9,\"q0\":123456.7,\"B\":1e21}")),
+            "verdict|rcp|1234567890.12|0.00123456789012|3.3e-09|123456.7|"
+            "1e+21");
+  EXPECT_EQ(cache_key(must_parse(
+                "{\"op\":\"stability_map\",\"grid\":4,\"a_min\":1e8,"
+                "\"a_max\":999999999999.5,\"b_min\":0.001,"
+                "\"b_max\":0.5,\"B\":12e6}")),
+            "map|bcn|linearized|batch|4|100000000|1e+12|0.001|0.5|2e-08|"
+            "2500000|12000000");
+  EXPECT_EQ(quantize_key(-0.1), "-0.1");
+  EXPECT_EQ(quantize_key(123456789012.0), "123456789012");
+  EXPECT_EQ(quantize_key(1234567890123.0), "1.23456789012e+12");
+  EXPECT_EQ(quantize_key(1e-5), "1e-05");
+  EXPECT_EQ(quantize_key(0.0001), "0.0001");
+}
+
 TEST(CacheKey, OpsAndMechanismsAreDisjoint) {
   const Request verdict = must_parse("{\"op\":\"verdict\"}");
   const Request crossval = must_parse("{\"op\":\"crossval\"}");

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,6 +54,24 @@ TEST(Quantize, KeyIsCanonicalText) {
   EXPECT_EQ(quantize_key(2e-8), "2e-08");
   // Key text equality iff quantized-value equality.
   EXPECT_EQ(quantize_key(1.6e9), quantize_key(1600000000.0));
+}
+
+// The key text is printf's "%.12g" and the grid point strtod of it, for
+// values of every magnitude the service sees and beyond.
+TEST(Quantize, MatchesPrintfAndStrtod) {
+  std::mt19937_64 rng(29);
+  std::uniform_real_distribution<double> mantissa(-10.0, 10.0);
+  std::uniform_int_distribution<int> exponent(-40, 40);
+  for (int i = 0; i < 20000; ++i) {
+    double v = mantissa(rng) * std::pow(10.0, exponent(rng));
+    if (i % 4 == 0) v = std::round(v * 1e6) / 1e6;  // short decimals too
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.12g", v);
+    EXPECT_EQ(quantize_key(v), buf) << v;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(quantize(v)),
+              std::bit_cast<std::uint64_t>(std::strtod(buf, nullptr)))
+        << buf;
+  }
 }
 
 // --- LRU behavior -----------------------------------------------------------
