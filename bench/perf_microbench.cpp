@@ -184,6 +184,22 @@ void BM_ReportVerdictPair(benchmark::State& state) {
 }
 BENCHMARK(BM_ReportVerdictPair)->Arg(0)->Arg(1);
 
+// One exec fork-join with nothing to do: a parallel_for over 2·threads
+// empty indices starts /threads workers and joins them, the fixed cost a
+// stability map pays once per parallel_for (five times a map).  Time is
+// the wall-clock of one call; CPU is the calling thread's share.
+void BM_ParallelForForkJoin(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  const auto n = static_cast<std::size_t>(2 * threads);
+  for (auto _ : state) {
+    exec::parallel_for(
+        n, [](std::size_t i) { benchmark::DoNotOptimize(i); },
+        {.threads = threads});
+  }
+  state.SetLabel(std::to_string(n) + " empty indices");
+}
+BENCHMARK(BM_ParallelForForkJoin)->Arg(2)->Arg(4);
+
 // The lanes E22's plant integrates in the Adaptive 97x97 map (the repo
 // benchmark's map workload), built at run time in cell order, and the
 // slice sizes batch_numeric_verdicts cuts the map's waves into on two

@@ -2,7 +2,7 @@
 # Eleven gates:
 #  1. Thread safety: builds the tree under ThreadSanitizer
 #     (-DBCN_SANITIZE=thread) and runs the exec + analysis + obs + sim
-#     + service test suites, which exercise parallel_for / ThreadPool /
+#     + service test suites, which exercise parallel_for's fork-join /
 #     the parallel stability map / the span recorder and atomic metrics /
 #     the event-queue pool and heap / the verdict-service TCP server and
 #     sharded LRU cache under real concurrency.  Any data race fails the

@@ -137,21 +137,4 @@ std::vector<TrajectoryFeatures> extract_features_batch(
       opts);
 }
 
-std::vector<ShapeComparison> compare_shapes_batch(
-    const std::vector<std::pair<const ode::Trajectory*,
-                                const ode::Trajectory*>>& pairs,
-    double min_prominence, int threads) {
-  exec::ParallelForOptions opts;
-  opts.threads = threads;
-  return exec::parallel_map<ShapeComparison>(
-      pairs.size(),
-      [&](std::size_t i) {
-        obs::TraceSpan span("analysis.crossval_fold", "fold",
-                            static_cast<double>(i));
-        return compare_shapes(*pairs[i].first, *pairs[i].second,
-                              min_prominence);
-      },
-      opts);
-}
-
 }  // namespace bcn::analysis

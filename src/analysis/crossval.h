@@ -10,7 +10,6 @@
 
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/bcn_params.h"
@@ -65,14 +64,6 @@ ShapeComparison compare_shapes(const ode::Trajectory& a,
 // threads), with output order independent of the thread count.
 std::vector<TrajectoryFeatures> extract_features_batch(
     const std::vector<const ode::Trajectory*>& trajectories,
-    double min_prominence, int threads = 1);
-
-// Batch shape comparison: slot i compares *pairs[i].first (reference)
-// against *pairs[i].second.  Same threading/ordering contract as
-// extract_features_batch.
-std::vector<ShapeComparison> compare_shapes_batch(
-    const std::vector<std::pair<const ode::Trajectory*,
-                                const ode::Trajectory*>>& pairs,
     double min_prominence, int threads = 1);
 
 }  // namespace bcn::analysis

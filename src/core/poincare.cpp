@@ -86,29 +86,6 @@ std::optional<double> PoincareMap::ratio(double s) const {
   return *p / s;
 }
 
-std::optional<double> PoincareMap::find_fixed_point(double s_lo,
-                                                    double s_hi) const {
-  auto displacement = [this](double s) -> double {
-    const auto p = map(s);
-    // Treat "no return" as full contraction: the orbit fell into the
-    // origin, so P(s) - s is effectively -s.
-    return p ? *p - s : -s;
-  };
-  const auto root = bisect(displacement, s_lo, s_hi,
-                           1e-9 * std::max(1.0, s_hi), 80);
-  return root;
-}
-
-std::optional<bool> PoincareMap::cycle_is_stable(double s_star,
-                                                 double h_rel) const {
-  const double h = h_rel * s_star;
-  const auto hi = map(s_star + h);
-  const auto lo = map(s_star - h);
-  if (!hi || !lo) return std::nullopt;
-  const double slope = (*hi - *lo) / (2.0 * h);
-  return std::abs(slope) < 1.0;
-}
-
 std::optional<LimitCycle> find_limit_cycle(const FluidModel& model,
                                            const CycleSearchOptions& options) {
   obs::TraceSpan span("core.cycle_search");

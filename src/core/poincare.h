@@ -43,15 +43,6 @@ class PoincareMap {
   // Contraction ratio P(s)/s.
   std::optional<double> ratio(double s) const;
 
-  // Searches [s_lo, s_hi] for a fixed point of P via bisection on
-  // P(s) - s.  Requires P(s)-s to change sign over the bracket.
-  std::optional<double> find_fixed_point(double s_lo, double s_hi) const;
-
-  // Stability of a cycle through s_star: |P'(s_star)| < 1 estimated with a
-  // central finite difference of relative width h_rel.
-  std::optional<bool> cycle_is_stable(double s_star,
-                                      double h_rel = 1e-3) const;
-
  private:
   FluidModel model_;
   PoincareOptions options_;

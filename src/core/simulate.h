@@ -54,10 +54,6 @@ struct FluidRun {
   // such switch occurs they default to 0 (the origin limit).
   double post_switch_max_x = 0.0;
   double post_switch_min_x = 0.0;
-
-  // Queue-space conveniences.
-  double max_queue(const BcnParams& p) const { return max_x + p.q0; }
-  double min_queue(const BcnParams& p) const { return min_x + p.q0; }
 };
 
 // Integrates the facet from options.z0 (default (-q0, 0)) over

@@ -1,18 +1,15 @@
-// Chunked data-parallel loop on top of ThreadPool.
+// Chunked data-parallel loop: the execution layer's one fork-join.
 //
 // Determinism contract: the body is called exactly once per index, and
 // callers write results *by index* (parallel_map allocates the output
 // vector up front and the body fills slot i).  Because cells are
 // independent and land in their own slots, the output of a parallel run
 // is bitwise identical to the serial run — only the completion order
-// differs.  `threads == 1` bypasses the pool entirely and runs the plain
-// loop in the calling thread, so the legacy serial path stays exactly
-// what it was.
+// differs.  `threads == 1` runs the plain loop in the calling thread, so
+// the legacy serial path stays exactly what it was.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <vector>
 
@@ -20,58 +17,17 @@
 
 namespace bcn::exec {
 
-// Cooperative cancellation: parallel_for checks the token between chunks
-// and stops issuing new work once it is set.  Bodies may also poll it.
-class CancelToken {
- public:
-  void request_stop() { stop_.store(true, std::memory_order_relaxed); }
-  bool stop_requested() const {
-    return stop_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<bool> stop_{false};
-};
-
-// Live progress counter, safe to read from another thread.
-class Progress {
- public:
-  void reset(std::size_t total) {
-    total_.store(total, std::memory_order_relaxed);
-    done_.store(0, std::memory_order_relaxed);
-  }
-  void add(std::size_t n) { done_.fetch_add(n, std::memory_order_relaxed); }
-  std::size_t done() const { return done_.load(std::memory_order_relaxed); }
-  std::size_t total() const { return total_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::size_t> done_{0};
-  std::atomic<std::size_t> total_{0};
-};
-
 struct ParallelForOptions {
-  int threads = 0;        // 0 = hardware concurrency, 1 = serial path
-  std::size_t chunk = 0;  // indices per chunk; 0 = derived from n/threads
-  CancelToken* cancel = nullptr;    // optional cooperative cancellation
-  Progress* progress = nullptr;     // optional live progress
-  ThreadPool* pool = nullptr;       // reuse an existing pool; else one is
-                                    // created for the call
+  int threads = 0;  // 0 = hardware concurrency, 1 = serial path
 };
 
-struct ParallelForStats {
-  std::size_t items = 0;   // indices actually executed
-  std::size_t chunks = 0;  // chunks issued
-  int threads = 1;         // workers used
-  double wall_seconds = 0.0;
-  bool completed = false;  // false only when cancelled early
-};
-
-// Runs body(i) for i in [0, n).  Rethrows the first body exception in the
-// calling thread (remaining chunks are abandoned).  Returns per-call
-// timing/shape stats.
-ParallelForStats parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& body,
-                              const ParallelForOptions& options = {});
+// Runs body(i) for i in [0, n).  With more than one thread the call starts
+// that many workers, which claim chunks of n / (threads * 8) indices from
+// one atomic counter, and joins them before it returns; the calling thread
+// only waits.  Rethrows the first body exception in the calling thread
+// (remaining chunks are abandoned).
+void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
+                  const ParallelForOptions& options = {});
 
 // Maps fn over [0, n) into a vector, slot i = fn(i).  T must be
 // default-constructible.  Output is index-ordered (and therefore

@@ -22,10 +22,10 @@ std::atomic<bool> g_enabled{false};
 
 // One per recording thread, shared between the thread (writer) and the
 // global registry (drainer).  Lock-free by contract: only the owning
-// thread appends, and drains happen at quiescent points — after a
-// fork-join barrier (ThreadPool::wait_idle, pool destruction) whose own
-// synchronization orders the worker's writes before the drainer's
-// reads.  The record path is therefore a plain push_back.
+// thread appends, and drains happen at quiescent points — after the
+// recording workers are joined, and the join orders the worker's writes
+// before the drainer's reads.  The record path is therefore a plain
+// push_back.
 struct ThreadBuffer {
   std::vector<SpanRecord> spans;
   std::string name;

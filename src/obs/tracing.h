@@ -20,7 +20,7 @@
 //
 //   * `write_chrome_trace` — Chrome trace-event JSON ("X" complete
 //     events plus "M" thread-name metadata), loadable in Perfetto or
-//     chrome://tracing; pool workers are named by worker index.
+//     chrome://tracing; parallel_for workers are named by worker index.
 //   * `build_self_profile` — an aggregated table (call count,
 //     inclusive and exclusive wall-clock per span name, name-sorted for
 //     determinism) that `profile_to_metrics` folds into a
@@ -81,8 +81,8 @@ void tracing_set_thread_name(std::string name);
 
 // Moves every per-thread buffer into the global drained list and returns
 // the number of spans moved.  Call only while other recording threads
-// are quiescent — after a fork-join barrier (ThreadPool::wait_idle,
-// pool destruction, std::thread::join), whose synchronization is what
+// are quiescent — after the recording threads are joined (parallel_for
+// and run_fabric join theirs before they return), since the join is what
 // orders worker writes before this read; that contract is what lets the
 // record path skip locking entirely.  Spans still open on the calling
 // thread simply stay unrecorded until they close.

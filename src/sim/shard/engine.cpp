@@ -8,7 +8,7 @@
 #include <thread>
 
 #include "common/args.h"
-#include "exec/thread_pool.h"
+#include "common/format.h"
 #include "obs/tracing.h"
 #include "sim/shard/fabric.h"
 
@@ -374,13 +374,16 @@ FabricResult run_fabric(const Topology& topo, const FabricOptions& options,
   if (S == 1) {
     shards[0]->run_single();
   } else {
-    exec::ThreadPool pool(S);
+    std::vector<std::jthread> workers;
+    workers.reserve(shards.size());
     for (int s = 0; s < S; ++s) {
       Shard* shard = shards[static_cast<std::size_t>(s)].get();
-      pool.submit([shard] { shard->run(); });
+      workers.emplace_back([s, shard] {
+        obs::tracing_set_thread_name(strf("shard-%d", s));
+        shard->run();
+      });
     }
-    pool.wait_idle();
-  }
+  }  // joins every shard
 
   // --- deterministic merge (single-threaded, gid order) -------------------
   FabricResult result;

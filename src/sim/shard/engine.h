@@ -140,8 +140,8 @@ SimTime span_us(const ArgParser& args, const char* name, double fallback);
 // Runs `topo` for options.duration on `shards` shards, clamped to [1,
 // switches] as partition_topology clamps them; FabricResult::shards
 // reports the count that ran.  One shard runs inline on the calling
-// thread; otherwise the engine spins up a ThreadPool of one pinned
-// worker per shard.
+// thread; otherwise each shard runs on a thread of its own, named
+// shard-<s>, and every one is joined before the call returns.
 FabricResult run_fabric(const Topology& topo, const FabricOptions& options,
                         int shards);
 
