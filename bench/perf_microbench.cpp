@@ -146,6 +146,17 @@ void BM_PacketSimulatorMillisecond(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketSimulatorMillisecond)->Arg(5)->Arg(50);
 
+// The accepted plus rejected DOPRI5 steps of the facet's verdict orbit:
+// one summarize_fluid run at the verdict's options, so an orbit that no
+// longer settles reads as a count on any host.
+double verdict_steps(const core::FluidMechanism& facet) {
+  core::FluidRunOptions opts;
+  opts.duration = core::verdict_horizon(facet);
+  opts.convergence_tol = 1e-8;
+  const core::FluidRun run = core::summarize_fluid(facet, opts);
+  return static_cast<double>(run.steps_accepted + run.steps_rejected);
+}
+
 void BM_StabilityMapCell(benchmark::State& state) {
   core::BcnParams base = core::BcnParams::standard_draft();
   base.buffer = 12e6;
@@ -156,6 +167,8 @@ void BM_StabilityMapCell(benchmark::State& state) {
     const auto verdict = core::numeric_strong_stability(base, nopts);
     benchmark::DoNotOptimize(verdict.max_x);
   }
+  state.counters["steps"] =
+      verdict_steps(core::FluidModel(base, core::ModelLevel::Linearized));
   state.SetLabel("one (Gi, Gd) map cell, linearized ground truth");
 }
 BENCHMARK(BM_StabilityMapCell);
@@ -180,6 +193,8 @@ void BM_ReportVerdictPair(benchmark::State& state) {
       benchmark::DoNotOptimize(v1.max_x + v0.max_x);
     }
   }
+  state.counters["lin_steps"] = verdict_steps(lin);
+  state.counters["non_steps"] = verdict_steps(non);
   state.SetLabel(paired ? "paired" : "own calls");
 }
 BENCHMARK(BM_ReportVerdictPair)->Arg(0)->Arg(1);

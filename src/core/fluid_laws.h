@@ -4,6 +4,7 @@
 // (ode/hybrid_driver.h) plus
 //
 //   static constexpr int kModes;               // interior modes
+//   static constexpr bool kExtremaSettle;      // ExtremaFold::settled allowed
 //   double sigma(Vec2 z) const;                // the feedback signal
 //   Vec2 empty_wall(double t, Vec2 z) const;   // queue pinned empty
 //   Vec2 full_wall(double t, Vec2 z) const;    // queue pinned full
@@ -30,6 +31,9 @@ namespace bcn::core {
 class BcnLaw {
  public:
   static constexpr int kModes = 2;
+  // x' = y, and on y = 0, y' is -a x or -b C x: each half of the x-axis
+  // is crossed one way only, at the orbit's x-peaks (x > 0) and x-dips.
+  static constexpr bool kExtremaSettle = true;
 
   BcnLaw(const BcnParams& plant, bool linearized)
       : a_(plant.a()),
@@ -81,6 +85,9 @@ class BcnLaw {
 class QcnLaw {
  public:
   static constexpr int kModes = 2;
+  // On y = 0, y' = ai - b C x turns positive for 0 < x < ai/(bC), so an
+  // orbit may cross the positive x-axis either way.
+  static constexpr bool kExtremaSettle = false;
 
   QcnLaw(const BcnParams& plant, const QcnParams& qcn, bool linearized)
       : k_(plant.k()),
@@ -126,6 +133,9 @@ class QcnLaw {
 class RcpLaw {
  public:
   static constexpr int kModes = 1;
+  // With no switching line the post-switch window never opens, so its
+  // min_x judges no underflow yet; its orbits run to the horizon.
+  static constexpr bool kExtremaSettle = false;
 
   RcpLaw(const BcnParams& plant, const RcpParams& rcp, bool linearized)
       : alpha_(rcp.alpha),
@@ -215,7 +225,10 @@ class LawFacet : public FluidMechanism {
   }
 
   double sigma(Vec2 z) const override { return law_.sigma(z); }
-  int interior_modes() const override { return Law::kModes; }
+  ExtremaFold extrema_fold() const override {
+    return ExtremaFold(Law::kModes,
+                       Law::kExtremaSettle && level_ != ModelLevel::Clipped);
+  }
 
   ode::HybridStats integrate(double t0, Vec2 z0, double t1,
                              const ode::HybridOptions& options,

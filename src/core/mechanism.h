@@ -110,9 +110,16 @@ struct RegionLaw {
 // take the samples at or after the first switch between two of the
 // law's `interior_modes`, which must arrive before them: the driver
 // reports each switch ahead of its step's samples.
+//
+// A fold that `settles` (FluidMechanism::extrema_fold) also watches the
+// orbit turn where x' = y changes sign, its x-peaks and x-dips, and
+// reads settled() once no later sample can move max_x or the post-switch
+// min_x: the driver then ends the orbit (ode/hybrid_driver.h).
+// kSettleMargin in simulate.cpp gives the rule and why it is exact.
 class ExtremaFold {
  public:
-  explicit ExtremaFold(int interior_modes) : interior_modes_(interior_modes) {}
+  ExtremaFold(int interior_modes, bool settles)
+      : interior_modes_(interior_modes), settles_(settles) {}
 
   void sample(double t, Vec2 z) {
     if (samples_++ < 2) {
@@ -127,6 +134,13 @@ class ExtremaFold {
       post_switch_max_x_ = std::max(post_switch_max_x_, z.x);
       post_switch_min_x_ = std::min(post_switch_min_x_, z.x);
     }
+    if (settles_) {
+      if ((last_.y > 0.0 && z.y <= 0.0) || (last_.y < 0.0 && z.y >= 0.0)) {
+        turn(t, z);
+      }
+      last_t_ = t;
+      last_ = z;
+    }
   }
   // A buffer wall's capture or release is not a switching event, and
   // switch times never decrease, so the gate is the first interior one's.
@@ -135,15 +149,26 @@ class ExtremaFold {
     gate_ = std::min(gate_, s.t);
   }
 
+  // True once max_x and the post-switch min_x are final.
+  bool settled() const { return peaks_final_ && dips_final_; }
+
   // The folded extrema plus the driver's statistics.
   FluidRun finish(const ode::HybridStats& stats) const;
 
  private:
+  // The turn of x between the last sample and (t, z), where y changed
+  // sign: a peak or a dip.
+  void turn(double t, Vec2 z);
+
   int interior_modes_;
+  bool settles_;
   double max_x_ = 0.0, min_x_ = 0.0, max_y_ = 0.0, min_y_ = 0.0;
   double post_switch_max_x_ = 0.0, post_switch_min_x_ = 0.0;
   std::size_t samples_ = 0;
   double gate_ = std::numeric_limits<double>::infinity();
+  double last_t_ = 0.0;
+  Vec2 last_;
+  bool peaks_final_ = false, dips_final_ = false;
 };
 
 // The fluid facet: a planar switched system in the translated coordinates
@@ -160,9 +185,11 @@ class FluidMechanism {
   // Feedback signal driving the regulators; its sign selects the region.
   virtual double sigma(Vec2 z) const = 0;
 
-  // The modes of the facet's interior law; at Clipped the two buffer-wall
-  // modes follow them.
-  virtual int interior_modes() const = 0;
+  // The fold of the facet's orbits: over its law's interior modes (at
+  // Clipped the two buffer-wall modes follow them), settling where the
+  // law allows it (ExtremaFold::settled), at Linearized and Nonlinear
+  // only, since at Clipped a wall holds x' = 0.
+  virtual ExtremaFold extrema_fold() const = 0;
 
   // Integrates the facet's switched law at its level over [t0, t1] from
   // z0 into `sink` (core::LawFacet implements both).

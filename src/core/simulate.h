@@ -28,7 +28,7 @@ struct FluidRunOptions {
 struct FluidRun {
   ode::Trajectory trajectory;             // (t, (x, y)) samples
   std::vector<ode::ModeSwitch> switches;  // localized region transitions
-  bool completed = false;
+  bool completed = false;   // reached the horizon, converged or settled
   bool converged = false;   // stopped early via convergence_tol
   // Integrator step statistics (from ode::HybridResult): accepted and
   // rejected DOPRI5 trial steps, the smallest accepted time advance, and
@@ -61,9 +61,15 @@ struct FluidRun {
 FluidRun simulate_fluid(const FluidMechanism& facet,
                         const FluidRunOptions& options = {});
 
-// simulate_fluid without the trajectory and switches, which stay empty:
-// every other field, bit for bit, folded as the driver steps, so its
-// allocations do not grow with the duration.  The numeric verdict's path.
+// simulate_fluid without the trajectory and switches, which stay empty,
+// folded as the driver steps, so its allocations do not grow with the
+// duration.  The numeric verdict's path.  Where the facet's fold may
+// settle (FluidMechanism::extrema_fold) the run ends once max_x and
+// post_switch_min_x are final (ExtremaFold::settled): the x extrema,
+// completed and nonfinite are simulate_fluid's bit for bit, while the y
+// extrema and the step counts cover the steps taken, and converged reads
+// false if the fold settled first.  For every other facet each field is
+// simulate_fluid's, bit for bit.
 FluidRun summarize_fluid(const FluidMechanism& facet,
                          const FluidRunOptions& options = {});
 

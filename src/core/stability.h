@@ -55,7 +55,10 @@ StabilityReport analyze_stability(const BcnParams& params,
 // the orbit stays strictly inside the buffer strip for all t > 0.
 struct NumericVerdict {
   bool strongly_stable = false;
-  bool converged = false;  // reached the origin within the horizon
+  // Reached the 1e-8 ball before the horizon and before the fold settled
+  // (ExtremaFold::settled): false on a settled orbit that would have
+  // reached it later.  No verdict path reads it.
+  bool converged = false;
   // The integration aborted on a non-finite state; the verdict is
   // "not strongly stable" and the extrema cover the finite prefix only.
   bool nonfinite = false;
@@ -83,7 +86,8 @@ double verdict_horizon(const FluidMechanism& facet);
 // analysis start, at the facet's own model level; at Clipped, reaching
 // a wall's capture band (FluidMechanism::wall_tol) counts as reaching
 // the wall.  `duration` 0 selects verdict_horizon(facet).  Facets with an
-// equilibrium stop early once |x|/q0 + |y|/C < 1e-8.
+// equilibrium stop early once |x|/q0 + |y|/C < 1e-8, and facets whose
+// extrema settle once max_x and min_x are final (summarize_fluid).
 NumericVerdict numeric_strong_stability(const FluidMechanism& facet,
                                         double duration = 0.0,
                                         ode::Tolerances tol = {1e-9, 1e-9});

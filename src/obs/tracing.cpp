@@ -117,6 +117,11 @@ std::size_t tracing_drain() {
                        buffer->spans.end());
     buffer->spans.clear();
   }
+  // A thread's exit drops its ThreadState's reference, so a buffer the
+  // registry alone holds has no writer left: release it, or every
+  // parallel_for would leave its workers' buffers behind.
+  std::erase_if(reg.buffers,
+                [](const auto& buffer) { return buffer.use_count() == 1; });
   return moved;
 }
 

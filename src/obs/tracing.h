@@ -79,13 +79,14 @@ void tracing_set_thread_name(std::string name);
 
 // --- drain / inspect -----------------------------------------------------
 
-// Moves every per-thread buffer into the global drained list and returns
-// the number of spans moved.  Call only while other recording threads
-// are quiescent — after the recording threads are joined (parallel_for
-// and run_fabric join theirs before they return), since the join is what
-// orders worker writes before this read; that contract is what lets the
-// record path skip locking entirely.  Spans still open on the calling
-// thread simply stay unrecorded until they close.
+// Moves every per-thread buffer into the global drained list, releases
+// the buffers of threads that have exited and returns the number of
+// spans moved.  Call only while other recording threads are quiescent —
+// after the recording threads are joined (parallel_for and run_fabric
+// join theirs before they return), since the join is what orders worker
+// writes before this read; that contract is what lets the record path
+// skip locking entirely.  Spans still open on the calling thread simply
+// stay unrecorded until they close.
 std::size_t tracing_drain();
 
 // All spans drained so far, in drain order.

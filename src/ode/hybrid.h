@@ -49,7 +49,8 @@ struct HybridOptions {
 // The step statistics and end state of one hybrid run, whatever its
 // sink kept of the orbit (ode/hybrid_driver.h).
 struct HybridStats {
-  bool completed = false;      // reached t1 (or stop_when fired)
+  bool completed = false;      // reached t1, stop_when fired or the
+                               // sink settled (ode/hybrid_driver.h)
   bool stopped_early = false;  // stop_when fired
   std::size_t steps_accepted = 0;
   std::size_t steps_rejected = 0;

@@ -19,7 +19,10 @@
 //   void mode_switch(const ModeSwitch& s);  // every mode change
 // Samples arrive in time order.  A step's mode switch arrives before that
 // step's samples, so a sample at or after a switch's time arrives after
-// the switch.
+// the switch.  A sink may also provide
+//   bool settled() const;                   // no later sample matters
+// which the driver asks where it asks stop_when: a settled sink ends the
+// orbit, completed but not stopped early.
 #pragma once
 
 #include <algorithm>
@@ -45,7 +48,7 @@ namespace bcn::ode {
 // first sample and the first mode, FSAL stage and step size; each
 // finish_trial takes the trial step from (t(), z(), k1(), h()) under
 // field() and runs everything after it: accept or reject, event location
-// and escape, samples, switches, the stop rule and step-size control.
+// and escape, samples, switches, the stop rules and step-size control.
 // run_hybrid runs one orbit through it, run_hybrid_pair two in lockstep.
 template <class System, class Sink>
 class HybridOrbit {
@@ -228,6 +231,12 @@ class HybridOrbit {
       stats_.stopped_early = true;
       return close();
     }
+    if constexpr (requires { sink_.settled(); }) {
+      if (sink_.settled()) {
+        stats_.completed = true;
+        return close();
+      }
+    }
 
     h_ = dopri5_next_step_size(h_, step.error);
     h_ = std::min({h_, max_step_, t1_ - t_});
@@ -280,15 +289,16 @@ class HybridOrbit {
   [[gnu::always_inline]] void end() {
     if (options_.record_interval > 0.0 && last_sample_t_ < t_) emit(t_, z_);
     stats_.completed = t_ >= t1_ - 1e-12 * std::max(1.0, std::abs(t1_));
+    close();
+  }
+  // The orbit ended, however; its stats are final.  The call span takes
+  // the step and switch counts, and the segment span ends before the
+  // call span that encloses it.
+  [[gnu::always_inline]] void close() {
     if (call_span_) {
       call_span_->arg("accepted", static_cast<double>(stats_.steps_accepted));
       call_span_->arg("switches", static_cast<double>(switches_));
     }
-    close();
-  }
-  // The orbit ended; its stats are final.  The segment span ends before
-  // the call span that encloses it.
-  [[gnu::always_inline]] void close() {
     segment_.reset();
     call_span_.reset();
     stepping_ = false;

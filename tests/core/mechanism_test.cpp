@@ -412,6 +412,7 @@ TEST(FluidFacetTest, RcpSettlesNearTheOrigin) {
 struct NanAfterStartLaw {
   static constexpr double kNanAfter = 1e-3;
   static constexpr int kModes = 1;
+  static constexpr bool kExtremaSettle = false;
 
   double sigma(Vec2 z) const { return -z.x; }
   Vec2 rhs(int /*mode*/, double t, Vec2 z) const {

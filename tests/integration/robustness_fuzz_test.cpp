@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -38,6 +39,13 @@ struct FuzzSeed {
   std::uint64_t seed;
   int trials;
 };
+
+// gtest prints a parameter without a PrintTo as its bytes, padding
+// included, which differ from build to build; ctest names each case by
+// this text.
+void PrintTo(const FuzzSeed& s, std::ostream* os) {
+  *os << "seed" << s.seed << "_trials" << s.trials;
+}
 
 class FuzzSweep : public ::testing::TestWithParam<FuzzSeed> {};
 

@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include <malloc.h>
+
 #include <gtest/gtest.h>
 
 #include "exec/parallel_for.h"
@@ -356,6 +358,32 @@ TEST_F(TracingTest, ChromeTraceExportIsBalancedSortedAndComplete) {
   }
   EXPECT_TRUE(saw_args);
   std::filesystem::remove_all(path.parent_path());
+}
+
+// parallel_for starts fresh workers on every call, and each worker that
+// records a span registers a buffer of 1 024 spans.  Draining releases
+// the buffers of workers that have exited, so 200 traced two-worker
+// calls, each drained and cleared, leave the heap where one call left
+// it; keeping the buffers grew it by about 27 MB.  Under ASan or TSan
+// mallinfo2 sees none of the sanitizer's heap, so there it reads flat
+// either way.
+TEST_F(TracingTest, DrainReleasesExitedWorkersBuffers) {
+  tracing_enable();
+  const auto traced_call = [] {
+    exec::parallel_for(
+        16, [](std::size_t) { TraceSpan span("test.work"); },
+        {.threads = 2});
+    tracing_drain();
+    tracing_clear();
+  };
+  const auto in_use = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  traced_call();
+  const std::size_t before = in_use();
+  for (int i = 0; i < 200; ++i) traced_call();
+  EXPECT_LT(in_use(), before + (1u << 20));
 }
 
 TEST_F(TracingTest, DrainIsIncrementalAndClearResets) {

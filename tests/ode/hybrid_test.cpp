@@ -4,9 +4,11 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "obs/tracing.h"
 #include "ode/hybrid_driver.h"
 #include "ode/integrate.h"
 
@@ -99,6 +101,43 @@ TEST(HybridTest, StopWhenFires) {
   EXPECT_TRUE(res.stopped_early);
   EXPECT_TRUE(res.completed);
   EXPECT_LT(res.trajectory.back().t, 2.0);
+}
+
+// Counts samples and settles after `limit` of them.
+struct SettlesAfter {
+  std::size_t limit = 0;
+  std::size_t samples = 0;
+
+  void sample(double, Vec2) { ++samples; }
+  void mode_switch(const ModeSwitch&) {}
+  bool settled() const { return samples >= limit; }
+};
+
+// A sink that has settled ends the orbit after the next plain step:
+// completed, not stopped early, and a traced run's span still carries
+// the steps it took.
+TEST(HybridTest, SettledSinkEndsTheOrbit) {
+  const SwitchedOscillator sys{};
+  SettlesAfter sink{.limit = 20};
+  obs::tracing_clear();
+  obs::tracing_enable();
+  const HybridStats stats = run_hybrid(sys, 0.0, {1.0, 0.0}, 100.0, {}, sink);
+  obs::tracing_disable();
+  obs::tracing_drain();
+  EXPECT_TRUE(stats.completed);
+  EXPECT_FALSE(stats.stopped_early);
+  EXPECT_GE(sink.samples, 20u);
+  EXPECT_LE(sink.samples, 21u);  // a crossing sample, then a plain step
+  int spans = 0;
+  for (const auto& s : obs::tracing_spans()) {
+    if (std::string(s.name) != "ode.integrate_hybrid") continue;
+    ++spans;
+    ASSERT_EQ(s.n_args, 3u);
+    EXPECT_EQ(std::string(s.args[1].key), "accepted");
+    EXPECT_EQ(s.args[1].value, static_cast<double>(stats.steps_accepted));
+  }
+  EXPECT_EQ(spans, 1);
+  obs::tracing_clear();
 }
 
 TEST(HybridTest, RecordIntervalResamplesUniformly) {
