@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -22,6 +23,7 @@
 #include "analysis/sweep.h"
 #include "bench_util.h"
 #include "common/json.h"
+#include "common/rng.h"
 #include "core/analytic_tracer.h"
 #include "core/batch_verdict.h"
 #include "core/simulate.h"
@@ -31,6 +33,8 @@
 #include "ode/hybrid.h"
 #include "ode/integrate.h"
 #include "ode/steppers.h"
+#include "service/protocol.h"
+#include "service/verdict_cache.h"
 #include "sim/multihop.h"
 #include "sim/network.h"
 #include "sim/parking_lot.h"
@@ -198,6 +202,73 @@ void BM_ReportVerdictPair(benchmark::State& state) {
   state.SetLabel(paired ? "paired" : "own calls");
 }
 BENCHMARK(BM_ReportVerdictPair)->Arg(0)->Arg(1);
+
+// A verdict line of the repo benchmark's service workload: a = Ru Gi N
+// and b = Gd log-uniform around the standard draft's 1.6e9 and 1/128.
+std::string random_verdict_line(Rng& rng) {
+  JsonWriter json;
+  json.add("op", "verdict");
+  json.add("a", std::exp(rng.uniform(std::log(8e8), std::log(4e9))));
+  json.add("b",
+           std::exp(rng.uniform(std::log(1.0 / 256), std::log(1.0 / 64))));
+  return json.to_line();
+}
+
+// A cache hit as a server reader serves it: the line split off the read
+// buffer, parsed, keyed, read from the cache and answered by its reply
+// line, over 64 hot lines in one buffer.  `hit` is the time per line.
+void BM_ServiceHit(benchmark::State& state) {
+  constexpr int kLines = 64;
+  Rng rng(1);
+  service::VerdictCache cache(service::VerdictCache::Config{}, nullptr);
+  std::string buffer;
+  for (int i = 0; i < kLines; ++i) {
+    const std::string line = random_verdict_line(rng);
+    std::string error;
+    const auto request = service::parse_request(line, &error);
+    cache.put(service::cache_key(*request),
+              service::execute(*request, {}, nullptr).body);
+    buffer += line + "\n";
+  }
+  std::string line;
+  for (auto _ : state) {
+    std::size_t begin = 0;
+    for (std::size_t end; (end = buffer.find('\n', begin)) != std::string::npos;
+         begin = end + 1) {
+      line.assign(buffer, begin, end - begin);
+      std::string error;
+      const auto request = service::parse_request(line, &error);
+      const auto body = cache.get(service::cache_key(*request));
+      const std::string reply = service::response_line(request->id, *body);
+      benchmark::DoNotOptimize(reply.data());
+    }
+  }
+  state.counters["hit"] = benchmark::Counter(
+      kLines, benchmark::Counter::kIsIterationInvariantRate |
+                  benchmark::Counter::kInvert);
+  state.SetLabel("64 hot verdict lines");
+}
+BENCHMARK(BM_ServiceHit);
+
+// A cache miss's execution: service::execute of a verdict on a seeded
+// plant, 256 plants in turn (execute keeps no cache).
+void BM_ServiceMiss(benchmark::State& state) {
+  Rng rng(2);
+  std::vector<service::Request> requests;
+  for (int i = 0; i < 256; ++i) {
+    std::string error;
+    requests.push_back(
+        *service::parse_request(random_verdict_line(rng), &error));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto result =
+        service::execute(requests[i++ % requests.size()], {}, nullptr);
+    benchmark::DoNotOptimize(result.body.data());
+  }
+  state.SetLabel("verdicts on 256 seeded cold plants");
+}
+BENCHMARK(BM_ServiceMiss);
 
 // One exec fork-join with nothing to do: a parallel_for over 2·threads
 // empty indices starts /threads workers and joins them, the fixed cost a

@@ -1,5 +1,6 @@
 #include "analysis/report.h"
 
+#include <string_view>
 #include <tuple>
 
 #include "analysis/transient.h"
@@ -83,11 +84,19 @@ bool render_numeric_verdicts(const VerdictRequest& request, bool closed_form,
     *stable = verdict.strongly_stable;
     *peak = verdict.max_x + q0;
     *dip = verdict.min_x + q0;
-    report.text += strf("numeric %s: %-22s peak q = %.6g, dip q = %.6g\n",
-                        name,
-                        verdict.strongly_stable ? "strongly stable"
-                                                : "NOT strongly stable",
-                        verdict.max_x + q0, verdict.min_x + q0);
+    const std::string_view label =
+        verdict.strongly_stable ? "strongly stable" : "NOT strongly stable";
+    std::string& text = report.text;
+    text += "numeric ";
+    text += name;
+    text += ": ";
+    text += label;
+    text.append(22 - label.size(), ' ');  // %-22s
+    text += " peak q = ";
+    append_g(text, *peak);
+    text += ", dip q = ";
+    append_g(text, *dip);
+    text += '\n';
   }
   return true;
 }
@@ -101,35 +110,46 @@ void render_closed_form(const core::BcnParams& p, VerdictReport& report) {
   report.proposition_satisfied = analysis.proposition_satisfied;
   report.theorem1_satisfied = analysis.theorem1_satisfied;
   report.theorem1_required_buffer = analysis.theorem1_required_buffer;
-  report.text += strf("analysis: %s\n\n", analysis.summary().c_str());
+  report.text += "analysis: ";
+  report.text += analysis.summary();
+  report.text += "\n\n";
 }
 
 // The transient estimate and frequency margins closing the bcn /
 // bcn-draft report.
 void render_closed_form_tail(const core::BcnParams& p, VerdictReport& report) {
+  std::string& text = report.text;
+  // "label%.4g" pieces.
+  const auto num = [&text](const char* label, double v) {
+    text += label;
+    append_g(text, v, 4);
+  };
   if (const auto est = analysis::estimate_transient(p)) {
-    report.text += strf(
-        "\ntransient estimate: cycle %.4g s, contraction %.6f per "
-        "cycle, settling to 5%% band in %.4g s\n",
-        est->cycle_time, est->contraction_ratio, est->settling_time);
+    num("\ntransient estimate: cycle ", est->cycle_time);
+    text += " s, contraction ";
+    append_f(text, est->contraction_ratio, 6);
+    num(" per cycle, settling to 5% band in ", est->settling_time);
+    text += " s\n";
   }
 
   const control::LoopTransfer inc{p.a(), p.k()};
   const control::LoopTransfer dec{p.b() * p.capacity, p.k()};
-  report.text += strf(
-      "\nfrequency margins: increase crossover %.4g rad/s, phase "
-      "margin %.4g rad, delay margin %.4g s; decrease %.4g rad/s, "
-      "%.4g rad, %.4g s\n",
-      control::gain_crossover(inc), control::phase_margin(inc),
-      control::delay_margin(inc), control::gain_crossover(dec),
-      control::phase_margin(dec), control::delay_margin(dec));
+  num("\nfrequency margins: increase crossover ", control::gain_crossover(inc));
+  num(" rad/s, phase margin ", control::phase_margin(inc));
+  num(" rad, delay margin ", control::delay_margin(inc));
+  num(" s; decrease ", control::gain_crossover(dec));
+  num(" rad/s, ", control::phase_margin(dec));
+  num(" rad, ", control::delay_margin(dec));
+  text += " s\n";
 }
 
 }  // namespace
 
 VerdictReport render_verdict_report(const VerdictRequest& request) {
   VerdictReport report;
-  report.text = strf("%s\n\n", request.params.describe().c_str());
+  report.text.reserve(1024);  // a report is under 1 KiB
+  report.text += request.params.describe();
+  report.text += "\n\n";
   const bool closed_form =
       request.mechanism == "bcn" || request.mechanism == "bcn-draft";
   if (closed_form) {

@@ -1,27 +1,40 @@
 #include "common/json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
 
+#include "common/format.h"
+
 namespace bcn {
 
+void JsonWriter::begin_field(const std::string& key) {
+  if (size_++ > 0) members_ += ',';
+  append_quoted(members_, key);
+  members_ += ':';
+}
+
 void JsonWriter::add(const std::string& key, const std::string& value) {
-  fields_.emplace_back(key, quote(value));
+  begin_field(key);
+  append_quoted(members_, value);
 }
 
 void JsonWriter::add(const std::string& key, const char* value) {
-  add(key, std::string(value));
+  begin_field(key);
+  append_quoted(members_, value);
 }
 
 void JsonWriter::add(const std::string& key, double value) {
-  fields_.emplace_back(key, format(value));
+  begin_field(key);
+  append_number(members_, value);
 }
 
 void JsonWriter::add(const std::string& key, std::int64_t value) {
-  fields_.emplace_back(key, std::to_string(value));
+  begin_field(key);
+  char buf[24];
+  members_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
 }
 
 void JsonWriter::add(const std::string& key, int value) {
@@ -29,38 +42,58 @@ void JsonWriter::add(const std::string& key, int value) {
 }
 
 void JsonWriter::add(const std::string& key, bool value) {
-  fields_.emplace_back(key, value ? "true" : "false");
+  begin_field(key);
+  members_ += value ? "true" : "false";
 }
 
 void JsonWriter::add(const std::string& key,
                      const std::vector<double>& values) {
-  std::string raw = "[";
+  begin_field(key);
+  members_ += '[';
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) raw += ", ";
-    raw += format(values[i]);
+    if (i > 0) members_ += ", ";
+    append_number(members_, values[i]);
   }
-  raw += "]";
-  fields_.emplace_back(key, std::move(raw));
+  members_ += ']';
 }
 
 std::string JsonWriter::to_string() const {
+  // Re-indents the wire form: outside string literals and arrays, a ':'
+  // ends a key and a ',' ends a field.
   std::string out = "{\n";
-  for (std::size_t i = 0; i < fields_.size(); ++i) {
-    out += "  " + quote(fields_[i].first) + ": " + fields_[i].second;
-    if (i + 1 < fields_.size()) out += ",";
-    out += "\n";
+  if (size_ > 0) out += "  ";
+  bool in_string = false;
+  bool in_array = false;
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    const char c = members_[i];
+    out += c;
+    if (in_string) {
+      if (c == '\\') {
+        out += members_[++i];
+      } else if (c == '"') {
+        in_string = false;
+      }
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == '[' || c == ']') {
+      in_array = c == '[';
+    } else if (!in_array && c == ':') {
+      out += ' ';
+    } else if (!in_array && c == ',') {
+      out += "\n  ";
+    }
   }
+  if (size_ > 0) out += '\n';
   out += "}\n";
   return out;
 }
 
 std::string JsonWriter::to_line() const {
-  std::string out = "{";
-  for (std::size_t i = 0; i < fields_.size(); ++i) {
-    if (i > 0) out += ",";
-    out += quote(fields_[i].first) + ":" + fields_[i].second;
-  }
-  out += "}";
+  std::string out;
+  out.reserve(members_.size() + 2);
+  out += '{';
+  out += members_;
+  out += '}';
   return out;
 }
 
@@ -76,33 +109,49 @@ bool JsonWriter::write_file(const std::filesystem::path& path) const {
 }
 
 std::string JsonWriter::quote(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
+  std::string out;
+  append_quoted(out, s);
+  return out;
+}
+
+std::string JsonWriter::format(double v) {
+  std::string out;
+  append_number(out, v);
+  return out;
+}
+
+void JsonWriter::append_quoted(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out += '"';
+  std::size_t plain = 0;  // start of the run not yet appended
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + plain, i - plain);
+    plain = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default:  // the other control characters
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xf];
     }
   }
-  out += "\"";
-  return out;
+  out.append(s.data() + plain, s.size() - plain);
+  out += '"';
 }
 
-std::string JsonWriter::format(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+void JsonWriter::append_number(std::string& out, double v) {
+  // Round-trip precision; JSON has no inf or nan.
+  if (std::isfinite(v)) {
+    append_g(out, v, 17);
+  } else {
+    out += "null";
+  }
 }
 
 namespace {
@@ -163,13 +212,19 @@ struct FlatScanner {
         case 'b': out += '\b'; break;
         case 'f': out += '\f'; break;
         case 'u': {
-          if (pos + 4 > text.size()) return std::nullopt;
-          const unsigned code = static_cast<unsigned>(
-              std::strtoul(text.substr(pos, 4).c_str(), nullptr, 16));
+          // Exactly four hex digits naming an ASCII code point.  JsonWriter
+          // escapes only control characters, and a wider code point would
+          // need a UTF-8 encoding nothing here reads.  from_chars takes no
+          // sign, space or 0x prefix.
+          const char* first = text.data() + pos;
+          unsigned code = 0;
+          if (text.size() - pos < 4 ||
+              std::from_chars(first, first + 4, code, 16).ptr != first + 4 ||
+              code >= 0x80) {
+            return std::nullopt;
+          }
           pos += 4;
-          // Artifacts only escape control characters; anything wider is
-          // preserved as the raw low byte (good enough for diff output).
-          out += static_cast<char>(code & 0xff);
+          out += static_cast<char>(code);
           break;
         }
         default: return std::nullopt;
@@ -196,19 +251,19 @@ std::optional<FlatJson> FlatJson::parse(const std::string& text) {
   if (!s.consume('{')) return std::nullopt;
   if (s.consume('}')) return out;  // empty object
   for (;;) {
-    const auto key = s.parse_string();
+    auto key = s.parse_string();
     if (!key || !s.consume(':')) return std::nullopt;
     const char c = s.peek();
     if (c == '"') {
-      const auto v = s.parse_string();
+      auto v = s.parse_string();
       if (!v) return std::nullopt;
-      out.strings_[*key] = *v;
+      out.strings_[std::move(*key)] = std::move(*v);
     } else if (c == 't' && s.literal("true")) {
-      out.numbers_[*key] = 1.0;
+      out.numbers_[std::move(*key)] = 1.0;
     } else if (c == 'f' && s.literal("false")) {
-      out.numbers_[*key] = 0.0;
+      out.numbers_[std::move(*key)] = 0.0;
     } else if (c == 'n' && s.literal("null")) {
-      out.numbers_[*key] = std::nan("");
+      out.numbers_[std::move(*key)] = std::nan("");
     } else if (c == '[') {
       s.consume('[');
       std::vector<double> values;
@@ -221,11 +276,11 @@ std::optional<FlatJson> FlatJson::parse(const std::string& text) {
           if (!s.consume(',')) return std::nullopt;
         }
       }
-      out.arrays_[*key] = std::move(values);
+      out.arrays_[std::move(*key)] = std::move(values);
     } else {
       const auto v = s.parse_number();
       if (!v) return std::nullopt;
-      out.numbers_[*key] = *v;
+      out.numbers_[std::move(*key)] = *v;
     }
     if (s.consume('}')) break;
     if (!s.consume(',')) return std::nullopt;

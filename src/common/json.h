@@ -10,7 +10,7 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 namespace bcn {
@@ -26,7 +26,7 @@ class JsonWriter {
   // Array of numbers, e.g. per-run wall clocks.
   void add(const std::string& key, const std::vector<double>& values);
 
-  std::size_t size() const { return fields_.size(); }
+  std::size_t size() const { return size_; }
 
   // One pretty-printed object, one "key": value per line.
   std::string to_string() const;
@@ -45,7 +45,14 @@ class JsonWriter {
   static std::string format(double v);
 
  private:
-  std::vector<std::pair<std::string, std::string>> fields_;  // key -> raw
+  // Appends the separator and "key": of a new field.
+  void begin_field(const std::string& key);
+  static void append_quoted(std::string& out, std::string_view s);
+  static void append_number(std::string& out, double v);
+
+  // The fields in wire form: "key":raw pairs joined by ','.
+  std::string members_;
+  std::size_t size_ = 0;
 };
 
 // Reader for the flat artifact objects JsonWriter produces (RUN_*.json,

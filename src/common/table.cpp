@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
+
+#include "common/format.h"
 
 namespace bcn {
 
@@ -23,9 +24,9 @@ void TablePrinter::add_row_numeric(const std::vector<double>& values,
 }
 
 std::string TablePrinter::format(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*g", precision, v);
-  return buf;
+  std::string out;
+  append_g(out, v, precision);
+  return out;
 }
 
 std::string TablePrinter::to_string(const std::string& title) const {

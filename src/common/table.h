@@ -20,6 +20,7 @@ class TablePrinter {
   // its own line when non-empty.
   std::string to_string(const std::string& title = "") const;
 
+  // printf's "%.<precision>g" text of v (1 <= precision <= 17).
   static std::string format(double v, int precision = 6);
 
  private:

@@ -45,13 +45,30 @@ void BcnParams::require_valid() const {
 }
 
 std::string BcnParams::describe() const {
-  return strf(
-      "BCN params: N=%g C=%g bits/s q0=%g B=%g qsc=%g | w=%g pm=%g | "
-      "Gi=%g Gd=%g Ru=%g | derived a=%g b=%g k=%g (4/k^2=%g) | "
-      "Theorem1 buffer=%g (%s)",
-      num_sources, capacity, q0, buffer, qsc, w, pm, gi, gd, ru, a(), b(),
-      k(), spiral_threshold(), theorem1_required_buffer(),
-      satisfies_theorem1() ? "satisfied" : "violated");
+  // "label%g" pieces, appended through the number writer.
+  std::string out;
+  out.reserve(320);
+  const auto num = [&out](const char* label, double v) {
+    out += label;
+    append_g(out, v);
+  };
+  num("BCN params: N=", num_sources);
+  num(" C=", capacity);
+  num(" bits/s q0=", q0);
+  num(" B=", buffer);
+  num(" qsc=", qsc);
+  num(" | w=", w);
+  num(" pm=", pm);
+  num(" | Gi=", gi);
+  num(" Gd=", gd);
+  num(" Ru=", ru);
+  num(" | derived a=", a());
+  num(" b=", b());
+  num(" k=", k());
+  num(" (4/k^2=", spiral_threshold());
+  num(") | Theorem1 buffer=", theorem1_required_buffer());
+  out += satisfies_theorem1() ? " (satisfied)" : " (violated)";
+  return out;
 }
 
 BcnParams BcnParams::standard_draft() {

@@ -26,15 +26,22 @@ double region_time_scale(const control::SecondOrderSystem& sys) {
 }  // namespace
 
 std::string StabilityReport::summary() const {
-  return strf(
-      "%s | predicted overshoot max(x)=%.6g, undershoot min(x)=%.6g | "
-      "Proposition %d: %s | Theorem 1: required B=%.6g -> %s | baseline: %s",
-      to_string(classification.paper_case).c_str(), predicted_max_x,
-      predicted_min_x, proposition,
-      proposition_satisfied ? "strongly stable" : "NOT strongly stable",
-      theorem1_required_buffer,
-      theorem1_satisfied ? "satisfied" : "violated",
-      baseline.declared_stable ? "stable" : "unstable");
+  std::string out;
+  out.reserve(256);
+  out += to_string(classification.paper_case);
+  out += " | predicted overshoot max(x)=";
+  append_g(out, predicted_max_x);
+  out += ", undershoot min(x)=";
+  append_g(out, predicted_min_x);
+  out += " | Proposition ";
+  out += std::to_string(proposition);
+  out += proposition_satisfied ? ": strongly stable" : ": NOT strongly stable";
+  out += " | Theorem 1: required B=";
+  append_g(out, theorem1_required_buffer);
+  out += theorem1_satisfied ? " -> satisfied" : " -> violated";
+  out += baseline.declared_stable ? " | baseline: stable"
+                                  : " | baseline: unstable";
+  return out;
 }
 
 StabilityReport analyze_stability(const BcnParams& params) {

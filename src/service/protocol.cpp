@@ -1,6 +1,7 @@
 #include "service/protocol.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <vector>
 
@@ -97,26 +98,38 @@ const FieldSpec* find_field(const OpSpec& spec, const std::string& name) {
 // Both cache_key() and execute() go through these, so the key always
 // describes exactly the computation that would run on a miss.
 
-double canon_number(const FlatJson& fields, const char* name,
-                    double fallback) {
-  const auto v = fields.number(name);
-  return quantize(v.value_or(fallback));
-}
-
 struct GainTuple {
   std::string mechanism;
   double a, b, k, q0, B;
 };
 
+// The standard draft's gains, quantized once: the defaults of every
+// analytic op.
+const GainTuple& draft_gains() {
+  static const GainTuple draft = [] {
+    const core::BcnParams d = core::BcnParams::standard_draft();
+    return GainTuple{"bcn",           quantize(d.a()), quantize(d.b()),
+                     quantize(d.k()), quantize(d.q0),  quantize(d.buffer)};
+  }();
+  return draft;
+}
+
+// A field's quantized value, or its (already quantized) default.
+double canon_number(const FlatJson& fields, const char* name,
+                    double quantized_default) {
+  const auto v = fields.number(name);
+  return v ? quantize(*v) : quantized_default;
+}
+
 GainTuple gain_tuple(const FlatJson& fields) {
-  const core::BcnParams d = core::BcnParams::standard_draft();
+  const GainTuple& d = draft_gains();
   GainTuple t;
-  t.mechanism = fields.string_value("mechanism").value_or("bcn");
-  t.a = canon_number(fields, "a", d.a());
-  t.b = canon_number(fields, "b", d.b());
-  t.k = canon_number(fields, "k", d.k());
+  t.mechanism = fields.string_value("mechanism").value_or(d.mechanism);
+  t.a = canon_number(fields, "a", d.a);
+  t.b = canon_number(fields, "b", d.b);
+  t.k = canon_number(fields, "k", d.k);
   t.q0 = canon_number(fields, "q0", d.q0);
-  t.B = canon_number(fields, "B", d.buffer);
+  t.B = canon_number(fields, "B", d.B);
   return t;
 }
 
@@ -127,18 +140,18 @@ struct MapTuple {
 };
 
 MapTuple map_tuple(const FlatJson& fields) {
-  const core::BcnParams d = core::BcnParams::standard_draft();
+  const GainTuple& d = draft_gains();
   MapTuple t;
   t.mechanism = fields.string_value("mechanism").value_or("bcn");
   t.level = fields.string_value("level").value_or("linearized");
   t.mode = fields.string_value("mode").value_or("batch");
-  t.a_min = canon_number(fields, "a_min", 1e8);
-  t.a_max = canon_number(fields, "a_max", 1e10);
-  t.b_min = canon_number(fields, "b_min", 1e-3);
-  t.b_max = canon_number(fields, "b_max", 1e-1);
-  t.k = canon_number(fields, "k", d.k());
+  t.a_min = canon_number(fields, "a_min", quantize(1e8));
+  t.a_max = canon_number(fields, "a_max", quantize(1e10));
+  t.b_min = canon_number(fields, "b_min", quantize(1e-3));
+  t.b_max = canon_number(fields, "b_max", quantize(1e-1));
+  t.k = canon_number(fields, "k", d.k);
   t.q0 = canon_number(fields, "q0", d.q0);
-  t.B = canon_number(fields, "B", d.buffer);
+  t.B = canon_number(fields, "B", d.B);
   const double grid = fields.number("grid").value_or(16.0);
   t.grid = static_cast<int>(
       std::clamp(std::llround(grid), 2LL, 64LL));
@@ -179,6 +192,25 @@ SvgTuple svg_tuple(const FlatJson& fields) {
 }
 
 // --- shared helpers --------------------------------------------------------
+
+// Appends body with the id spliced in as its first field.
+void append_with_id(std::string& out, const std::optional<std::int64_t>& id,
+                    const std::string& body) {
+  if (!id || body.empty() || body.front() != '{') {
+    out += body;
+    return;
+  }
+  char digits[24];
+  out += "{\"id\":";
+  out.append(digits,
+             std::to_chars(digits, digits + sizeof(digits), *id).ptr);
+  if (body.size() > 2) {
+    out += ',';
+    out.append(body, 1, std::string::npos);
+  } else {
+    out += '}';
+  }
+}
 
 ExecResult error_result(const char* code, const std::string& message) {
   return {error_response(code, message), /*cacheable=*/false, /*error=*/true};
@@ -489,7 +521,7 @@ core::BcnParams canonical_plant(double a, double b, double k, double q0,
 
 std::optional<Request> parse_request(const std::string& line,
                                      std::string* error_response_out) {
-  const auto parsed = FlatJson::parse(line);
+  auto parsed = FlatJson::parse(line);
   if (!parsed) {
     *error_response_out =
         error_response("parse", "request is not a flat JSON object");
@@ -537,37 +569,56 @@ std::optional<Request> parse_request(const std::string& line,
     return fail("array fields are not part of the request schema");
   }
   request.op = *op;
-  request.fields = *parsed;
+  request.fields = std::move(*parsed);
   return request;
 }
 
 std::string cache_key(const Request& request) {
-  const auto gains_part = [](const GainTuple& t) {
-    return t.mechanism + "|" + quantize_key(t.a) + "|" + quantize_key(t.b) +
-           "|" + quantize_key(t.k) + "|" + quantize_key(t.q0) + "|" +
-           quantize_key(t.B);
+  std::string key;
+  key.reserve(128);
+  const auto num = [&key](double v) {
+    key += '|';
+    append_quantize_key(key, v);
+  };
+  const auto gains = [&key, &num](const GainTuple& t) {
+    key += t.mechanism;
+    for (const double v : {t.a, t.b, t.k, t.q0, t.B}) num(v);
   };
   if (request.op == "verdict") {
-    return "verdict|" + gains_part(gain_tuple(request.fields));
-  }
-  if (request.op == "stability_map") {
+    key += "verdict|";
+    gains(gain_tuple(request.fields));
+  } else if (request.op == "stability_map") {
     const MapTuple t = map_tuple(request.fields);
-    return "map|" + t.mechanism + "|" + t.level + "|" + t.mode + "|" +
-           std::to_string(t.grid) + "|" + quantize_key(t.a_min) + "|" +
-           quantize_key(t.a_max) + "|" + quantize_key(t.b_min) + "|" +
-           quantize_key(t.b_max) + "|" + quantize_key(t.k) + "|" +
-           quantize_key(t.q0) + "|" + quantize_key(t.B);
-  }
-  if (request.op == "crossval") {
+    key += "map|";
+    key += t.mechanism;
+    key += '|';
+    key += t.level;
+    key += '|';
+    key += t.mode;
+    key += '|';
+    key += std::to_string(t.grid);
+    for (const double v :
+         {t.a_min, t.a_max, t.b_min, t.b_max, t.k, t.q0, t.B}) {
+      num(v);
+    }
+  } else if (request.op == "crossval") {
     const CrossvalTuple t = crossval_tuple(request.fields);
-    return "crossval|" + gains_part(t.gains) + "|" + quantize_key(t.duration);
-  }
-  if (request.op == "svg_plot") {
+    key += "crossval|";
+    gains(t.gains);
+    num(t.duration);
+  } else if (request.op == "svg_plot") {
     const SvgTuple t = svg_tuple(request.fields);
-    return "svg|" + gains_part(t.gains) + "|" + quantize_key(t.duration) +
-           "|" + std::to_string(t.width) + "|" + std::to_string(t.height);
+    key += "svg|";
+    gains(t.gains);
+    num(t.duration);
+    key += '|';
+    key += std::to_string(t.width);
+    key += '|';
+    key += std::to_string(t.height);
+  } else {
+    return {};  // ping / stats / shutdown: answered inline, never cached
   }
-  return {};  // ping / stats / shutdown: answered inline, never cached
+  return key;
 }
 
 ExecResult execute(const Request& request, const ServiceOptions& options,
@@ -597,14 +648,18 @@ ExecResult execute(const Request& request, const ServiceOptions& options,
 
 std::string attach_id(const std::optional<std::int64_t>& id,
                       const std::string& body) {
-  if (!id || body.empty() || body.front() != '{') return body;
-  std::string out = "{\"id\":" + std::to_string(*id);
-  if (body.size() > 2) {
-    out += ",";
-    out.append(body, 1, std::string::npos);
-  } else {
-    out += "}";
-  }
+  std::string out;
+  out.reserve(body.size() + 32);
+  append_with_id(out, id, body);
+  return out;
+}
+
+std::string response_line(const std::optional<std::int64_t>& id,
+                          const std::string& body) {
+  std::string out;
+  out.reserve(body.size() + 32);
+  append_with_id(out, id, body);
+  out += '\n';
   return out;
 }
 

@@ -71,6 +71,11 @@ ExecResult execute(const Request& request, const ServiceOptions& options,
 std::string attach_id(const std::optional<std::int64_t>& id,
                       const std::string& body);
 
+// attach_id(id, body) and the closing newline: the line the server
+// sends, built in one allocation.
+std::string response_line(const std::optional<std::int64_t>& id,
+                          const std::string& body);
+
 // One-line error response body: {"error":code,"message":...}.
 std::string error_response(const char* code, const std::string& message);
 

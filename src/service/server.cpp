@@ -161,13 +161,11 @@ void ServiceServer::accept_loop() {
   }
 }
 
-bool ServiceServer::write_line(int fd, const std::string& body) {
-  std::string out = body;
-  out += '\n';
+bool ServiceServer::send_line(int fd, const std::string& line) {
   std::size_t sent = 0;
-  while (sent < out.size()) {
+  while (sent < line.size()) {
     const ssize_t n =
-        ::send(fd, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
+        ::send(fd, line.data() + sent, line.size() - sent, MSG_NOSIGNAL);
     if (n <= 0) return false;
     sent += static_cast<std::size_t>(n);
   }
@@ -176,24 +174,31 @@ bool ServiceServer::write_line(int fd, const std::string& body) {
 
 void ServiceServer::reader_loop(Connection* conn) {
   std::string buffer;
+  std::string line;  // reused, so a warm reader copies lines without allocating
   char chunk[4096];
   bool alive = true;
   while (alive) {
     const ssize_t n = ::read(conn->fd, chunk, sizeof(chunk));
     if (n <= 0) break;
     buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t pos;
-    while (alive && (pos = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, pos);
-      buffer.erase(0, pos + 1);
+    // Walk the complete lines by offset; erase them once per read.
+    std::size_t begin = 0;
+    while (alive) {
+      const std::size_t end = buffer.find('\n', begin);
+      if (end == std::string::npos) break;
+      line.assign(buffer, begin, end - begin);
+      begin = end + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
-      handle_line(conn, std::move(line));
+      handle_line(conn, line);
       if (stopping_.load(std::memory_order_acquire)) alive = false;
     }
+    buffer.erase(0, begin);
     if (buffer.size() > kMaxLineBytes) {
       errors_->inc();
-      write_line(conn->fd, error_response("parse", "request line too long"));
+      const std::string error =
+          error_response("parse", "request line too long");
+      send_line(conn->fd, response_line(std::nullopt, error));
       ::shutdown(conn->fd, SHUT_RDWR);  // the peer reads EOF next
       break;
     }
@@ -204,12 +209,13 @@ void ServiceServer::reader_loop(Connection* conn) {
   conn->done.store(true, std::memory_order_release);
 }
 
-void ServiceServer::handle_line(Connection* conn, std::string line) {
+void ServiceServer::handle_line(Connection* conn, const std::string& line) {
   std::string parse_error;
   auto request = parse_request(line, &parse_error);
   if (!request) {
     errors_->inc();
-    write_line(conn->fd, parse_error);
+    parse_error += '\n';
+    send_line(conn->fd, parse_error);
     return;
   }
   requests_->inc();
@@ -220,19 +226,19 @@ void ServiceServer::handle_line(Connection* conn, std::string line) {
   const std::string key = cache_key(*request);
   if (key.empty()) {
     const ExecResult result = execute(*request, options_, &metrics_);
-    write_line(conn->fd, attach_id(request->id, result.body));
+    send_line(conn->fd, response_line(request->id, result.body));
     if (request->op == "shutdown") request_shutdown();
     return;
   }
 
-  if (auto cached = cache_->get(key)) {
-    write_line(conn->fd, attach_id(request->id, *cached));
+  if (const auto cached = cache_->get(key)) {
+    send_line(conn->fd, response_line(request->id, *cached));
     return;
   }
 
   const auto flight = resolve_miss(*request, key);
   if (flight->error) errors_->inc();
-  write_line(conn->fd, attach_id(request->id, flight->body));
+  send_line(conn->fd, response_line(request->id, flight->body));
 }
 
 // --- single flight ----------------------------------------------------------

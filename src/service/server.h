@@ -106,10 +106,11 @@ class ServiceServer {
 
   void accept_loop();
   void reader_loop(Connection* conn);
-  void handle_line(Connection* conn, std::string line);
+  void handle_line(Connection* conn, const std::string& line);
   std::shared_ptr<Flight> resolve_miss(const Request& request,
                                        const std::string& key);
-  static bool write_line(int fd, const std::string& body);
+  // Sends `line`, newline included, in full.
+  static bool send_line(int fd, const std::string& line);
 
   ServiceConfig config_;
   ServiceOptions options_;

@@ -2,24 +2,13 @@
 
 #include <charconv>
 
+#include "common/format.h"
+
 namespace bcn::service {
 
-namespace {
-
-// Writes the characters "%.12g" prints for v into buf and returns their
-// end.  std::to_chars at general precision 12 is specified to print what
-// printf prints in the C locale, without parsing a format.
-char* print_12g(double v, char (&buf)[32]) {
-  return std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
-                       12)
-      .ptr;
-}
-
-}  // namespace
-
 double quantize(double v) {
-  char buf[32];
-  const char* end = print_12g(v, buf);
+  char buf[kGChars];
+  const char* end = to_chars_g(buf, v, 12);
   // Both from_chars and strtod round to nearest.
   double out = 0.0;
   std::from_chars(buf, end, out);
@@ -27,9 +16,12 @@ double quantize(double v) {
 }
 
 std::string quantize_key(double v) {
-  char buf[32];
-  return std::string(buf, print_12g(v, buf));
+  std::string out;
+  append_quantize_key(out, v);
+  return out;
 }
+
+void append_quantize_key(std::string& out, double v) { append_g(out, v, 12); }
 
 VerdictCache::VerdictCache(const Config& config,
                            obs::MetricsRegistry* metrics)

@@ -41,6 +41,9 @@ double quantize(double v);
 // collide exactly when they quantize to the same double.
 std::string quantize_key(double v);
 
+// Appends quantize_key(v) to `out`.
+void append_quantize_key(std::string& out, double v);
+
 class VerdictCache {
  public:
   struct Config {

@@ -49,6 +49,86 @@ TEST(JsonWriterTest, DoubleFormatRoundTripsAndHandlesNonFinite) {
   EXPECT_EQ(JsonWriter::format(2.0), "2");
 }
 
+// Every byte below 0x80 and a UTF-8 sequence, as key and as value: the
+// escapes JsonWriter writes, in both layouts, and back through FlatJson.
+TEST(JsonWriterTest, LinesHoldingEveryEscapeRoundTrip) {
+  std::string all;
+  for (int c = 1; c < 0x80; ++c) all += static_cast<char>(c);
+  all += "\xc2\xb5s";  // "µs"
+  std::string escaped = "\"";
+  for (int c = 1; c < 0x20; ++c) {
+    if (c == '\n') {
+      escaped += "\\n";
+    } else if (c == '\r') {
+      escaped += "\\r";
+    } else if (c == '\t') {
+      escaped += "\\t";
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      escaped += buf;
+    }
+  }
+  for (int c = 0x20; c < 0x80; ++c) {
+    if (c == '"' || c == '\\') escaped += '\\';
+    escaped += static_cast<char>(c);
+  }
+  escaped += "\xc2\xb5s\"";
+  EXPECT_EQ(JsonWriter::quote(all), escaped);
+
+  JsonWriter w;
+  w.add(all, all);
+  w.add("k:,[", "v\":,[]");
+  w.add("walls", std::vector<double>{0.5, -1.25});
+  w.add("none", std::vector<double>{});
+  w.add("n", std::int64_t{-9007199254740993});
+  w.add("nan", std::nan(""));
+  const std::string members = escaped + ":" + escaped +
+                              ",\"k:,[\":\"v\\\":,[]\"," +
+                              "\"walls\":[0.5, -1.25],\"none\":[]," +
+                              "\"n\":-9007199254740993,\"nan\":null";
+  EXPECT_EQ(w.to_line(), "{" + members + "}");
+  EXPECT_EQ(w.to_string(), "{\n  " + escaped + ": " + escaped +
+                               ",\n  \"k:,[\": \"v\\\":,[]\",\n"
+                               "  \"walls\": [0.5, -1.25],\n"
+                               "  \"none\": [],\n"
+                               "  \"n\": -9007199254740993,\n"
+                               "  \"nan\": null\n}\n");
+  EXPECT_EQ(w.size(), 6u);
+  EXPECT_EQ(JsonWriter().to_line(), "{}");
+  EXPECT_EQ(JsonWriter().to_string(), "{\n}\n");
+
+  const auto parsed = FlatJson::parse(w.to_line());
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->string_value(all), all);
+  EXPECT_EQ(parsed->string_value("k:,["), "v\":,[]");
+  const auto pretty = FlatJson::parse(w.to_string());
+  ASSERT_TRUE(pretty.has_value());
+  EXPECT_EQ(pretty->strings(), parsed->strings());
+  EXPECT_EQ(pretty->arrays(), parsed->arrays());
+}
+
+// Numbers print as "%.17g"; inf and nan print null.
+TEST(JsonWriterTest, NumbersMatchSnprintfAtSeventeenDigits) {
+  for (const double v :
+       {0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+        -1.7976931348623157e308, 9007199254740991.0, 0.1, 1e-5, 0.0001,
+        123456789.5, 1.6e9, 1.0 / 128.0, 2.5}) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    EXPECT_EQ(JsonWriter::format(v), buf);
+    JsonWriter w;
+    w.add("v", v);
+    EXPECT_EQ(w.to_line(), std::string("{\"v\":") + buf + "}");
+  }
+  for (const double v : {std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN(),
+                         -std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(JsonWriter::format(v), "null");
+  }
+}
+
 TEST(JsonWriterTest, NumberArray) {
   JsonWriter w;
   w.add("walls", std::vector<double>{0.5, 1.25});
@@ -95,9 +175,11 @@ TEST(FlatJsonTest, RoundTripsWhatJsonWriterEmits) {
 TEST(FlatJsonTest, ParsesEscapesScientificNotationAndNull) {
   const auto parsed = FlatJson::parse(
       "{\"msg\": \"a\\\"b\\\\c\\nd\", \"tiny\": 1.5e-9, \"neg\": -2E3, "
-      "\"gone\": null}");
+      "\"gone\": null, \"ascii\": \"b\\u0063n\\u004A\\u007f\\u001f\\u0000\"}");
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->string_value("msg"), "a\"b\\c\nd");
+  EXPECT_EQ(parsed->string_value("ascii"),
+            std::string("bcnJ\x7f\x1f\0", 7));
   EXPECT_EQ(parsed->number("tiny"), 1.5e-9);
   EXPECT_EQ(parsed->number("neg"), -2000.0);
   // null parses as NaN: present but not a usable number.
@@ -114,6 +196,15 @@ TEST(FlatJsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(FlatJson::parse("[1, 2]").has_value());
   // Nested objects are out of scope by design.
   EXPECT_FALSE(FlatJson::parse("{\"k\": {\"nested\": 1}}").has_value());
+  // \u takes exactly four hex digits naming a code point below 0x80: no
+  // prefix, sign or space, nothing short, nothing wider.
+  for (const char* escape :
+       {"b\\u0x63n", "b\\u-09Fn", "b\\u+063n", "b\\u 063n", "bc\\uzzzzn",
+        "b\\u0163n", "\\u0080", "\\uFFFF", "\\u006", "\\u00", "\\u"}) {
+    EXPECT_FALSE(FlatJson::parse(std::string("{\"k\": \"") + escape + "\"}")
+                     .has_value())
+        << escape;
+  }
 }
 
 TEST(FlatJsonTest, LoadReadsFilesAndFailsCleanly) {

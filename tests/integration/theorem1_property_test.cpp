@@ -3,6 +3,7 @@
 // model it was derived for, and empirically also on the nonlinear model,
 // whose overshoot we always observed below the linearized one.
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -32,6 +33,13 @@ struct SweepParam {
   std::uint64_t seed;
   int trials;
 };
+
+// gtest prints a parameter without a PrintTo as its bytes, padding
+// included, which differ from build to build; ctest names each case by
+// this text.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << "seed" << p.seed << "_trials" << p.trials;
+}
 
 class Theorem1Sweep : public ::testing::TestWithParam<SweepParam> {};
 

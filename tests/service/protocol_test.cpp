@@ -79,6 +79,33 @@ TEST(ParseRequest, RejectsBadIdsAndEchoesGoodOnes) {
   EXPECT_EQ(error.rfind("{\"id\":9,", 0), 0u) << error;
 }
 
+// The number grammar is strtod's, as it always was: a sign, a leading
+// point and hex are taken; what overflows to inf is refused as
+// non-finite.  A \u escape must name an ASCII code point in four hex
+// digits, or the line is not JSON.
+TEST(ParseRequest, PinsTheNumberGrammarAndStrictUnicodeEscapes) {
+  const Request signed_a = must_parse("{\"op\":\"verdict\",\"a\":+5e8}");
+  EXPECT_EQ(signed_a.fields.number("a"), 5e8);
+  const Request point_a = must_parse("{\"op\":\"verdict\",\"a\":.5e9}");
+  EXPECT_EQ(point_a.fields.number("a"), 5e8);
+  const Request hex_b = must_parse("{\"op\":\"verdict\",\"b\":0x10}");
+  EXPECT_EQ(hex_b.fields.number("b"), 16.0);
+  EXPECT_NE(parse_error("{\"op\":\"verdict\",\"a\":1e999}")
+                .find("field 'a' must be finite"),
+            std::string::npos);
+
+  EXPECT_EQ(cache_key(must_parse(
+                "{\"op\":\"verdict\",\"mechanism\":\"b\\u0063n\"}")),
+            cache_key(must_parse("{\"op\":\"verdict\"}")));
+  for (const char* name :
+       {"b\\u0x63n", "b\\u0163n", "b\\u-09Fn", "bc\\uzzzzn"}) {
+    const std::string line =
+        std::string("{\"op\":\"verdict\",\"mechanism\":\"") + name + "\"}";
+    EXPECT_NE(parse_error(line).find("\"parse\""), std::string::npos)
+        << name;
+  }
+}
+
 // --- id splicing ------------------------------------------------------------
 
 TEST(AttachId, SplicesWithoutReserialization) {
@@ -86,6 +113,18 @@ TEST(AttachId, SplicesWithoutReserialization) {
             "{\"id\":7,\"op\":\"ping\",\"ok\":true}");
   EXPECT_EQ(attach_id(7, "{}"), "{\"id\":7}");
   EXPECT_EQ(attach_id(std::nullopt, "{\"op\":\"ping\"}"), "{\"op\":\"ping\"}");
+  EXPECT_EQ(attach_id(-12, "not an object"), "not an object");
+}
+
+TEST(AttachId, ResponseLineIsTheSplicedBodyAndANewline) {
+  for (const std::optional<std::int64_t> id :
+       {std::optional<std::int64_t>{}, std::optional<std::int64_t>{7},
+        std::optional<std::int64_t>{-9007199254740991}}) {
+    for (const std::string body :
+         {"{\"op\":\"ping\",\"ok\":true}", "{}", "", "x"}) {
+      EXPECT_EQ(response_line(id, body), attach_id(id, body) + "\n");
+    }
+  }
 }
 
 // --- cache keys -------------------------------------------------------------

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <latch>
 #include <map>
@@ -47,6 +48,39 @@ class ServerTest : public ::testing::Test {
   std::uint64_t counter(const std::string& name) {
     const auto* c = server_->metrics().find_counter(name);
     return c ? c->value() : 0;
+  }
+
+  // A raw socket: LineClient always terminates what it sends.
+  int connect_raw() {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(server_->port()));
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    EXPECT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    return fd;
+  }
+
+  static void write_all(int fd, const std::string& bytes) {
+    for (std::size_t sent = 0; sent < bytes.size();) {
+      const ssize_t n = ::write(fd, bytes.data() + sent, bytes.size() - sent);
+      ASSERT_GT(n, 0);
+      sent += static_cast<std::size_t>(n);
+    }
+  }
+
+  // Reads until `lines` newlines have arrived, or EOF.
+  static std::string read_lines(int fd, int lines) {
+    std::string reply;
+    char chunk[256];
+    while (std::count(reply.begin(), reply.end(), '\n') < lines) {
+      const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+      if (n <= 0) break;
+      reply.append(chunk, static_cast<std::size_t>(n));
+    }
+    return reply;
   }
 
   std::unique_ptr<ServiceServer> server_;
@@ -246,28 +280,35 @@ TEST_F(ServerTest, ShutdownOpUnblocksWaitAndStopIsIdempotent) {
   EXPECT_FALSE(refused.connect_to("127.0.0.1", server_->port()));
 }
 
+// The reader walks each read by offset: several lines in one write, CRLF
+// and empty lines, and a line split across two writes each answer once,
+// in order.
+TEST_F(ServerTest, ReaderSplitsLinesWithinAndAcrossReads) {
+  start();
+  const int fd = connect_raw();
+  write_all(fd,
+            "{\"op\":\"ping\",\"id\":1}\r\n\n\r\n{\"op\":\"ping\",\"id\":2}\n"
+            "{\"op\":\"pi");
+  // Both answers arrive before the third line's rest is sent.
+  std::string reply = read_lines(fd, 2);
+  write_all(fd, "ng\",\"id\":3}\n");
+  reply += read_lines(fd, 1);
+  ::close(fd);
+  EXPECT_EQ(reply,
+            "{\"id\":1,\"op\":\"ping\",\"ok\":true}\n"
+            "{\"id\":2,\"op\":\"ping\",\"ok\":true}\n"
+            "{\"id\":3,\"op\":\"ping\",\"ok\":true}\n");
+  EXPECT_EQ(counter("service.requests"), 3u);
+  EXPECT_EQ(counter("service.errors"), 0u);
+  server_->stop();
+}
+
 TEST_F(ServerTest, OverlongRequestLineIsRejectedAndCutOff) {
   start();
-  // A raw socket: LineClient always terminates what it sends.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(server_->port()));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  const std::string line((1 << 20) + 1, 'x');  // 1 MiB + 1, no newline
-  for (std::size_t sent = 0; sent < line.size();) {
-    const ssize_t n = ::write(fd, line.data() + sent, line.size() - sent);
-    ASSERT_GT(n, 0);
-    sent += static_cast<std::size_t>(n);
-  }
-  std::string reply;
-  char chunk[256];
-  for (ssize_t n; (n = ::read(fd, chunk, sizeof(chunk))) > 0;) {
-    reply.append(chunk, static_cast<std::size_t>(n));
-  }  // read() returning 0 is the EOF the server owes us
+  const int fd = connect_raw();
+  write_all(fd, std::string((1 << 20) + 1, 'x'));  // 1 MiB + 1, no newline
+  // read() returning 0 is the EOF the server owes us.
+  const std::string reply = read_lines(fd, 2);
   ::close(fd);
   ASSERT_FALSE(reply.empty());
   EXPECT_EQ(reply.back(), '\n');

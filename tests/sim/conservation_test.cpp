@@ -2,8 +2,8 @@
 // destroyed except by explicit drops, and byte accounting balances.  Run
 // across every registered mechanism: the invariants are properties of the
 // switch/source plumbing, not of any one feedback policy.
+#include <ostream>
 #include <string>
-#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -27,8 +27,18 @@ NetworkConfig busy_config(const std::string& mechanism, double init_rate) {
   return cfg;
 }
 
-class ConservationTest
-    : public ::testing::TestWithParam<std::pair<const char*, double>> {};
+struct Load {
+  const char* mechanism;
+  double rate;  // initial per-source rate [bit/s]
+};
+
+// Without a PrintTo gtest prints the name's pointer, and ctest names each
+// case by that text.
+void PrintTo(const Load& load, std::ostream* os) {
+  *os << load.mechanism << "_rate" << load.rate;
+}
+
+class ConservationTest : public ::testing::TestWithParam<Load> {};
 
 TEST_P(ConservationTest, FramesBalance) {
   const auto [mechanism, rate] = GetParam();
@@ -69,10 +79,10 @@ TEST_P(ConservationTest, ThroughputNeverExceedsCapacity) {
 
 INSTANTIATE_TEST_SUITE_P(
     MechanismsAndLoads, ConservationTest,
-    ::testing::Values(std::pair{"bcn", 3e9}, std::pair{"bcn-draft", 3e9},
-                      std::pair{"qcn", 3e9}, std::pair{"fera", 3e9},
-                      std::pair{"rcp", 3e9}, std::pair{"bcn", 0.5e9},
-                      std::pair{"qcn", 9e9}, std::pair{"rcp", 0.5e9}));
+    ::testing::Values(Load{"bcn", 3e9}, Load{"bcn-draft", 3e9},
+                      Load{"qcn", 3e9}, Load{"fera", 3e9}, Load{"rcp", 3e9},
+                      Load{"bcn", 0.5e9}, Load{"qcn", 9e9},
+                      Load{"rcp", 0.5e9}));
 
 }  // namespace
 }  // namespace bcn::sim
