@@ -14,7 +14,6 @@
 #include "common/csv.h"
 #include "common/format.h"
 #include "common/table.h"
-#include "control/routh_hurwitz.h"
 #include "core/mechanism.h"
 #include "core/stability.h"
 #include "exec/parallel_for.h"

@@ -3,8 +3,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
-cmake --build build
+cmake -B build -S .
+cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure
 
 # Sweeps use all hardware threads unless the caller pins BCN_THREADS;

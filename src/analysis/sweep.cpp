@@ -6,9 +6,6 @@
 
 #include "common/format.h"
 
-#include "exec/parallel_for.h"
-#include "obs/tracing.h"
-
 namespace bcn::analysis {
 
 std::vector<double> linspace(double lo, double hi, int n) {
@@ -43,20 +40,6 @@ std::vector<double> logspace(double lo, double hi, int n) {
   out.front() = lo;  // exact endpoints: exp(log(x)) need not round-trip
   out.back() = hi;
   return out;
-}
-
-std::vector<double> sweep_values(const std::vector<double>& values,
-                                 const std::function<double(double)>& fn,
-                                 int threads) {
-  exec::ParallelForOptions opts;
-  opts.threads = threads;
-  return exec::parallel_map<double>(
-      values.size(),
-      [&](std::size_t i) {
-        obs::TraceSpan span("analysis.sweep_point", "value", values[i]);
-        return fn(values[i]);
-      },
-      opts);
 }
 
 }  // namespace bcn::analysis

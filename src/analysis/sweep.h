@@ -2,7 +2,6 @@
 // benchmark harnesses.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 namespace bcn::analysis {
@@ -17,12 +16,5 @@ std::vector<double> linspace(double lo, double hi, int n);
 // std::invalid_argument on non-positive bounds — in release builds too,
 // where the old assert would have compiled out and produced NaN axes.
 std::vector<double> logspace(double lo, double hi, int n);
-
-// Evaluates fn over every value, in parallel when threads != 1 (0 = all
-// hardware threads).  Results keep input order regardless of thread
-// count: slot i is fn(values[i]).
-std::vector<double> sweep_values(const std::vector<double>& values,
-                                 const std::function<double(double)>& fn,
-                                 int threads = 1);
 
 }  // namespace bcn::analysis

@@ -2,37 +2,17 @@
 // ("investigate the transient behaviors of BCN system and evaluate the
 // impact of parameters on the transient performance").
 //
-// Two paths, cross-checkable against each other:
-//  * measure_transient: extracts overshoot, settling time, oscillation
-//    period and envelope decay rate from a simulated trajectory;
-//  * estimate_transient: predicts cycle time and settling time in closed
-//    form from the phase-plane quantities (round durations + contraction
-//    ratio of the switched linearized system).
+// estimate_transient predicts cycle time and settling time in closed form
+// from the phase-plane quantities (round durations + contraction ratio of
+// the switched linearized system).  The tests hold it to the same metrics
+// measured on a simulated trajectory (tests/support/transient_metrics.h).
 #pragma once
 
 #include <optional>
 
 #include "core/bcn_params.h"
-#include "ode/trajectory.h"
 
 namespace bcn::analysis {
-
-struct TransientMetrics {
-  // Peak queue overshoot above the reference, normalized by q0.
-  double overshoot_ratio = 0.0;
-  // First time after which |x| stays below band * q0 for the rest of the
-  // trace; infinity when the trace never settles.
-  double settling_time = 0.0;
-  bool settled = false;
-  // Mean spacing of successive positive peaks of x.
-  std::optional<double> oscillation_period;
-  // Exponential envelope rate lambda fitted to successive |extrema|
-  // (|x_k| ~ e^{-lambda t_k}); nullopt with fewer than two extrema.
-  std::optional<double> envelope_decay_rate;
-};
-
-TransientMetrics measure_transient(const ode::Trajectory& trajectory,
-                                   double q0, double band = 0.05);
 
 struct TransientEstimate {
   double cycle_time = 0.0;         // T_i + T_d of one full oscillation

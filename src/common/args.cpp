@@ -54,10 +54,6 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
   }
 }
 
-bool ArgParser::has(const std::string& name) const {
-  return flags_.count(name) > 0;
-}
-
 std::optional<std::string> ArgParser::get(const std::string& name) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return std::nullopt;

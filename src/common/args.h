@@ -57,7 +57,6 @@ class ArgParser {
   // flag (or nothing) is treated as boolean true.
   ArgParser(int argc, const char* const* argv);
 
-  bool has(const std::string& name) const;
   std::optional<std::string> get(const std::string& name) const;
   // The flag, else environment variable `env` when given, set and
   // non-empty; nullopt when neither supplies a value.

@@ -3,7 +3,6 @@
 
 #include <filesystem>
 #include <initializer_list>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,24 +36,5 @@ class CsvWriter {
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-// Parsed CSV table (the inverse of CsvWriter, for consuming bench
-// artifacts).  Quoting rules match CsvWriter's output.
-struct CsvTable {
-  std::vector<std::string> header;
-  std::vector<std::vector<std::string>> rows;
-
-  // Column index by name; -1 when absent.
-  int column(const std::string& name) const;
-  // Numeric cell access; returns fallback for missing/unparsable cells.
-  double value(std::size_t row, int col, double fallback = 0.0) const;
-};
-
-// Parses CSV text (first line = header).  Handles quoted cells with
-// embedded commas, quotes and newlines.
-CsvTable parse_csv(const std::string& text);
-
-// Reads and parses a CSV file; nullopt on I/O failure.
-std::optional<CsvTable> read_csv_file(const std::filesystem::path& path);
 
 }  // namespace bcn

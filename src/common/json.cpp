@@ -233,12 +233,39 @@ struct FlatScanner {
     return std::nullopt;  // unterminated
   }
 
+  bool digits() {
+    const std::size_t first = pos;
+    while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') ++pos;
+    return pos > first;
+  }
+
+  bool next_is(char c) const { return pos < text.size() && text[pos] == c; }
+
+  // RFC 8259's number, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+  // converted by strtod: no nan, inf, hex or leading '+' or '.'.  A
+  // magnitude past DBL_MAX still converts, to inf.
   std::optional<double> parse_number() {
     skip_ws();
+    const std::size_t first = pos;
+    if (next_is('-')) ++pos;
+    if (next_is('0')) {
+      ++pos;
+    } else if (!digits()) {
+      return std::nullopt;
+    }
+    if (next_is('.')) {
+      ++pos;
+      if (!digits()) return std::nullopt;
+    }
+    if (next_is('e') || next_is('E')) {
+      ++pos;
+      if (next_is('+') || next_is('-')) ++pos;
+      if (!digits()) return std::nullopt;
+    }
+    // strtod reads at least the token; more ("0x10", "01") is malformed.
     char* end = nullptr;
-    const double v = std::strtod(text.c_str() + pos, &end);
-    if (end == text.c_str() + pos) return std::nullopt;
-    pos = static_cast<std::size_t>(end - text.c_str());
+    const double v = std::strtod(text.c_str() + first, &end);
+    if (end != text.c_str() + pos) return std::nullopt;
     return v;
   }
 };

@@ -7,8 +7,6 @@
 namespace bcn {
 namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::Warn};
-
 // Monotonic seconds since the first log-clock use (process start for any
 // practical purpose: the epoch is pinned on the first log call).
 double uptime_seconds() {
@@ -23,16 +21,11 @@ const char* level_name(LogLevel level) {
     case LogLevel::Info: return "INFO";
     case LogLevel::Warn: return "WARN";
     case LogLevel::Error: return "ERROR";
-    case LogLevel::Off: return "OFF";
   }
   return "?";
 }
 
 }  // namespace
-
-void set_log_level(LogLevel level) { g_level.store(level); }
-
-LogLevel log_level() { return g_level.load(); }
 
 unsigned thread_ordinal() {
   static std::atomic<unsigned> next{0};
@@ -53,7 +46,7 @@ void log_line(LogLevel level, std::string_view message) {
 }
 
 void log(LogLevel level, const char* fmt, ...) {
-  if (level < log_level()) return;
+  if (level < LogLevel::Warn) return;
   std::va_list args;
   va_start(args, fmt);
   log_line(level, vstrf(fmt, args));

@@ -1,5 +1,5 @@
-// Tiny leveled logger.  Default level is Warn so library code is silent in
-// tests and benches unless something is wrong; tools can raise verbosity.
+// Tiny leveled logger.  Lines below Warn are dropped, so library code is
+// silent in tests and benches unless something is wrong.
 #pragma once
 
 #include <cstdint>
@@ -9,11 +9,7 @@
 
 namespace bcn {
 
-enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
-
-// Process-wide log threshold.
-void set_log_level(LogLevel level);
-LogLevel log_level();
+enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3 };
 
 // Small process-local id for the calling thread (main thread observes 0
 // when it logs first).  Stable for the thread's lifetime; used to make
@@ -26,9 +22,10 @@ unsigned thread_ordinal();
 // caller's thread_ordinal.  Exposed so tests can pin the format.
 std::string format_log_line(LogLevel level, std::string_view message);
 
-// Writes one line to stderr when `level` >= the threshold.
+// Writes one line to stderr.
 void log_line(LogLevel level, std::string_view message);
 
+// Formats and writes one line when `level` is Warn or above.
 #if defined(__GNUC__)
 __attribute__((format(printf, 2, 3)))
 #endif

@@ -1,14 +1,8 @@
 #include "common/math.h"
 
 #include <algorithm>
-#include <numbers>
 
 namespace bcn {
-
-bool approx_equal(double a, double b, double rtol, double atol) {
-  const double scale = std::max(std::abs(a), std::abs(b));
-  return std::abs(a - b) <= atol + rtol * scale;
-}
 
 double relative_error(double measured, double expected, double floor) {
   const double denom = std::max(std::abs(expected), floor);
@@ -34,13 +28,6 @@ std::array<std::complex<double>, 2> solve_monic_quadratic(double m, double n) {
   const double re = -m / 2.0;
   const double im = std::sqrt(-disc) / 2.0;
   return {std::complex<double>(re, -im), std::complex<double>(re, im)};
-}
-
-double wrap_angle(double theta) {
-  constexpr double two_pi = 2.0 * std::numbers::pi;
-  double w = std::fmod(theta, two_pi);
-  if (w < 0.0) w += two_pi;
-  return w;
 }
 
 }  // namespace bcn

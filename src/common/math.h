@@ -25,9 +25,6 @@ struct Vec2 {
 // Sign of v as -1, 0 or +1.
 inline int sign(double v) { return (v > 0.0) - (v < 0.0); }
 
-// True when |a - b| <= atol + rtol * max(|a|, |b|).
-bool approx_equal(double a, double b, double rtol = 1e-9, double atol = 1e-12);
-
 // Relative error |measured - expected| / max(|expected|, floor).
 double relative_error(double measured, double expected, double floor = 1e-30);
 
@@ -69,8 +66,5 @@ std::optional<double> bisect(const F& f, double lo, double hi,
 
 // Linear interpolation: value at fraction u in [0,1] between a and b.
 inline double lerp(double a, double b, double u) { return a + (b - a) * u; }
-
-// Wrap an angle into [0, 2*pi).
-double wrap_angle(double theta);
 
 }  // namespace bcn

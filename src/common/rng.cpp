@@ -1,7 +1,5 @@
 #include "common/rng.h"
 
-#include <cmath>
-
 namespace bcn {
 namespace {
 
@@ -58,13 +56,6 @@ bool Rng::bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform() < p;
-}
-
-double Rng::exponential(double mean) {
-  double u = uniform();
-  // Avoid log(0).
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -mean * std::log(u);
 }
 
 }  // namespace bcn

@@ -31,9 +31,6 @@ class Rng {
   // True with probability p (clamped to [0, 1]).
   bool bernoulli(double p);
 
-  // Exponentially distributed value with the given mean (> 0).
-  double exponential(double mean);
-
  private:
   std::uint64_t s_[4];
 };

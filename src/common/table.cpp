@@ -15,14 +15,6 @@ void TablePrinter::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void TablePrinter::add_row_numeric(const std::vector<double>& values,
-                                   int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (double v : values) cells.push_back(format(v, precision));
-  add_row(std::move(cells));
-}
-
 std::string TablePrinter::format(double v, int precision) {
   std::string out;
   append_g(out, v, precision);

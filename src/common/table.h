@@ -13,9 +13,6 @@ class TablePrinter {
 
   void add_row(std::vector<std::string> cells);
 
-  // Convenience: formats doubles with `precision` significant digits.
-  void add_row_numeric(const std::vector<double>& values, int precision = 6);
-
   // Renders with column-aligned cells, a header underline, and `title` on
   // its own line when non-empty.
   std::string to_string(const std::string& title = "") const;

@@ -171,11 +171,6 @@ std::optional<XExtremum> LinearSolution::first_x_extremum(double after) const {
   return std::nullopt;
 }
 
-std::optional<double> LinearSolution::first_line_crossing(double p, double q,
-                                                          double after) const {
-  return first_line_crossing(flow_.line(p, q), after);
-}
-
 std::optional<double> LinearSolution::first_line_crossing(
     const FlowLine& line, double after) const {
   const double tol = after_tolerance(after);

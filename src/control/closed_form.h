@@ -98,10 +98,8 @@ class LinearSolution {
   // zero solution).
   std::optional<XExtremum> first_x_extremum(double after = 0.0) const;
 
-  // Earliest t strictly after `after` with p x(t) + q y(t) = 0.
-  std::optional<double> first_line_crossing(double p, double q,
-                                            double after = 0.0) const;
-  // The same for a line whose constants LinearFlow::line built once.
+  // Earliest t strictly after `after` on the line p x + q y = 0 whose
+  // constants LinearFlow::line(p, q) built once.
   std::optional<double> first_line_crossing(const FlowLine& line,
                                             double after = 0.0) const;
 
@@ -131,6 +129,8 @@ class LinearSolution {
 
 // Eq. (18): time of the extremum of x closest to the initial point for the
 // spiral case.  alpha/beta as in eq. (12)'s solution.
+// Oracle for LinearSolution::first_x_extremum; its one production caller
+// is paper_spiral_extremum_value.
 double paper_spiral_extremum_time(double alpha, double beta, Vec2 z0);
 
 // Eqs. (19)/(20): value of that closest extremum (signed: positive for the
@@ -145,6 +145,7 @@ std::optional<double> paper_node_extremum_value(double lambda1, double lambda2,
                                                 Vec2 z0);
 
 // Eq. (34): unique extremum of x for the degenerate case.
+// Oracle for LinearSolution::first_x_extremum; no production caller.
 std::optional<double> paper_degenerate_extremum_value(double lambda, Vec2 z0);
 
 }  // namespace bcn::control

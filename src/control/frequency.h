@@ -26,6 +26,7 @@ struct LoopTransfer {
 };
 
 // L(j omega), optionally with a loop delay e^{-j omega tau}.
+// Oracle for the three margins below; no production caller.
 std::complex<double> loop_gain(const LoopTransfer& loop, double omega,
                                double delay = 0.0);
 
@@ -42,6 +43,7 @@ double delay_margin(const LoopTransfer& loop);
 
 // True iff the delayed subsystem loop is stable per the margin test
 // (delay < delay margin).
+// Oracle for delay_margin; no production caller.
 bool delayed_subsystem_stable(const LoopTransfer& loop, double delay);
 
 }  // namespace bcn::control

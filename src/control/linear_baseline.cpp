@@ -1,7 +1,5 @@
 #include "control/linear_baseline.h"
 
-#include "common/format.h"
-
 namespace bcn::control {
 namespace {
 
@@ -20,16 +18,6 @@ LinearBaselineReport analyze_linear_baseline(double a, double b, double k,
   report.declared_stable =
       report.increase.hurwitz_stable && report.decrease.hurwitz_stable;
   return report;
-}
-
-std::string to_string(const LinearBaselineReport& report) {
-  return strf(
-      "linear baseline [Lu et al. 2006]: increase(m=%.6g, n=%.6g) -> "
-      "%s; decrease(m=%.6g, n=%.6g) -> %s; overall: %s",
-      report.increase.m, report.increase.n,
-      to_string(report.increase.equilibrium).c_str(), report.decrease.m,
-      report.decrease.n, to_string(report.decrease.equilibrium).c_str(),
-      report.declared_stable ? "stable" : "unstable");
 }
 
 }  // namespace bcn::control

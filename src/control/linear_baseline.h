@@ -13,8 +13,6 @@
 // truth.
 #pragma once
 
-#include <string>
-
 #include "control/second_order.h"
 
 namespace bcn::control {
@@ -37,7 +35,5 @@ struct LinearBaselineReport {
 // paper's Section IV.A.
 LinearBaselineReport analyze_linear_baseline(double a, double b, double k,
                                              double capacity);
-
-std::string to_string(const LinearBaselineReport& report);
 
 }  // namespace bcn::control

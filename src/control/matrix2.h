@@ -33,6 +33,7 @@ struct Mat2 {
 };
 
 // The companion matrix of lambda^2 + m lambda + n: [[0, 1], [-n, -m]].
+// Oracle for LinearSolution (closed_form.h); no production caller.
 Mat2 companion(double m, double n);
 
 // Exact e^{M t} by Cayley-Hamilton: with mu = tr/2 and
@@ -41,6 +42,7 @@ Mat2 companion(double m, double n);
 // where (f, g) = (cosh, sinh/s)(s t) for delta = s^2 > 0,
 //                (cos, sin/s)(s t)  for delta = -s^2 < 0,
 //                (1, t)             for delta = 0.
+// Oracle for LinearSolution (closed_form.h); no production caller.
 Mat2 expm(const Mat2& m, double t);
 
 }  // namespace bcn::control

@@ -4,22 +4,6 @@
 
 namespace bcn::control {
 
-std::string to_string(EquilibriumType type) {
-  switch (type) {
-    case EquilibriumType::StableFocus: return "stable focus";
-    case EquilibriumType::UnstableFocus: return "unstable focus";
-    case EquilibriumType::Center: return "center";
-    case EquilibriumType::StableNode: return "stable node";
-    case EquilibriumType::UnstableNode: return "unstable node";
-    case EquilibriumType::DegenerateStableNode:
-      return "degenerate stable node";
-    case EquilibriumType::DegenerateUnstableNode:
-      return "degenerate unstable node";
-    case EquilibriumType::Saddle: return "saddle";
-  }
-  return "?";
-}
-
 std::array<std::complex<double>, 2> SecondOrderSystem::eigenvalues() const {
   return solve_monic_quadratic(m_, n_);
 }

@@ -11,7 +11,6 @@
 
 #include <array>
 #include <complex>
-#include <string>
 
 #include "ode/system.h"
 
@@ -28,8 +27,6 @@ enum class EquilibriumType {
   DegenerateUnstableNode,  // repeated positive eigenvalue
   Saddle,           // real eigenvalues of opposite sign
 };
-
-std::string to_string(EquilibriumType type);
 
 class SecondOrderSystem {
  public:

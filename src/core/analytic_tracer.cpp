@@ -212,19 +212,4 @@ AnalyticExtrema AnalyticTracer::extrema(const FirstRound& first,
   return out;
 }
 
-ode::Trajectory AnalyticTracer::sample(const AnalyticTrace& trace,
-                                       int points_per_round,
-                                       double tail_time) const {
-  ode::Trajectory out;
-  const int n = std::max(2, points_per_round);
-  for (const auto& round : trace.rounds) {
-    const double span = round.duration.value_or(tail_time);
-    for (int i = 0; i < n; ++i) {
-      const double local = span * static_cast<double>(i) / (n - 1);
-      out.push_back(round.t_start + local, round.solution.eval(local));
-    }
-  }
-  return out;
-}
-
 }  // namespace bcn::core

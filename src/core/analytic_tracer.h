@@ -25,7 +25,6 @@
 #include "control/closed_form.h"
 #include "core/classifier.h"
 #include "core/fluid_model.h"
-#include "ode/trajectory.h"
 
 namespace bcn::core {
 
@@ -118,13 +117,6 @@ class AnalyticTracer {
   FirstRound first_round() const;
   AnalyticExtrema extrema(const FirstRound& first,
                           const AnalyticTracer& column) const;
-
-  // Samples the closed-form trace into a polyline for plotting /
-  // cross-validation against numeric integration.  `points_per_round`
-  // samples are placed uniformly in time inside each round; open-ended
-  // final rounds are sampled over `tail_time` seconds.
-  ode::Trajectory sample(const AnalyticTrace& trace, int points_per_round,
-                         double tail_time) const;
 
   const BcnParams& params() const { return params_; }
 

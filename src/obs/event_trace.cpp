@@ -85,10 +85,6 @@ CsvWriter build_csv(const std::vector<TraceEvent>& events) {
 
 }  // namespace
 
-std::string EventTrace::to_csv() const {
-  return build_csv(in_order()).to_string();
-}
-
 bool EventTrace::write_csv(const std::filesystem::path& path) const {
   return build_csv(in_order()).write_file(path);
 }

@@ -89,7 +89,6 @@ class EventTrace {
   // (stable over recording order, so same-instant events keep it).
   // PauseOff expiries are recorded with their future timestamp, hence
   // the sort.
-  std::string to_csv() const;
   bool write_csv(const std::filesystem::path& path) const;
 
  private:

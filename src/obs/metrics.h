@@ -88,8 +88,6 @@ class MetricsRegistry {
                        std::vector<double> upper_bounds);
 
   const Counter* find_counter(const std::string& name) const;
-  const Gauge* find_gauge(const std::string& name) const;
-  const Histogram* find_histogram(const std::string& name) const;
 
   bool empty() const {
     return counters_.empty() && gauges_.empty() && histograms_.empty();

@@ -22,16 +22,6 @@ std::size_t TimelineSet::total_points() const {
   return n;
 }
 
-std::string TimelineSet::to_csv() const {
-  CsvWriter csv({"series", "t", "value"});
-  for (const auto& [name, tl] : series_) {
-    for (const auto& p : tl.points()) {
-      csv.add_row({name, CsvWriter::format(p.t), CsvWriter::format(p.value)});
-    }
-  }
-  return csv.to_string();
-}
-
 bool TimelineSet::write_csv(const std::filesystem::path& path) const {
   CsvWriter csv({"series", "t", "value"});
   for (const auto& [name, tl] : series_) {

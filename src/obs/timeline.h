@@ -43,7 +43,6 @@ class TimelineSet {
 
   // Long-format CSV: header series,t,value; rows grouped by series in
   // name order, points in recording order.
-  std::string to_csv() const;
   bool write_csv(const std::filesystem::path& path) const;
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace bcn::ode {
 namespace {
@@ -12,21 +11,6 @@ double component_of(Vec2 z, int component) {
 }
 
 }  // namespace
-
-Vec2 Trajectory::interpolate(double t) const {
-  assert(!samples_.empty());
-  if (t <= samples_.front().t) return samples_.front().z;
-  if (t >= samples_.back().t) return samples_.back().z;
-  const auto it = std::lower_bound(
-      samples_.begin(), samples_.end(), t,
-      [](const Sample& s, double value) { return s.t < value; });
-  const Sample& hi = *it;
-  const Sample& lo = *(it - 1);
-  const double span = hi.t - lo.t;
-  if (span <= 0.0) return lo.z;
-  const double u = (t - lo.t) / span;
-  return {lerp(lo.z.x, hi.z.x, u), lerp(lo.z.y, hi.z.y, u)};
-}
 
 double Trajectory::min_component(int component) const {
   assert(!samples_.empty());
@@ -59,36 +43,6 @@ std::vector<Extremum> Trajectory::local_extrema(int component) const {
     }
   }
   return out;
-}
-
-std::vector<double> Trajectory::zero_crossings(
-    const std::function<double(double, Vec2)>& g) const {
-  std::vector<double> out;
-  if (samples_.size() < 2) return out;
-  double g_prev = g(samples_.front().t, samples_.front().z);
-  for (std::size_t i = 1; i < samples_.size(); ++i) {
-    const double g_cur = g(samples_[i].t, samples_[i].z);
-    if (g_prev == 0.0) {
-      out.push_back(samples_[i - 1].t);
-    } else if (sign(g_prev) != sign(g_cur) && g_cur != 0.0) {
-      const double u = g_prev / (g_prev - g_cur);
-      out.push_back(lerp(samples_[i - 1].t, samples_[i].t, u));
-    }
-    g_prev = g_cur;
-  }
-  return out;
-}
-
-double Trajectory::tail_distance(Vec2 target, double tail_fraction) const {
-  if (samples_.empty()) return 0.0;
-  const double t_start =
-      samples_.back().t - tail_fraction * std::max(duration(), 0.0);
-  double worst = 0.0;
-  for (const Sample& s : samples_) {
-    if (s.t < t_start) continue;
-    worst = std::max(worst, (s.z - target).norm());
-  }
-  return worst;
 }
 
 Trajectory Trajectory::decimate(std::size_t stride) const {

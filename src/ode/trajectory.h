@@ -2,8 +2,6 @@
 // phase-plane analysis and the benchmark harnesses.
 #pragma once
 
-#include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/math.h"
@@ -41,10 +39,6 @@ class Trajectory {
     return empty() ? 0.0 : samples_.back().t - samples_.front().t;
   }
 
-  // Linear interpolation of the state at time t (clamped to the sampled
-  // range).  Requires a non-empty trajectory.
-  Vec2 interpolate(double t) const;
-
   // Global min / max of the selected component (0 -> x, 1 -> y).
   double min_component(int component) const;
   double max_component(int component) const;
@@ -53,15 +47,6 @@ class Trajectory {
   // extremum when its value is strictly greater (resp. smaller) than both
   // neighbours; plateaus report their first sample.
   std::vector<Extremum> local_extrema(int component) const;
-
-  // Times at which the scalar functional g(t, z) crosses zero, located by
-  // linear interpolation between bracketing samples.
-  std::vector<double> zero_crossings(
-      const std::function<double(double, Vec2)>& g) const;
-
-  // Largest |z| distance from `target` over the tail portion of the
-  // trajectory (fraction in (0, 1]); used for convergence checks.
-  double tail_distance(Vec2 target, double tail_fraction = 0.1) const;
 
   // Keeps at most every `stride`-th sample plus the final one; used to thin
   // dense traces before writing CSV/SVG.

@@ -1,9 +1,5 @@
 #include "ode/vector_rk4.h"
 
-#include <algorithm>
-#include <cassert>
-#include <cmath>
-
 namespace bcn::ode {
 
 void vector_rk4_step(const VectorRhs& f, double t, double h,
@@ -19,24 +15,6 @@ void vector_rk4_step(const VectorRhs& f, double t, double h,
   f(t + h, s.tmp, s.k4);
   for (std::size_t j = 0; j < n; ++j) {
     state[j] += h / 6.0 * (s.k1[j] + 2.0 * s.k2[j] + 2.0 * s.k3[j] + s.k4[j]);
-  }
-}
-
-void vector_rk4_integrate(
-    const VectorRhs& f, double t0, double t1, double h,
-    std::vector<double>& state,
-    const std::function<void(double, const std::vector<double>&)>& observe) {
-  assert(h > 0.0);
-  VectorRk4Scratch scratch;
-  double t = t0;
-  // The initial state is part of the trajectory: without it, recorded
-  // timelines (e.g. the 3-state competition runs) start one step late.
-  if (observe) observe(t0, state);
-  while (t < t1 - 1e-15 * std::max(1.0, std::abs(t1))) {
-    const double step = std::min(h, t1 - t);
-    vector_rk4_step(f, t, step, state, scratch);
-    t += step;
-    if (observe) observe(t, state);
   }
 }
 

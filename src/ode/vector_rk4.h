@@ -34,12 +34,4 @@ struct VectorRk4Scratch {
 void vector_rk4_step(const VectorRhs& f, double t, double h,
                      std::vector<double>& state, VectorRk4Scratch& scratch);
 
-// Integrates from t0 to t1 with fixed step h (last step shortened to land
-// on t1).  `observe`, when set, is called after every step with (t, state).
-void vector_rk4_integrate(
-    const VectorRhs& f, double t0, double t1, double h,
-    std::vector<double>& state,
-    const std::function<void(double, const std::vector<double>&)>& observe =
-        {});
-
 }  // namespace bcn::ode

@@ -67,11 +67,6 @@ bool ServiceServer::start() {
   return true;
 }
 
-bool ServiceServer::shutdown_requested() const {
-  std::lock_guard<std::mutex> lock(shutdown_mutex_);
-  return shutdown_requested_;
-}
-
 void ServiceServer::request_shutdown() {
   {
     std::lock_guard<std::mutex> lock(shutdown_mutex_);

@@ -68,15 +68,13 @@ class ServiceServer {
   // The actually-bound port (after start()).
   int port() const { return port_; }
 
-  // True once a client issued the shutdown op (or request_shutdown()
-  // was called).  The server keeps serving until stop() runs, so the
-  // shutdown response can flush; the thread blocked in
+  // What the shutdown op does.  The server keeps serving until stop()
+  // runs, so the shutdown response can flush; the thread blocked in
   // wait_for_shutdown() is expected to call stop().
-  bool shutdown_requested() const;
   void request_shutdown();
-  // Blocks up to `seconds` for a shutdown request; true when requested.
-  // Short timeouts let callers interleave a signal-flag poll (a signal
-  // handler cannot safely notify a condition variable).
+  // Blocks up to `seconds` for a shutdown request; true when requested
+  // (0 only polls).  Short timeouts let callers interleave a signal-flag
+  // poll (a signal handler cannot safely notify a condition variable).
   bool wait_for_shutdown(double seconds);
 
   // Full teardown: unblocks the accept loop and every reader, lets a
@@ -140,7 +138,7 @@ class ServiceServer {
   std::atomic<bool> stopping_{false};
   bool stopped_ = false;  // stop() already completed (under conns_mutex_)
 
-  mutable std::mutex shutdown_mutex_;
+  std::mutex shutdown_mutex_;
   std::condition_variable shutdown_cv_;
   bool shutdown_requested_ = false;
 };

@@ -15,12 +15,6 @@ double quantize(double v) {
   return out;
 }
 
-std::string quantize_key(double v) {
-  std::string out;
-  append_quantize_key(out, v);
-  return out;
-}
-
 void append_quantize_key(std::string& out, double v) { append_g(out, v, 12); }
 
 VerdictCache::VerdictCache(const Config& config,

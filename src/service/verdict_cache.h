@@ -37,11 +37,8 @@ namespace bcn::service {
 // idempotent: quantize(quantize(v)) == quantize(v).
 double quantize(double v);
 
-// The canonical key text of one quantized value ("%.12g").  Two values
-// collide exactly when they quantize to the same double.
-std::string quantize_key(double v);
-
-// Appends quantize_key(v) to `out`.
+// Appends the canonical key text of one quantized value ("%.12g") to
+// `out`.  Two values collide exactly when they quantize to the same double.
 void append_quantize_key(std::string& out, double v);
 
 class VerdictCache {

@@ -28,10 +28,6 @@ std::size_t Topology::max_route_length() const {
   return longest;
 }
 
-std::uint32_t Topology::edge_of_host(std::uint32_t host) const {
-  return static_cast<std::uint32_t>(host / hosts_per_edge_);
-}
-
 // --- fat-tree ------------------------------------------------------------
 //
 // Switch ids: edge(p, e) = p*h + e; agg(p, a) = E + p*h + a;
@@ -278,13 +274,13 @@ void resolve_route(Topology& topo, std::uint32_t flow_id, std::uint32_t src,
       static_cast<std::uint32_t>(topo.route_hops.size()));
 }
 
+}  // namespace
+
 void add_flow(Topology& topo, std::uint32_t src, std::uint32_t dst) {
   const auto flow_id = static_cast<std::uint32_t>(topo.flows.size());
   topo.flows.push_back({src, dst});
   resolve_route(topo, flow_id, src, dst);
 }
-
-}  // namespace
 
 void add_permutation_flows(Topology& topo, int rounds, std::uint64_t seed) {
   const auto n = static_cast<std::uint32_t>(topo.num_hosts);
@@ -300,34 +296,6 @@ void add_permutation_flows(Topology& topo, int rounds, std::uint64_t seed) {
       const std::uint32_t dst = perm[i] == i ? (i + 1) % n : perm[i];
       if (dst != i) add_flow(topo, i, dst);
     }
-  }
-}
-
-void add_random_flows(Topology& topo, std::size_t count, std::uint64_t seed) {
-  const auto n = static_cast<std::uint64_t>(topo.num_hosts);
-  Rng rng(seed);
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto src = static_cast<std::uint32_t>(rng.uniform_int(n));
-    auto dst = static_cast<std::uint32_t>(rng.uniform_int(n));
-    if (dst == src) dst = static_cast<std::uint32_t>((dst + 1) % n);
-    if (dst == src) continue;  // single-host topology
-    add_flow(topo, src, dst);
-  }
-}
-
-void add_incast_flows(Topology& topo, std::uint32_t dst_host,
-                      std::size_t fan_in, std::uint64_t seed) {
-  const auto n = static_cast<std::uint64_t>(topo.num_hosts);
-  Rng rng(seed);
-  std::size_t added = 0;
-  while (added < fan_in) {
-    const auto src = static_cast<std::uint32_t>(rng.uniform_int(n));
-    if (src == dst_host) {
-      if (n <= 1) break;
-      continue;
-    }
-    add_flow(topo, src, dst_host);
-    ++added;
   }
 }
 

@@ -75,9 +75,8 @@ struct Topology {
     return route_hops.data() + route_offset[flow];
   }
   std::size_t max_route_length() const;
-  // The edge switch host h hangs off (for flow placement / debugging).
-  std::uint32_t edge_of_host(std::uint32_t host) const;
-  // Hosts per edge/leaf switch (route resolution shares this shape).
+  // Hosts per edge/leaf switch (route resolution shares this shape); host
+  // h hangs off edge switch h / hosts_per_edge().
   std::size_t hosts_per_edge() const { return hosts_per_edge_; }
 
  private:
@@ -130,20 +129,15 @@ Topology make_star(const StarOptions& options);
 bool parse_topology_spec(const std::string& spec, Topology* out,
                          std::string* error);
 
-// --- flow-set generators -------------------------------------------------
-// All seeded and deterministic; flows append to topo.flows and their
-// routes are resolved immediately.
+// --- flow sets -----------------------------------------------------------
+// Flows append to topo.flows and their routes are resolved immediately.
+
+// One flow from host src to host dst (src != dst).
+void add_flow(Topology& topo, std::uint32_t src, std::uint32_t dst);
 
 // `rounds` seeded host permutations (fixed points rotated away), one flow
-// per host per round: flows = rounds * num_hosts.
+// per host per round: flows = rounds * num_hosts.  Deterministic.
 void add_permutation_flows(Topology& topo, int rounds, std::uint64_t seed);
-
-// `count` flows between uniformly drawn distinct hosts.
-void add_random_flows(Topology& topo, std::size_t count, std::uint64_t seed);
-
-// `fan_in` flows from distinct random sources into one destination host.
-void add_incast_flows(Topology& topo, std::uint32_t dst_host,
-                      std::size_t fan_in, std::uint64_t seed);
 
 // --- partitioner ---------------------------------------------------------
 

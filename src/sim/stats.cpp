@@ -22,15 +22,6 @@ double SimStats::max_queue() const {
   return m;
 }
 
-std::optional<double> SimStats::min_queue_after(SimTime t) const {
-  std::optional<double> m;
-  for (const auto& p : trace_) {
-    if (p.t < t) continue;
-    if (!m || p.queue_bits < *m) m = p.queue_bits;
-  }
-  return m;
-}
-
 double SimStats::mean_queue() const {
   if (trace_.empty()) return 0.0;
   double sum = 0.0;
@@ -52,12 +43,6 @@ double SimStats::throughput(SimTime horizon) const {
     bits = p.bits_delivered;
   }
   return bits / to_seconds(window);
-}
-
-std::size_t SimStats::delivered_source_count() const {
-  std::size_t n = 0;
-  for (const std::uint8_t seen : per_source_seen_) n += seen;
-  return n;
 }
 
 std::vector<std::pair<SourceId, double>> SimStats::per_source_bits_sorted()

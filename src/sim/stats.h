@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,9 +58,6 @@ class SimStats {
   const std::vector<TracePoint>& trace() const { return trace_; }
 
   double max_queue() const;
-  // Minimum queue over samples at t' >= t; nullopt when no sample exists
-  // after t (distinct from a genuinely drained queue, which returns 0.0).
-  std::optional<double> min_queue_after(SimTime t) const;
   // Time-average queue over the trace (simple mean of uniform samples).
   double mean_queue() const;
   // Delivered throughput in bits/s over [0, horizon], windowed against
@@ -87,10 +83,9 @@ class SimStats {
     per_source_bits_[source] += bits;
     per_source_seen_[source] = 1;
   }
-  // Sources that delivered at least one frame (including zero-bit ones).
-  std::size_t delivered_source_count() const;
   // Export-friendly view: (SourceId, bits) for every source that
-  // delivered, sorted by SourceId.
+  // delivered at least one frame (including zero-bit ones), sorted by
+  // SourceId.
   std::vector<std::pair<SourceId, double>> per_source_bits_sorted() const;
 
   // Jain fairness index over per-source delivered bits:

@@ -69,21 +69,6 @@ TEST(SweepTest, EndpointsAreExact) {
   EXPECT_EQ(log.back(), 0.25);
 }
 
-TEST(SweepTest, SweepValuesPreservesOrderAcrossThreadCounts) {
-  const auto xs = linspace(0.0, 10.0, 101);
-  auto f = [](double x) { return std::cos(x) * x; };
-  const auto serial = sweep_values(xs, f, 1);
-  ASSERT_EQ(serial.size(), xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_EQ(serial[i], f(xs[i]));
-  }
-  const auto parallel = sweep_values(xs, f, 4);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(parallel[i], serial[i]) << "i=" << i;
-  }
-}
-
 TEST(LogspaceTest, RejectsNonPositiveBoundsInEveryBuildMode) {
   // Regression: non-positive bounds used to be an assert, so release
   // builds silently produced NaN grids.  The check is now a real error

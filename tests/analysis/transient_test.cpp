@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/transient_metrics.h"
 #include "core/simulate.h"
 
 namespace bcn::analysis {
 namespace {
+
+using testing::measure_transient;
 
 // x(t) = A e^{-d t} cos(w t): known overshoot A, period 2pi/w, decay d.
 ode::Trajectory damped(double amplitude, double damping, double omega,

@@ -67,9 +67,9 @@ TEST(ArgParserTest, PositionalArguments) {
 
 TEST(ArgParserTest, HasAndNames) {
   const auto args = parse({"--one", "1", "--two=2"});
-  EXPECT_TRUE(args.has("one"));
-  EXPECT_TRUE(args.has("two"));
-  EXPECT_FALSE(args.has("three"));
+  EXPECT_EQ(args.get("one"), "1");
+  EXPECT_EQ(args.get("two"), "2");
+  EXPECT_FALSE(args.get("three"));
   EXPECT_EQ(args.flag_names().size(), 2u);
 }
 

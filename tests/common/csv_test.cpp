@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/csv_table.h"
+
 namespace bcn {
 namespace {
+
+using testing::CsvTable;
+using testing::parse_csv;
+using testing::read_csv_file;
 
 TEST(CsvWriterTest, HeaderOnly) {
   CsvWriter w({"a", "b"});

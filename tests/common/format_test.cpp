@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "common/log.h"
 #include "common/rng.h"
 
 namespace bcn {
@@ -150,16 +149,6 @@ TEST(NumberWriterTest, StrfMatchesTheWriter) {
     append_f(fixed, v, 6);
     ASSERT_EQ(strf("%.6f", v), fixed);
   }
-}
-
-TEST(LogTest, LevelGatesOutput) {
-  // Just exercise the call paths; output goes to stderr.
-  set_log_level(LogLevel::Error);
-  EXPECT_EQ(log_level(), LogLevel::Error);
-  BCN_LOG_DEBUG("hidden %d", 1);
-  BCN_LOG_ERROR("visible %d", 2);
-  set_log_level(LogLevel::Warn);
-  EXPECT_EQ(log_level(), LogLevel::Warn);
 }
 
 }  // namespace

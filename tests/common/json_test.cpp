@@ -1,13 +1,20 @@
 #include "common/json.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace bcn {
 namespace {
@@ -187,6 +194,31 @@ TEST(FlatJsonTest, ParsesEscapesScientificNotationAndNull) {
   EXPECT_TRUE(std::isnan(parsed->numbers().at("gone")));
 }
 
+// A number printf writes for a finite double is an RFC 8259 number, and
+// parses to strtod's bits; so do the grammar's own edge shapes.
+TEST(FlatJsonTest, NumbersKeepStrtodBits) {
+  std::vector<std::string> tokens = {"0",      "-0",     "0.5",   "-0.0e0",
+                                     "1E5",    "2e-08",  "1e-400", "1e999",
+                                     "-1e999", "12345678901234567890"};
+  Rng rng(34);
+  for (int i = 0; i < 4000; ++i) {
+    const double v = std::bit_cast<double>(rng.next_u64());
+    if (!std::isfinite(v)) continue;
+    for (const char* format : {"%.17g", "%g", "%.12g", "%.3e"}) {
+      char buf[64];
+      std::snprintf(buf, sizeof buf, format, v);
+      tokens.emplace_back(buf);
+    }
+  }
+  for (const std::string& token : tokens) {
+    const auto parsed = FlatJson::parse("{\"v\": " + token + "}");
+    ASSERT_TRUE(parsed.has_value()) << token;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed->numbers().at("v")),
+              std::bit_cast<std::uint64_t>(std::strtod(token.c_str(), nullptr)))
+        << token;
+  }
+}
+
 TEST(FlatJsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(FlatJson::parse("").has_value());
   EXPECT_FALSE(FlatJson::parse("{").has_value());
@@ -196,6 +228,16 @@ TEST(FlatJsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(FlatJson::parse("[1, 2]").has_value());
   // Nested objects are out of scope by design.
   EXPECT_FALSE(FlatJson::parse("{\"k\": {\"nested\": 1}}").has_value());
+  // Numbers follow RFC 8259, in fields and in arrays.
+  for (const char* number : {"nan", "-inf", "inf", "infinity", "0x10", "+5",
+                             ".5", "-.5", "01", "1.", "-"}) {
+    EXPECT_FALSE(FlatJson::parse(std::string("{\"k\": ") + number + "}")
+                     .has_value())
+        << number;
+    EXPECT_FALSE(FlatJson::parse(std::string("{\"k\": [1, ") + number + "]}")
+                     .has_value())
+        << number;
+  }
   // \u takes exactly four hex digits naming a code point below 0x80: no
   // prefix, sign or space, nothing short, nothing wider.
   for (const char* escape :

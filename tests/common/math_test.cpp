@@ -28,13 +28,6 @@ TEST(SignTest, AllBranches) {
   EXPECT_EQ(sign(0.0), 0);
 }
 
-TEST(ApproxEqualTest, RelativeAndAbsolute) {
-  EXPECT_TRUE(approx_equal(1.0, 1.0 + 1e-12));
-  EXPECT_FALSE(approx_equal(1.0, 1.001));
-  EXPECT_TRUE(approx_equal(0.0, 1e-13));
-  EXPECT_TRUE(approx_equal(1e9, 1e9 * (1.0 + 1e-10)));
-}
-
 TEST(RelativeErrorTest, Basic) {
   EXPECT_NEAR(relative_error(1.1, 1.0), 0.1, 1e-12);
   EXPECT_DOUBLE_EQ(relative_error(0.0, 0.0), 0.0);
@@ -113,13 +106,6 @@ TEST(LerpTest, Basic) {
   EXPECT_DOUBLE_EQ(lerp(2.0, 4.0, 0.5), 3.0);
   EXPECT_DOUBLE_EQ(lerp(2.0, 4.0, 0.0), 2.0);
   EXPECT_DOUBLE_EQ(lerp(2.0, 4.0, 1.0), 4.0);
-}
-
-TEST(WrapAngleTest, Wraps) {
-  constexpr double two_pi = 2.0 * std::numbers::pi;
-  EXPECT_NEAR(wrap_angle(3 * two_pi + 0.5), 0.5, 1e-12);
-  EXPECT_NEAR(wrap_angle(-0.5), two_pi - 0.5, 1e-12);
-  EXPECT_NEAR(wrap_angle(0.0), 0.0, 1e-12);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include "common/rng.h"
 
-#include <cmath>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -72,18 +71,6 @@ TEST(RngTest, BernoulliEdgesAndMean) {
   int hits = 0;
   for (int i = 0; i < 20000; ++i) hits += r.bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(hits / 20000.0, 0.3, 0.02);
-}
-
-TEST(RngTest, ExponentialMean) {
-  Rng r(17);
-  double sum = 0.0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) {
-    const double v = r.exponential(2.0);
-    ASSERT_GE(v, 0.0);
-    sum += v;
-  }
-  EXPECT_NEAR(sum / n, 2.0, 0.05);
 }
 
 }  // namespace

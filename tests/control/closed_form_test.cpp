@@ -51,10 +51,10 @@ TEST_P(ClosedFormVsNumeric, FirstExtremumLiesOnSolutionWithZeroVelocity) {
 
 TEST_P(ClosedFormVsNumeric, FirstLineCrossingIsOnTheLine) {
   const auto [m, n, x0, y0] = GetParam();
-  const SecondOrderSystem sys(m, n);
-  const LinearSolution sol(sys, {x0, y0});
+  const LinearFlow flow({m, n});
+  const LinearSolution sol(flow, {x0, y0});
   const double p = 1.0, q = 0.05;
-  const auto t_cross = sol.first_line_crossing(p, q);
+  const auto t_cross = sol.first_line_crossing(flow.line(p, q));
   if (!t_cross) return;
   EXPECT_GT(*t_cross, 0.0);
   const Vec2 at = sol.eval(*t_cross);
@@ -113,20 +113,22 @@ TEST(LinearSolutionTest, NodeHasAtMostOneExtremum) {
 }
 
 TEST(LinearSolutionTest, ZeroSolutionHasNoEvents) {
-  const LinearSolution sol({1.0, 4.0}, {0.0, 0.0});
+  const LinearFlow flow({1.0, 4.0});
+  const LinearSolution sol(flow, {0.0, 0.0});
   EXPECT_FALSE(sol.first_x_extremum());
-  EXPECT_FALSE(sol.first_line_crossing(1.0, 0.5));
+  EXPECT_FALSE(sol.first_line_crossing(flow.line(1.0, 0.5)));
 }
 
 TEST(LinearSolutionTest, EigenlineStartStaysOnEigenline) {
   // Node with lambda = -1, -4 (m=5, n=4): starting on y = -x stays there.
-  const LinearSolution sol({5.0, 4.0}, {1.0, -1.0});
+  const LinearFlow flow({5.0, 4.0});
+  const LinearSolution sol(flow, {1.0, -1.0});
   for (double t : {0.1, 0.5, 2.0}) {
     const Vec2 z = sol.eval(t);
     EXPECT_NEAR(z.y, -z.x, 1e-12);
   }
   // The eigenline is itself the line x + y = 0: no transversal crossing.
-  EXPECT_FALSE(sol.first_line_crossing(1.0, 1.0));
+  EXPECT_FALSE(sol.first_line_crossing(flow.line(1.0, 1.0)));
 }
 
 // --- Paper formulas ---------------------------------------------------------

@@ -47,12 +47,5 @@ TEST(LinearBaselineTest, NodeRegimeClassified) {
   EXPECT_EQ(report.increase.equilibrium, EquilibriumType::StableNode);
 }
 
-TEST(LinearBaselineTest, ToStringMentionsVerdict) {
-  const auto report = analyze_linear_baseline(1.6e9, 1.0 / 128.0, 2e-8, 1e10);
-  const std::string s = to_string(report);
-  EXPECT_NE(s.find("overall: stable"), std::string::npos);
-  EXPECT_NE(s.find("Lu et al."), std::string::npos);
-}
-
 }  // namespace
 }  // namespace bcn::control

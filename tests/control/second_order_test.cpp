@@ -54,11 +54,5 @@ TEST(SecondOrderTest, RhsMatchesDefinition) {
   EXPECT_DOUBLE_EQ(d.y, -2.0 * 1.0 - 3.0 * 2.0); // dy/dt = -n x - m y
 }
 
-TEST(SecondOrderTest, ToStringCoversAllTypes) {
-  EXPECT_EQ(to_string(EquilibriumType::StableFocus), "stable focus");
-  EXPECT_EQ(to_string(EquilibriumType::Saddle), "saddle");
-  EXPECT_FALSE(to_string(EquilibriumType::Center).empty());
-}
-
 }  // namespace
 }  // namespace bcn::control

@@ -263,22 +263,5 @@ TEST(AnalyticTracerTest, ExtremaStopAfterOneReturn) {
   }
 }
 
-TEST(AnalyticTracerTest, SampleCoversAllRounds) {
-  const BcnParams p = case1_params();
-  const AnalyticTracer tracer(p);
-  AnalyticTraceOptions opts;
-  opts.max_rounds = 6;
-  const auto trace = tracer.trace(opts);
-  const auto sampled = tracer.sample(trace, 50, 1e-4);
-  ASSERT_FALSE(sampled.empty());
-  EXPECT_EQ(sampled.size(), 50u * trace.rounds.size());
-  EXPECT_NEAR(sampled.front().z.x, -p.q0, 1e-9 * p.q0);
-  EXPECT_NEAR(sampled.front().z.y, 0.0, 1e-6 * p.capacity * 1e-3);
-  // Samples are time-ordered.
-  for (std::size_t i = 1; i < sampled.size(); ++i) {
-    EXPECT_GE(sampled[i].t, sampled[i - 1].t - 1e-15);
-  }
-}
-
 }  // namespace
 }  // namespace bcn::core

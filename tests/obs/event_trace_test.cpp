@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/csv_table.h"
+
 namespace bcn::obs {
 namespace {
+
+using Row = std::vector<std::string>;
 
 TEST(EventTraceTest, CountsByKind) {
   EventTrace trace;
@@ -33,18 +37,14 @@ TEST(EventTraceTest, CsvIsTimeSortedWithStableTies) {
   trace.record({1e-3 + 64e-6, EventKind::PauseOff, 2, 0, 0.0, 64e-6});
   trace.record({5e-4, EventKind::BcnNegativeSent, 7, 3, -1e5, 0.0});
   trace.record({5e-4, EventKind::BcnApplied, 0, 3, -1e5, 2e9});
-  const std::string csv = trace.to_csv();
-  const auto neg = csv.find("bcn_negative_sent");
-  const auto applied = csv.find("bcn_applied");
-  const auto on = csv.find("pause_on");
-  const auto off = csv.find("pause_off");
-  ASSERT_NE(neg, std::string::npos) << csv;
-  ASSERT_NE(applied, std::string::npos) << csv;
-  ASSERT_NE(on, std::string::npos) << csv;
-  ASSERT_NE(off, std::string::npos) << csv;
-  EXPECT_LT(neg, applied);  // same t: recording order preserved
-  EXPECT_LT(applied, on);
-  EXPECT_LT(on, off);
+  const auto csv = testing::written_csv(trace, "bcn_trace_sorted");
+  const int kind = csv.column("kind");
+  ASSERT_GE(kind, 0);
+  ASSERT_EQ(csv.rows.size(), 4u);
+  EXPECT_EQ(csv.rows[0][kind], "bcn_negative_sent");
+  EXPECT_EQ(csv.rows[1][kind], "bcn_applied");  // same t: recording order
+  EXPECT_EQ(csv.rows[2][kind], "pause_on");
+  EXPECT_EQ(csv.rows[3][kind], "pause_off");
   // Sorting is on the export copy only; the trace keeps recording order.
   EXPECT_EQ(trace.events().front().kind, EventKind::PauseOn);
 }
@@ -52,12 +52,11 @@ TEST(EventTraceTest, CsvIsTimeSortedWithStableTies) {
 TEST(EventTraceTest, CsvColumnsCarryCausalFields) {
   EventTrace trace;
   trace.record({0.25, EventKind::BcnNegativeSent, 7, 3, -125000.0, 0.0});
-  const std::string csv = trace.to_csv();
-  EXPECT_NE(csv.find("t,kind,point,flow,sigma,value"), std::string::npos)
-      << csv;
-  EXPECT_NE(csv.find("0.25,bcn_negative_sent,7,3,-125000,0"),
-            std::string::npos)
-      << csv;
+  const auto csv = testing::written_csv(trace, "bcn_trace_fields");
+  EXPECT_EQ(csv.header, (Row{"t", "kind", "point", "flow", "sigma", "value"}));
+  ASSERT_EQ(csv.rows.size(), 1u);
+  EXPECT_EQ(csv.rows[0],
+            (Row{"0.25", "bcn_negative_sent", "7", "3", "-125000", "0"}));
 }
 
 // Flight-recorder ring mode: capacity bounds the trace to the newest

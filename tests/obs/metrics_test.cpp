@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/metrics_export.h"
 #include "common/json.h"
 #include "exec/parallel_for.h"
 
@@ -34,7 +35,7 @@ TEST(MetricsTest, GaugeHoldsLastValue) {
   MetricsRegistry reg;
   reg.gauge("queue").set(1.5);
   reg.gauge("queue").set(-3.25);
-  EXPECT_DOUBLE_EQ(reg.find_gauge("queue")->value(), -3.25);
+  EXPECT_EQ(testing::exported(reg).number("queue"), -3.25);
 }
 
 TEST(MetricsTest, HistogramBucketsBySortedBounds) {

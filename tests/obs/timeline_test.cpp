@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/csv_table.h"
+
 namespace bcn::obs {
 namespace {
+
+using Row = std::vector<std::string>;
 
 TEST(TimelineTest, SeriesCreatesOnFirstUseWithStableReference) {
   TimelineSet set;
@@ -36,27 +40,21 @@ TEST(TimelineTest, CsvIsLongFormatGroupedBySeriesName) {
   set.series("b.series").record(0.5, 2.0);
   set.series("a.series").record(0.25, 1.0);
   set.series("a.series").record(0.75, 3.0);
-  const std::string csv = set.to_csv();
-  const auto header_pos = csv.find("series,t,value");
-  const auto a_pos = csv.find("a.series,0.25,1");
-  const auto a2_pos = csv.find("a.series,0.75,3");
-  const auto b_pos = csv.find("b.series,0.5,2");
-  ASSERT_NE(header_pos, std::string::npos) << csv;
-  ASSERT_NE(a_pos, std::string::npos) << csv;
-  ASSERT_NE(a2_pos, std::string::npos) << csv;
-  ASSERT_NE(b_pos, std::string::npos) << csv;
-  EXPECT_LT(header_pos, a_pos);
-  EXPECT_LT(a_pos, a2_pos);   // points stay in recording order
-  EXPECT_LT(a2_pos, b_pos);   // series grouped in name order
+  const auto csv = testing::written_csv(set, "bcn_timeline_long");
+  EXPECT_EQ(csv.header, (Row{"series", "t", "value"}));
+  // Series grouped in name order, points in recording order.
+  ASSERT_EQ(csv.rows.size(), 3u);
+  EXPECT_EQ(csv.rows[0], (Row{"a.series", "0.25", "1"}));
+  EXPECT_EQ(csv.rows[1], (Row{"a.series", "0.75", "3"}));
+  EXPECT_EQ(csv.rows[2], (Row{"b.series", "0.5", "2"}));
 }
 
 TEST(TimelineTest, EmptySetExportsHeaderOnly) {
   TimelineSet set;
   EXPECT_TRUE(set.empty());
-  const std::string csv = set.to_csv();
-  EXPECT_NE(csv.find("series,t,value"), std::string::npos);
-  // Header line plus trailing newline, nothing else.
-  EXPECT_EQ(csv.find('\n'), csv.rfind('\n'));
+  const auto csv = testing::written_csv(set, "bcn_timeline_empty");
+  EXPECT_EQ(csv.header, (Row{"series", "t", "value"}));
+  EXPECT_TRUE(csv.rows.empty());
 }
 
 }  // namespace

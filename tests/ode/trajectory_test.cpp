@@ -26,15 +26,6 @@ TEST(TrajectoryTest, BasicAccessors) {
   EXPECT_DOUBLE_EQ(t.duration(), 1.0);
 }
 
-TEST(TrajectoryTest, InterpolateMidpointAndClamp) {
-  Trajectory t;
-  t.push_back(0.0, {0.0, 0.0});
-  t.push_back(2.0, {4.0, -2.0});
-  EXPECT_EQ(t.interpolate(1.0), (Vec2{2.0, -1.0}));
-  EXPECT_EQ(t.interpolate(-1.0), (Vec2{0.0, 0.0}));
-  EXPECT_EQ(t.interpolate(9.0), (Vec2{4.0, -2.0}));
-}
-
 TEST(TrajectoryTest, MinMaxComponents) {
   const auto t = sine_trajectory(6.4, 0.01);
   EXPECT_NEAR(t.max_component(0), 1.0, 1e-3);
@@ -51,29 +42,6 @@ TEST(TrajectoryTest, LocalExtremaOfSine) {
   EXPECT_NEAR(ext[0].value, 1.0, 1e-3);
   EXPECT_FALSE(ext[1].is_maximum);
   EXPECT_NEAR(ext[1].t, 4.712389, 0.02);
-}
-
-TEST(TrajectoryTest, ZeroCrossingsInterpolated) {
-  const auto t = sine_trajectory(6.4, 0.01);
-  const auto crossings =
-      t.zero_crossings([](double, Vec2 z) { return z.x; });
-  ASSERT_GE(crossings.size(), 2u);
-  // First interior crossing at pi (the t=0 start counts as on-surface).
-  bool found_pi = false;
-  for (double c : crossings) {
-    if (std::abs(c - 3.14159265) < 0.01) found_pi = true;
-  }
-  EXPECT_TRUE(found_pi);
-}
-
-TEST(TrajectoryTest, TailDistanceMeasuresConvergence) {
-  Trajectory t;
-  for (int i = 0; i <= 100; ++i) {
-    const double s = i / 100.0;
-    t.push_back(s, {std::exp(-5.0 * s), 0.0});
-  }
-  EXPECT_LT(t.tail_distance({0.0, 0.0}, 0.05), 0.01);
-  EXPECT_GT(t.tail_distance({0.0, 0.0}, 1.0), 0.9);
 }
 
 TEST(TrajectoryTest, DecimateKeepsEndpoints) {

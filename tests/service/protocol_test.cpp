@@ -19,6 +19,13 @@ Request must_parse(const std::string& line) {
   return request.value_or(Request{});
 }
 
+// The key text append_quantize_key writes for `v`.
+std::string key_text(double v) {
+  std::string out;
+  append_quantize_key(out, v);
+  return out;
+}
+
 std::string parse_error(const std::string& line) {
   std::string error;
   const auto request = parse_request(line, &error);
@@ -84,12 +91,16 @@ TEST(ParseRequest, RejectsBadIdsAndEchoesGoodOnes) {
 // non-finite.  A \u escape must name an ASCII code point in four hex
 // digits, or the line is not JSON.
 TEST(ParseRequest, PinsTheNumberGrammarAndStrictUnicodeEscapes) {
-  const Request signed_a = must_parse("{\"op\":\"verdict\",\"a\":+5e8}");
-  EXPECT_EQ(signed_a.fields.number("a"), 5e8);
-  const Request point_a = must_parse("{\"op\":\"verdict\",\"a\":.5e9}");
-  EXPECT_EQ(point_a.fields.number("a"), 5e8);
-  const Request hex_b = must_parse("{\"op\":\"verdict\",\"b\":0x10}");
-  EXPECT_EQ(hex_b.fields.number("b"), 16.0);
+  // Numbers follow RFC 8259: anything else strtod reads is a parse error.
+  for (const char* number :
+       {"+5e8", ".5e9", "0x10", "nan", "-inf", "01", "1.", "-"}) {
+    const std::string line =
+        std::string("{\"op\":\"verdict\",\"a\":") + number + "}";
+    EXPECT_NE(parse_error(line).find("\"parse\""), std::string::npos)
+        << number;
+  }
+  const Request exp_a = must_parse("{\"op\":\"verdict\",\"a\":-0.5E+9}");
+  EXPECT_EQ(exp_a.fields.number("a"), -5e8);
   EXPECT_NE(parse_error("{\"op\":\"verdict\",\"a\":1e999}")
                 .find("field 'a' must be finite"),
             std::string::npos);
@@ -166,11 +177,11 @@ TEST(CacheKey, KeysSpellEachValueAsPercentTwelveG) {
                 "\"b_max\":0.5,\"B\":12e6}")),
             "map|bcn|linearized|batch|4|100000000|1e+12|0.001|0.5|2e-08|"
             "2500000|12000000");
-  EXPECT_EQ(quantize_key(-0.1), "-0.1");
-  EXPECT_EQ(quantize_key(123456789012.0), "123456789012");
-  EXPECT_EQ(quantize_key(1234567890123.0), "1.23456789012e+12");
-  EXPECT_EQ(quantize_key(1e-5), "1e-05");
-  EXPECT_EQ(quantize_key(0.0001), "0.0001");
+  EXPECT_EQ(key_text(-0.1), "-0.1");
+  EXPECT_EQ(key_text(123456789012.0), "123456789012");
+  EXPECT_EQ(key_text(1234567890123.0), "1.23456789012e+12");
+  EXPECT_EQ(key_text(1e-5), "1e-05");
+  EXPECT_EQ(key_text(0.0001), "0.0001");
 }
 
 TEST(CacheKey, OpsAndMechanismsAreDisjoint) {

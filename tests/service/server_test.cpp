@@ -269,7 +269,7 @@ TEST_F(ServerTest, StopWhileMissesExecuteJoinsEveryReader) {
 TEST_F(ServerTest, ShutdownOpUnblocksWaitAndStopIsIdempotent) {
   start();
   LineClient client = connect();
-  EXPECT_FALSE(server_->shutdown_requested());
+  EXPECT_FALSE(server_->wait_for_shutdown(0.0));
   const auto response = client.request("{\"op\":\"shutdown\",\"id\":1}");
   ASSERT_TRUE(response);
   EXPECT_NE(response->find("\"ok\":true"), std::string::npos);

@@ -12,12 +12,20 @@
 #include <thread>
 #include <vector>
 
+#include "../support/metrics_export.h"
 #include "obs/metrics.h"
 
 namespace bcn::service {
 namespace {
 
 // --- quantization -----------------------------------------------------------
+
+// The key text append_quantize_key writes for `v`.
+std::string key_text(double v) {
+  std::string out;
+  append_quantize_key(out, v);
+  return out;
+}
 
 TEST(Quantize, IdempotentAndStable) {
   const double values[] = {0.0,      1.0,   1.6e9, 0.0078125,
@@ -34,26 +42,26 @@ TEST(Quantize, IdempotentAndStable) {
 TEST(Quantize, CollisionsAtTwelveSignificantDigits) {
   // Differ only past the 12th significant digit -> same grid point.
   EXPECT_EQ(quantize(1.0000000000001), quantize(1.0000000000002));
-  EXPECT_EQ(quantize_key(1.0000000000001), quantize_key(1.0000000000002));
+  EXPECT_EQ(key_text(1.0000000000001), key_text(1.0000000000002));
   EXPECT_EQ(quantize(1.6000000000001e9), quantize(1.6e9));
   // Differ within 12 significant digits -> distinct grid points.
   EXPECT_NE(quantize(1.00000000001), quantize(1.00000000002));
-  EXPECT_NE(quantize_key(1.00000000001), quantize_key(1.00000000002));
+  EXPECT_NE(key_text(1.00000000001), key_text(1.00000000002));
 }
 
 TEST(Quantize, BoundaryRounding) {
   // 13th digit rounds into the 12th: ...15 and ...149 straddle nothing,
   // both land on ...1 vs ...2 per round-to-nearest of %.12g.
-  EXPECT_EQ(quantize_key(1.00000000001), "1.00000000001");
+  EXPECT_EQ(key_text(1.00000000001), "1.00000000001");
   EXPECT_EQ(quantize(1.000000000014), quantize(1.00000000001));
   EXPECT_NE(quantize(1.000000000016), quantize(1.00000000001));
 }
 
 TEST(Quantize, KeyIsCanonicalText) {
-  EXPECT_EQ(quantize_key(2.5e6), "2500000");
-  EXPECT_EQ(quantize_key(2e-8), "2e-08");
+  EXPECT_EQ(key_text(2.5e6), "2500000");
+  EXPECT_EQ(key_text(2e-8), "2e-08");
   // Key text equality iff quantized-value equality.
-  EXPECT_EQ(quantize_key(1.6e9), quantize_key(1600000000.0));
+  EXPECT_EQ(key_text(1.6e9), key_text(1600000000.0));
 }
 
 // The key text is printf's "%.12g" and the grid point strtod of it, for
@@ -67,7 +75,7 @@ TEST(Quantize, MatchesPrintfAndStrtod) {
     if (i % 4 == 0) v = std::round(v * 1e6) / 1e6;  // short decimals too
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.12g", v);
-    EXPECT_EQ(quantize_key(v), buf) << v;
+    EXPECT_EQ(key_text(v), buf) << v;
     EXPECT_EQ(std::bit_cast<std::uint64_t>(quantize(v)),
               std::bit_cast<std::uint64_t>(std::strtod(buf, nullptr)))
         << buf;
@@ -151,7 +159,7 @@ TEST(VerdictCache, MetricsRegistryExportsCounters) {
   EXPECT_EQ(metrics.find_counter("service.cache.hits")->value(), 1u);
   EXPECT_EQ(metrics.find_counter("service.cache.misses")->value(), 1u);
   EXPECT_EQ(metrics.find_counter("service.cache.evictions")->value(), 1u);
-  EXPECT_EQ(metrics.find_gauge("service.cache.entries")->value(), 2.0);
+  EXPECT_EQ(testing::exported(metrics).number("service.cache.entries"), 2.0);
 }
 
 TEST(VerdictCache, ConcurrentMixedAccessIsRaceFreeAndConsistent) {

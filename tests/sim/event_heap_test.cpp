@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/metrics_export.h"
 #include "alloc_counter.h"
 #include "obs/metrics.h"
 #include "recorder.h"
@@ -493,13 +494,11 @@ TEST(EventHeapTest, ExportMetricsPublishesSchedulerCounters) {
 
   obs::MetricsRegistry registry;
   sim.export_metrics(registry);
-  ASSERT_NE(registry.find_gauge("sim.heap_high_water"), nullptr);
-  EXPECT_EQ(registry.find_gauge("sim.heap_high_water")->value(), 9.0);
-  ASSERT_NE(registry.find_gauge("sim.pool_slots"), nullptr);
-  EXPECT_EQ(registry.find_gauge("sim.pool_slots")->value(),
+  const FlatJson gauges = bcn::testing::exported(registry);
+  EXPECT_EQ(gauges.number("sim.heap_high_water"), 9.0);
+  EXPECT_EQ(gauges.number("sim.pool_slots"),
             static_cast<double>(sim.pool_slots()));
-  ASSERT_NE(registry.find_gauge("sim.pool_in_use"), nullptr);
-  EXPECT_EQ(registry.find_gauge("sim.pool_in_use")->value(), 0.0);
+  EXPECT_EQ(gauges.number("sim.pool_in_use"), 0.0);
   ASSERT_NE(registry.find_counter("sim.events_executed"), nullptr);
   EXPECT_EQ(registry.find_counter("sim.events_executed")->value(), 8u);
   ASSERT_NE(registry.find_counter("sim.events_cancelled"), nullptr);

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/fabric_flows.h"
 #include "common/format.h"
 #include "common/rng.h"
 #include "obs/monitor.h"
@@ -85,7 +86,7 @@ FabricDraw draw_fabric(std::uint64_t seed) {
     }
     case 1: {
       const std::size_t count = hosts / 2 + rng.uniform_int(2 * hosts);
-      add_random_flows(d.topo, count, flow_seed);
+      bcn::testing::add_random_flows(d.topo, count, flow_seed);
       d.traffic = Traffic::Random;
       d.spec += strf(", %zu random flows", count);
       break;
@@ -93,7 +94,7 @@ FabricDraw draw_fabric(std::uint64_t seed) {
     default: {
       const auto dst = static_cast<std::uint32_t>(rng.uniform_int(hosts));
       const std::size_t fan_in = 2 + rng.uniform_int(hosts - 1);
-      add_incast_flows(d.topo, dst, fan_in, flow_seed);
+      bcn::testing::add_incast_flows(d.topo, dst, fan_in, flow_seed);
       d.traffic = Traffic::Incast;
       d.spec += strf(", incast of %zu into host %u", fan_in, dst);
     }

@@ -49,7 +49,7 @@ TEST(FairnessNetworkTest, HomogeneousBcnSourcesShareFairly) {
   cfg.initial_rate = 2e9;  // 16 Gbps burst into 10 Gbps
   Network net(cfg);
   net.run(60 * kMillisecond);
-  EXPECT_EQ(net.stats().delivered_source_count(), 8u);
+  EXPECT_EQ(net.stats().per_source_bits_sorted().size(), 8u);
   EXPECT_GT(net.stats().jain_fairness_index(), 0.95);
 }
 

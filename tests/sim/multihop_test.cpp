@@ -193,7 +193,7 @@ TEST(MultihopTest, ObservedRunReportsItsCounters) {
     per_source += bits;
   }
   EXPECT_DOUBLE_EQ(per_source, c.bits_delivered);
-  EXPECT_EQ(observed.delivered_source_count(),
+  EXPECT_EQ(observed.per_source_bits_sorted().size(),
             static_cast<std::size_t>(cfg.num_culprits + 1));
   EXPECT_GT(c.frames_sent, 0u);
   EXPECT_LE(c.frames_delivered, c.frames_sent);

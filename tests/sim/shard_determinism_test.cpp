@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/fabric_flows.h"
 #include "obs/tracing.h"
 #include "sim/shard/engine.h"
 #include "sim/shard/topology.h"
@@ -171,9 +172,11 @@ TEST(ShardDeterminismTest, IncastMailFromEveryPodArrivesOnce) {
   Topology topo;
   std::string error;
   ASSERT_TRUE(parse_topology_spec("fat-tree:4", &topo, &error)) << error;
-  add_incast_flows(topo, /*dst_host=*/0, 2 * topo.num_hosts, /*seed=*/0);
+  bcn::testing::add_incast_flows(topo, /*dst_host=*/0, 2 * topo.num_hosts,
+                                 /*seed=*/0);
   const Partition part = partition_topology(topo, 4);
-  const std::uint32_t sink = part.shard_of_switch[topo.edge_of_host(0)];
+  const std::uint32_t sink =
+      part.shard_of_switch[bcn::testing::edge_of_host(topo, 0)];
   std::set<std::uint32_t> senders;
   for (const std::uint32_t s : part.shard_of_flow) {
     if (s != sink) senders.insert(s);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/metrics_export.h"
+
 namespace bcn::sim {
 namespace {
 
@@ -13,27 +15,6 @@ TEST(SimStatsTest, QueueAggregates) {
   s.record(30, 8e5, 1e9);
   EXPECT_DOUBLE_EQ(s.max_queue(), 8e5);
   EXPECT_DOUBLE_EQ(s.mean_queue(), (0.0 + 5e5 + 2e5 + 8e5) / 4.0);
-  ASSERT_TRUE(s.min_queue_after(15).has_value());
-  EXPECT_DOUBLE_EQ(*s.min_queue_after(15), 2e5);
-  ASSERT_TRUE(s.min_queue_after(25).has_value());
-  EXPECT_DOUBLE_EQ(*s.min_queue_after(25), 8e5);
-}
-
-// Regression: the old implementation returned 0.0 both for "no samples
-// after t" and for a genuinely drained queue, so an underflow check
-// could mistake missing data for starvation.
-TEST(SimStatsTest, MinQueueAfterDistinguishesEmptyTailFromDrainedQueue) {
-  SimStats s;
-  s.record(0, 5.0, 0.0);
-  EXPECT_FALSE(s.min_queue_after(100).has_value());  // no samples after t
-  s.record(200, 0.0, 0.0);
-  ASSERT_TRUE(s.min_queue_after(100).has_value());   // genuinely drained
-  EXPECT_DOUBLE_EQ(*s.min_queue_after(100), 0.0);
-}
-
-TEST(SimStatsTest, MinQueueAfterEmptyTrace) {
-  SimStats s;
-  EXPECT_FALSE(s.min_queue_after(0).has_value());
 }
 
 // With no trace recorded the lifetime counters over the caller's horizon
@@ -129,11 +110,9 @@ TEST(SimStatsTest, ExportMetricsSnapshotsCountersAndSigma) {
   EXPECT_EQ(reg.find_counter("sim.frames_sent")->value(), 10u);
   EXPECT_EQ(reg.find_counter("sim.frames_delivered")->value(), 8u);
   EXPECT_EQ(reg.find_counter("sim.bcn_negative")->value(), 3u);
-  ASSERT_NE(reg.find_gauge("sim.flow.1.bits_delivered"), nullptr);
-  EXPECT_DOUBLE_EQ(reg.find_gauge("sim.flow.1.bits_delivered")->value(),
-                   96000.0);
-  ASSERT_NE(reg.find_histogram("sim.sigma_bits"), nullptr);
-  EXPECT_EQ(reg.find_histogram("sim.sigma_bits")->count(), 2u);
+  const FlatJson exported = bcn::testing::exported(reg);
+  EXPECT_EQ(exported.number("sim.flow.1.bits_delivered"), 96000.0);
+  EXPECT_EQ(exported.number("sim.sigma_bits.count"), 2.0);
 }
 
 }  // namespace

@@ -8,8 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/fabric_flows.h"
+
 namespace bcn::sim::shard {
 namespace {
+
+using bcn::testing::add_incast_flows;
+using bcn::testing::add_random_flows;
+using bcn::testing::edge_of_host;
 
 TEST(TopologyTest, FatTreeClosedFormCounts) {
   for (const int k : {4, 8, 16}) {
@@ -57,7 +63,7 @@ void expect_routes_valid(const Topology& topo) {
       ASSERT_LT(hops[i], topo.ports.size()) << "flow " << f;
     }
     const PortNode& last = topo.ports[hops[len - 1]];
-    EXPECT_EQ(last.switch_id, topo.edge_of_host(topo.flows[f].dst_host))
+    EXPECT_EQ(last.switch_id, edge_of_host(topo, topo.flows[f].dst_host))
         << "flow " << f << " does not terminate at the destination edge";
     EXPECT_NE(topo.flows[f].src_host, topo.flows[f].dst_host);
   }
