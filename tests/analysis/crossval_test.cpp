@@ -1,6 +1,7 @@
 #include "analysis/crossval.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -56,6 +57,30 @@ TEST(FeaturesTest, EmptyTrajectory) {
   const auto f = extract_features({}, 0.1);
   EXPECT_DOUBLE_EQ(f.peak_value, 0.0);
   EXPECT_FALSE(f.period);
+}
+
+TEST(FeaturesTest, BatchMatchesSerialAtAnyThreadCount) {
+  std::vector<ode::Trajectory> trajectories;
+  for (int i = 0; i < 9; ++i) {
+    trajectories.push_back(
+        damped(1.0 + i, 0.1 * (i + 1), 3.0 + i, 0.1 * i, /*t_end=*/4.0));
+  }
+  trajectories.emplace_back();  // an empty one keeps its slot too
+  std::vector<const ode::Trajectory*> pointers;
+  for (const auto& t : trajectories) pointers.push_back(&t);
+  for (const int threads : {1, 2, 4, 0}) {
+    const auto batch = extract_features_batch(pointers, 0.05, threads);
+    ASSERT_EQ(batch.size(), pointers.size()) << threads;
+    for (std::size_t i = 0; i < pointers.size(); ++i) {
+      const auto serial = extract_features(*pointers[i], 0.05);
+      EXPECT_EQ(batch[i].peak_value, serial.peak_value) << i;
+      EXPECT_EQ(batch[i].peak_time, serial.peak_time) << i;
+      EXPECT_EQ(batch[i].trough_value, serial.trough_value) << i;
+      EXPECT_EQ(batch[i].trough_time, serial.trough_time) << i;
+      EXPECT_EQ(batch[i].period, serial.period) << i;
+      EXPECT_EQ(batch[i].final_value, serial.final_value) << i;
+    }
+  }
 }
 
 TEST(CompareShapesTest, SimilarOscillationsScoreLowError) {

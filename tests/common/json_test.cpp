@@ -264,5 +264,25 @@ TEST(FlatJsonTest, LoadReadsFilesAndFailsCleanly) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(FlatJsonTest, LoadRefusesAnArtifactHoldingANonJsonNumber) {
+  // JsonWriter writes null for a non-finite value, so an artifact holding
+  // nan, inf or hex was written by something else; the loader behind
+  // bcn_bench_diff refuses it instead of comparing a value strtod made up.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "bcn_flatjson_nan_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto path = dir / "artifact.json";
+  for (const char* number : {"nan", "-inf", "0x10", "+1"}) {
+    std::ofstream(path) << "{\"a\": 1, \"v\": " << number << "}\n";
+    EXPECT_FALSE(FlatJson::load(path).has_value()) << number;
+  }
+  std::ofstream(path) << "{\"a\": 1, \"v\": null}\n";
+  const auto loaded = FlatJson::load(path);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_TRUE(std::isnan(loaded->numbers().at("v")));
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace bcn

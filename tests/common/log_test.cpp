@@ -29,6 +29,24 @@ TEST(LogTest, EveryLevelHasAName) {
             std::string::npos);
 }
 
+TEST(LogTest, LevelGatesOutput) {
+  // The threshold is Warn: Debug and Info lines are dropped, Warn and
+  // Error each write one formatted line.
+  ::testing::internal::CaptureStderr();
+  BCN_LOG_DEBUG("hidden %d", 1);
+  BCN_LOG_INFO("hidden %d", 2);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+
+  ::testing::internal::CaptureStderr();
+  BCN_LOG_WARN("visible %d", 3);
+  BCN_LOG_ERROR("visible %d", 4);
+  const std::string out = ::testing::internal::GetCapturedStderr();
+  const std::regex shape(
+      R"(\[WARN \+\d+\.\d{6} t\d{2,}\] visible 3\n)"
+      R"(\[ERROR \+\d+\.\d{6} t\d{2,}\] visible 4\n)");
+  EXPECT_TRUE(std::regex_match(out, shape)) << out;
+}
+
 TEST(LogTest, UptimeIsMonotonicAcrossCalls) {
   auto seconds_of = [](const std::string& line) {
     const auto plus = line.find('+');

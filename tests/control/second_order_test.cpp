@@ -46,6 +46,20 @@ TEST(SecondOrderTest, HurwitzStability) {
   EXPECT_FALSE(SecondOrderSystem(1.0, -2.0).is_hurwitz_stable());
 }
 
+TEST(SecondOrderTest, HurwitzIffBothEigenvaluesHaveNegativeRealParts) {
+  // The degree-2 Routh-Hurwitz criterion (m > 0 and n > 0) against the
+  // eigenvalues themselves, over every sign of m and n, zero included.
+  for (const double m : {-3.0, -1.0, -0.25, 0.0, 0.25, 1.0, 2.0, 3.0}) {
+    for (const double n : {-3.0, -1.0, -0.25, 0.0, 0.25, 1.0, 2.0, 3.0}) {
+      const SecondOrderSystem sys(m, n);
+      const auto eig = sys.eigenvalues();
+      EXPECT_EQ(sys.is_hurwitz_stable(),
+                eig[0].real() < 0.0 && eig[1].real() < 0.0)
+          << "m=" << m << " n=" << n;
+    }
+  }
+}
+
 TEST(SecondOrderTest, RhsMatchesDefinition) {
   const SecondOrderSystem sys(3.0, 2.0);
   const auto f = sys.rhs();

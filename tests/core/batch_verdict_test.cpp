@@ -1,6 +1,7 @@
 // Batched SoA verdicts vs the scalar adaptive pipeline: the two paths
 // must agree on strong stability for every mechanism exposing a lane
-// law, across gain grids straddling the stability boundary.
+// law, across gain grids straddling the stability boundary.  Also the
+// slice size that splits a batch among the workers.
 #include "core/batch_verdict.h"
 
 #include <cmath>
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/sweep.h"
+#include "exec/thread_pool.h"
 #include "core/mechanism.h"
 #include "core/stability.h"
 
@@ -126,6 +128,37 @@ TEST(BatchVerdictTest, ThreadCountIsInvisible) {
         EXPECT_EQ(serial[i].converged, parallel[i].converged) << i;
         EXPECT_EQ(serial[i].nonfinite, parallel[i].nonfinite) << i;
       }
+    }
+  }
+}
+
+TEST(BatchVerdictTest, SliceLanesGiveEachWorkerOneSliceOfAtMost512) {
+  EXPECT_EQ(batch_slice_lanes(1000, 2), 500u);
+  EXPECT_EQ(batch_slice_lanes(1001, 2), 501u);
+  EXPECT_EQ(batch_slice_lanes(1089, 4), 273u);
+  EXPECT_EQ(batch_slice_lanes(1089, 2), 512u);  // capped: three slices
+  EXPECT_EQ(batch_slice_lanes(1089, 1), 512u);
+  EXPECT_EQ(batch_slice_lanes(3, 8), 1u);
+  EXPECT_EQ(batch_slice_lanes(0, 4), 1u);  // never zero
+}
+
+TEST(BatchVerdictTest, SlicesAreTheSmallestThatGiveEachWorkerOneWave) {
+  for (const int threads : {0, 1, 2, 3, 4, 7}) {
+    const auto workers =
+        static_cast<std::size_t>(exec::resolve_threads(threads));
+    for (std::size_t n = 1; n <= 5000; n += 37) {
+      SCOPED_TRACE(::testing::Message()
+                   << n << " lanes, " << threads << " threads");
+      const std::size_t slice = batch_slice_lanes(n, threads);
+      ASSERT_GE(slice, 1u);
+      ASSERT_LE(slice, 512u);
+      // Below the cap a worker gets at most one slice ...
+      if (slice < 512) {
+        EXPECT_LE((n + slice - 1) / slice, workers);
+      }
+      // ... and one lane less per slice would not do (at the cap: one
+      // slice per worker would hold more than 512 lanes).
+      EXPECT_GT(n, (slice - 1) * workers);
     }
   }
 }

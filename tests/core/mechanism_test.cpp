@@ -1,6 +1,7 @@
-// Fluid facet of the pluggable-mechanism layer: registry contents, gain
-// plumbing, BCN's facet being FluidModel itself, the shared buffer walls,
-// and the one integration routine and verdict every facet runs through.
+// Fluid facet of the pluggable-mechanism layer: registry contents, the
+// --mechanism flag, gain plumbing, BCN's facet being FluidModel itself,
+// the shared buffer walls, and the one integration routine and verdict
+// every facet runs through.
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -9,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/cli_args.h"
 #include "common/rng.h"
 #include "core/fluid_laws.h"
 #include "core/fluid_model.h"
@@ -18,6 +20,8 @@
 
 namespace bcn::core {
 namespace {
+
+using bcn::testing::parse_args;
 
 // The slow-regime plant used across the sim-layer references: every
 // registered fluid facet is strongly stable here at its default gains.
@@ -56,6 +60,33 @@ TEST(MechanismRegistryTest, LookupByNameAndUnknownName) {
   EXPECT_EQ(find_mechanism("nope"), nullptr);
   EXPECT_EQ(find_mechanism(""), nullptr);
   EXPECT_EQ(find_mechanism("BCN"), nullptr);  // names are case-sensitive
+}
+
+TEST(MechanismFlagTest, DefaultsToBcn) {
+  EXPECT_EQ(mechanism_flag(parse_args({})), "bcn");
+  EXPECT_EQ(mechanism_flag(parse_args({"--gi", "4"})), "bcn");
+}
+
+TEST(MechanismFlagTest, AcceptsEveryRegisteredName) {
+  for (const auto& info : mechanism_registry()) {
+    EXPECT_EQ(mechanism_flag(parse_args({"--mechanism", info.name})),
+              info.name);
+  }
+  EXPECT_EQ(mechanism_flag(parse_args({"--mechanism=qcn"})), "qcn");
+}
+
+TEST(MechanismFlagTest, UnknownNameThrowsUsageErrorListingTheRegistry) {
+  for (const char* bad : {"BCN", "dctcp", ""}) {
+    const std::string flag = std::string("--mechanism=") + bad;
+    try {
+      mechanism_flag(parse_args({flag.c_str()}));
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const UsageError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "--mechanism: unknown mechanism '" + std::string(bad) +
+                    "' (known: bcn, bcn-draft, qcn, rcp, fera)");
+    }
+  }
 }
 
 TEST(MechanismRegistryTest, FluidFacetAvailabilityMatchesFlag) {

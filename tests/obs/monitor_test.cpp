@@ -6,8 +6,11 @@
 // lives in tests/sim/monitor_wiring_test.cpp.
 #include "obs/monitor.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -103,6 +106,38 @@ TEST(MonitorSpecTest, SummaryRoundTripsThroughTheParser) {
   }
   EXPECT_EQ(monitor_spec_summary(MonitorSpec{}), "none");
   EXPECT_EQ(monitor_spec_summary(MonitorSpec::all()), "all");
+}
+
+TEST(MonitorSpecTest, UsageNamesEveryMonitorAndItsExamplesParse) {
+  // Tools print the usage for --monitors: every monitor and option it
+  // names must exist, and every example it shows must parse.
+  const std::string usage = monitor_spec_usage();
+  for (const char* name : {"all", "none", "queue_bounds", "rate_bounds",
+                           "conservation", "finite", "watchdog",
+                           "crosscheck"}) {
+    EXPECT_NE(usage.find(name), std::string::npos) << name;
+    EXPECT_TRUE(parse_monitor_spec(name).has_value()) << name;
+  }
+  for (const char* option : {"window=2ms", "ring=0", "snapshots=1"}) {
+    const std::string key(option, std::strchr(option, '=') + 1);
+    EXPECT_NE(usage.find(key), std::string::npos) << key;
+    EXPECT_TRUE(parse_monitor_spec(std::string("all,") + option).has_value())
+        << option;
+  }
+  const std::string tag = "examples: ";
+  const auto at = usage.find(tag);
+  ASSERT_NE(at, std::string::npos);
+  const std::string examples = usage.substr(at + tag.size());
+  std::size_t count = 0;
+  for (std::size_t begin = 0; begin < examples.size(); ++count) {
+    const auto end = std::min(examples.find(" | ", begin), examples.size());
+    const std::string example = examples.substr(begin, end - begin);
+    std::string error;
+    EXPECT_TRUE(parse_monitor_spec(example, &error).has_value())
+        << example << ": " << error;
+    begin = end + 3;
+  }
+  EXPECT_EQ(count, 3u);
 }
 
 // --- RunMonitor predicates (Record action: collect, never exit) ---------

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/cli_args.h"
 #include "exec/parallel_for.h"
 #include "obs/metrics.h"
 
@@ -447,6 +449,79 @@ TEST_F(TracingTest, ParallelForWorkersAreNamedByWorkerIndex) {
     EXPECT_EQ(names[s.tid], "pool-worker-" + std::to_string(worker));
   }
   EXPECT_GE(chunk_spans, 1u);
+}
+
+// --- tool plumbing: --trace / BCN_TRACE and the final export -------------
+
+using bcn::testing::parse_args;
+
+TEST_F(TracingTest, TraceFlagEnablesTracingAndReturnsItsPath) {
+  const auto dest = maybe_enable_tracing(parse_args({"--trace", "t/run.json"}));
+  ASSERT_TRUE(dest.has_value());
+  EXPECT_EQ(*dest, std::filesystem::path("t/run.json"));
+  EXPECT_TRUE(tracing_enabled());
+}
+
+TEST_F(TracingTest, TraceEnvironmentVariableStandsInForTheFlag) {
+  setenv("BCN_TRACE", "env.json", 1);
+  const auto from_env = maybe_enable_tracing(parse_args({}));
+  const bool enabled_by_env = tracing_enabled();
+  tracing_disable();
+  // The flag wins over the variable.
+  const auto from_flag = maybe_enable_tracing(parse_args({"--trace=f.json"}));
+  unsetenv("BCN_TRACE");
+  ASSERT_TRUE(from_env.has_value());
+  EXPECT_EQ(*from_env, std::filesystem::path("env.json"));
+  EXPECT_TRUE(enabled_by_env);
+  ASSERT_TRUE(from_flag.has_value());
+  EXPECT_EQ(*from_flag, std::filesystem::path("f.json"));
+}
+
+TEST_F(TracingTest, EmptyTraceFlagLeavesTracingOff) {
+  EXPECT_FALSE(maybe_enable_tracing(parse_args({"--trace="})).has_value());
+  EXPECT_FALSE(tracing_enabled());
+}
+
+TEST_F(TracingTest, FinalizeWritesTheDrainedSpansAndCountsThem) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "bcn_tracing_finalize_test";
+  std::filesystem::remove_all(dir);
+  const auto path = dir / "trace.json";
+  tracing_enable();
+  for (int i = 0; i < 3; ++i) TraceSpan span("test.span");
+
+  ::testing::internal::CaptureStdout();
+  const std::size_t exported = finalize_tracing(path);
+  const std::string announced = ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(exported, 3u);
+  EXPECT_EQ(announced, "  [trace] 3 spans -> " + path.string() + "\n");
+  std::size_t x_events = 0;
+  for (const auto& line : event_lines(path)) {
+    if (line.find("\"ph\": \"X\"") != std::string::npos) ++x_events;
+  }
+  EXPECT_EQ(x_events, 3u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(TracingTest, FinalizeReturnsZeroWhenTheTraceCannotBeWritten) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "bcn_tracing_unwritable_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  // A regular file where the trace's directory should be.
+  std::ofstream(dir / "blocker") << "x";
+  tracing_enable();
+  { TraceSpan span("test.span"); }
+
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  const std::size_t exported = finalize_tracing(dir / "blocker" / "t.json");
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(exported, 0u);
+  EXPECT_EQ(out, "");
+  EXPECT_NE(err.find("failed to write trace file"), std::string::npos) << err;
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

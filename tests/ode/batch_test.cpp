@@ -502,5 +502,13 @@ TEST(BatchIntegratorTest, QuietStepsMatchSingleLaneRuns) {
   }
 }
 
+TEST(BatchIntegratorTest, KernelNameIsTheWidestPassTheHostRuns) {
+  // E22 prints this name for the pass every default BatchIntegrator
+  // installs: AVX2 where the CPU has it, the baseline otherwise.
+  const std::string name = batch_kernel_name();
+  EXPECT_EQ(name, internal::host_batch_kernels().back()->name);
+  EXPECT_TRUE(name == "avx2" || name == "baseline") << name;
+}
+
 }  // namespace
 }  // namespace bcn::ode

@@ -135,6 +135,34 @@ TEST(FaultsTest, SummaryRoundTripsThroughParser) {
   EXPECT_EQ(again->seed, plan->seed);
 }
 
+TEST(FaultsTest, UsageNamesEveryKeyAndItsExampleParses) {
+  // Tools print the usage for --faults: every key it documents must
+  // parse with the sample value it shows, and so must its example.
+  const std::string usage = fault_plan_usage();
+  for (const char* entry :
+       {"bcn_drop=0.2", "bcn_dup=0.2", "bcn_delay=0.2:100us", "data_drop=0.2",
+        "pause_drop=0.2", "flap=10ms+2ms", "seed=7"}) {
+    const std::string text(entry);
+    const std::string key = text.substr(0, text.find('=') + 1);
+    EXPECT_NE(usage.find("  " + key), std::string::npos) << key;
+    std::string err;
+    EXPECT_TRUE(parse_fault_plan(text, &err)) << text << ": " << err;
+  }
+  EXPECT_NE(usage.find("(e.g. 0.2:100us)"), std::string::npos);
+  EXPECT_NE(usage.find("(e.g. 10ms+2ms)"), std::string::npos);
+
+  const std::string tag = "Example: --faults ";
+  const auto at = usage.find(tag);
+  ASSERT_NE(at, std::string::npos);
+  std::string err;
+  const auto plan = parse_fault_plan(usage.substr(at + tag.size()), &err);
+  ASSERT_TRUE(plan) << err;
+  EXPECT_DOUBLE_EQ(plan->bcn_drop_p, 0.2);
+  EXPECT_DOUBLE_EQ(plan->bcn_delay_p, 0.1);
+  EXPECT_EQ(plan->bcn_delay, 100 * kMicrosecond);
+  EXPECT_EQ(plan->seed, 7u);
+}
+
 // --- determinism contract -------------------------------------------------
 
 TEST(FaultsTest, ZeroPlanMatchesPinnedDeterminismDigest) {

@@ -9,7 +9,8 @@
 // shard count above the switch count runs one shard per switch, that
 // cross-shard mail arrives exactly once whichever parity the last epoch
 // has and however many shards mail one, and that a traced run splits
-// each worker's epochs into drain, inject and barrier spans.
+// each worker's epochs into drain, inject and barrier spans.  Last, the
+// span flags (--duration-us, --sample-us) that size a run.
 #include <algorithm>
 #include <cstdint>
 #include <map>
@@ -19,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/cli_args.h"
 #include "../support/fabric_flows.h"
 #include "obs/tracing.h"
 #include "sim/shard/engine.h"
@@ -305,6 +307,40 @@ TEST(ShardDeterminismTest, TracedRunSpansEveryEpochPhaseOnEachWorker) {
   // Every injected record was staged; those due past the horizon stay.
   EXPECT_GT(injected, 0.0);
   EXPECT_LE(injected, static_cast<double>(result.staged_records));
+}
+
+using bcn::testing::parse_args;
+
+TEST(SpanUsTest, AbsentFlagTakesTheFallback) {
+  EXPECT_EQ(span_us(parse_args({}), "duration-us", 1500.0),
+            1500 * kMicrosecond);
+  EXPECT_EQ(span_us(parse_args({"--sample-us", "20"}), "duration-us", 0.25),
+            250);
+}
+
+TEST(SpanUsTest, ConvertsMicrosecondsToWholeNanoseconds) {
+  const auto args = parse_args({"--duration-us", "2.5", "--sample-us=0.001"});
+  EXPECT_EQ(span_us(args, "duration-us", 1.0), 2500);
+  EXPECT_EQ(span_us(args, "sample-us", 1.0), 1);  // the shortest span
+  EXPECT_EQ(span_us(parse_args({"--sample-us", "0.0019"}), "sample-us", 1.0),
+            1);  // truncates
+  EXPECT_EQ(span_us(parse_args({"--duration-us", "9e15"}), "duration-us", 1.0),
+            9'000'000'000'000'000'000);
+}
+
+TEST(SpanUsTest, RejectsSpansOutsideTheClockNamingTheFlag) {
+  for (const char* bad : {"0", "-1", "0.0005", "1e16", "inf", "nan", "x"}) {
+    SCOPED_TRACE(bad);
+    try {
+      span_us(parse_args({"--duration-us", bad}), "duration-us", 1.0);
+      ADD_FAILURE() << "accepted";
+    } catch (const UsageError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("--duration-us: ", 0), 0u)
+          << e.what();
+    }
+  }
+  // A fallback is checked like a flag value.
+  EXPECT_THROW(span_us(parse_args({}), "sample-us", 0.0), UsageError);
 }
 
 }  // namespace

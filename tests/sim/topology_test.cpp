@@ -128,6 +128,27 @@ TEST(TopologyTest, StarRoutesEveryFlowThroughTheHubPort) {
   }
 }
 
+TEST(TopologyTest, AddFlowRoutesOneThreeOrFiveHopsByTier) {
+  // fat-tree:4 has two hosts per edge switch and two edges per pod.
+  Topology topo;
+  std::string error;
+  ASSERT_TRUE(parse_topology_spec("fat-tree:4", &topo, &error)) << error;
+  add_flow(topo, 0, 1);  // same edge: the destination's host port only
+  add_flow(topo, 0, 2);  // same pod: edge up, agg down, edge down
+  add_flow(topo, 0, 4);  // other pod: up to a core and back down
+  ASSERT_EQ(topo.flows.size(), 3u);
+  EXPECT_EQ(topo.flows[2].src_host, 0u);
+  EXPECT_EQ(topo.flows[2].dst_host, 4u);
+  EXPECT_EQ(topo.route_length(0), 1u);
+  EXPECT_EQ(topo.route_length(1), 3u);
+  EXPECT_EQ(topo.route_length(2), 5u);
+  EXPECT_EQ(topo.max_route_length(), 5u);
+  const std::uint32_t* cross = topo.route(2);
+  EXPECT_EQ(topo.switches[topo.ports[cross[2]].switch_id].level,
+            SwitchLevel::Core);
+  expect_routes_valid(topo);
+}
+
 TEST(TopologyTest, SpecParserRejectsMalformedShapes) {
   Topology topo;
   std::string error;
